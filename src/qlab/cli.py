@@ -9,6 +9,7 @@ or malformed input and exhausted budgets.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -32,19 +33,25 @@ _MATH_ERRORS = (NotAPoset, NotALattice, NotAGroupoid, InvalidAction, NotEtale,
                 NotUnital, BNotLocale)
 
 
+def _count(name: str, raw) -> int:
+    """A budget or cap: a finite nonnegative number, truncated to an integer."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise InputError(f"{name} is not a number: {raw!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise InputError(f"{name} must be a finite nonnegative number: {raw!r}")
+    return int(value)
+
+
 def _env_budget() -> int | None:
     raw = os.environ.get("QLAB_BUDGET")
-    if not raw:
-        return None
-    try:
-        return int(float(raw))
-    except ValueError:
-        raise InputError(f"QLAB_BUDGET is not a number: {raw!r}") from None
+    return _count("QLAB_BUDGET", raw) if raw else None
 
 
 def _cap(args, fallback: int) -> int:
     if getattr(args, "cap", None) is not None:
-        return args.cap
+        return _count("--cap", args.cap)
     env = _env_budget()
     return env if env is not None else fallback
 
@@ -287,7 +294,7 @@ def cmd_search(args) -> int:
         lat = obj.lattice
     else:
         lat = quantale_of(obj).lattice
-    budget = args.budget if args.budget is not None else _env_budget()
+    budget = _count("--budget", args.budget) if args.budget is not None else _env_budget()
     if budget is None:
         budget = 10 ** 8
     try:
@@ -296,7 +303,7 @@ def cmd_search(args) -> int:
                           fix_unit=args.fix_unit,
                           require=_parse_require(args.require),
                           limit=args.limit, budget=budget,
-                          dedup_iso=args.dedup, cap=args.cap)
+                          dedup_iso=args.dedup, cap=_count("--cap", args.cap))
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -372,21 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("complete", cmd_complete, "singleton completion of a Q-set")
     p.add_argument("ref", help="qset file")
-    p.add_argument("--cap", type=int, help="column-enumeration cap (default 2^20 or QLAB_BUDGET)")
+    p.add_argument("--cap", help="column-enumeration cap (default 2^20 or QLAB_BUDGET)")
     p.add_argument("--out", help="write the completed qset to this file")
 
     p = add("sections", cmd_sections, "Hilbert sections of a module")
     p.add_argument("ref", help="module, action, or qset")
-    p.add_argument("--cap", type=int, help="carrier-closure cap (default 2^13 or QLAB_BUDGET)")
+    p.add_argument("--cap", help="carrier-closure cap (default 2^13 or QLAB_BUDGET)")
 
     p = add("basis-check", cmd_basis_check, "does a section family reconstruct the module?")
     p.add_argument("ref", help="module, action, or qset")
     p.add_argument("--sigma", help="comma-separated carrier indices (default: all sections)")
-    p.add_argument("--cap", type=int, help="carrier-closure cap (default 2^13 or QLAB_BUDGET)")
+    p.add_argument("--cap", help="carrier-closure cap (default 2^13 or QLAB_BUDGET)")
 
     p = add("sheafify", cmd_sheafify, "section Q-set of an etale Q-locale")
     p.add_argument("ref", help="action or module")
-    p.add_argument("--cap", type=int, help="carrier-closure cap (default 2^13 or QLAB_BUDGET)")
+    p.add_argument("--cap", help="carrier-closure cap (default 2^13 or QLAB_BUDGET)")
     p.add_argument("--out", help="write the section q-set to this file")
 
     p = add("verify-equivalence", cmd_verify_equivalence,
@@ -404,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trivial-involution", action="store_true",
                    help="fix the involution to the identity")
     p.add_argument("--limit", type=int, help="stop after this many models")
-    p.add_argument("--budget", type=float, default=None,
+    p.add_argument("--budget", default=None,
                    help="candidate budget (default QLAB_BUDGET or 1e8)")
-    p.add_argument("--cap", type=int, default=6, help="largest admissible lattice (default 6)")
+    p.add_argument("--cap", default=6, help="largest admissible lattice (default 6)")
     p.add_argument("--dedup", action="store_true",
                    help="emit one model per isomorphism class")
     p.add_argument("--out", help="directory for model-NNN.json files")
@@ -420,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is not None:
-        args.budget = int(args.budget)
     try:
         return args.func(args)
     except InputError as exc:

@@ -2,10 +2,11 @@
 
 Carriers are explicit finite sup-lattices and every structure map (action,
 inner product, homomorphism) is a dense integer table, so all axioms are
-decided by exhaustive evaluation.  The central construction is
-module_from_qset, which materializes the module of "row combinations" of a
-Q-valued matrix together with its row basis; everything else (adjoints, the
-matrix functor M, supports, local sections) is built on top of it.
+decided exactly, the cubic ones on join-irreducible generators (qlab.laws).
+The central construction is module_from_qset, which materializes the module
+of "row combinations" of a Q-valued matrix together with its row basis;
+everything else (adjoints, the matrix functor M, supports, local sections)
+is built on top of it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .laws import first_bad, first_violation, holds_on
 from .lattice import SupLattice
 from .qmatrix import QMatrix, QSet, completion, is_qset, is_relation, mat_mul
-from .quantale import Quantale, ValidationReport, _first_bad, support
+from .quantale import Quantale, ValidationReport, support
 
 
 class CarrierTooLarge(RuntimeError):
@@ -116,40 +118,40 @@ def module_over_self(Q: Quantale) -> PreHilbertModule:
 
 
 def validate_module(M: QModule) -> ValidationReport:
-    """Exhaustively check the left-module laws (binary joins + bottom)."""
+    """Check the left-module laws (binary joins + bottom) exactly.
+
+    Join preservation in each argument is decided on join-irreducibles of
+    that argument (qlab.laws).  Once those laws, their bottom laws and the
+    bilinearity of the product hold, (ab)x = a(bx) is trilinear and is
+    checked on join-irreducible a, b and x.
+    """
     Q, X, act = M.quantale, M.carrier, M.action
-    nq = Q.n
+    rows = range(Q.n)
     jq, jx = Q.lattice.join_table, X.join_table
+    JQ = np.asarray(Q.lattice.join_irreducibles, dtype=np.intp)
+    JX = X.join_irreducibles
     laws: dict = {}
 
-    w = None
-    for a in range(nq):
-        bad = act[Q.mul[a]] != act[a][act]
-        if bad.any():
-            w = _first_bad(bad, a)
-            break
-    laws["action_product"] = w
+    join_scalar = holds_on(lambda j: act[jq[:, j]] != jx[act, act[j][None, :]], JQ)
+    join_element = holds_on(lambda j: act[:, jx[:, j]] != jx[act, act[:, j, None]], JX)
+    bottom_scalar = first_bad(act[Q.bottom] != X.bottom)
+    bottom_element = first_bad(act[:, X.bottom] != X.bottom)
+    linear = (Q.bilinear and join_scalar and join_element
+              and bottom_scalar is None and bottom_element is None)
+    mJJ = Q.mul[np.ix_(JQ, JQ)]
+    product = linear and holds_on(lambda x: act[mJJ, x] != act[np.ix_(JQ, act[JQ, x])], JX)
 
-    w = None
-    for a in range(nq):
-        bad = act[jq[a]] != jx[act[a][None, :], act]
-        if bad.any():
-            w = _first_bad(bad, a)
-            break
-    laws["action_join_scalar"] = w
-    laws["action_bottom_scalar"] = _first_bad(act[Q.bottom] != X.bottom)
-
-    w = None
-    for a in range(nq):
-        bad = act[a][jx] != jx[np.ix_(act[a], act[a])]
-        if bad.any():
-            w = _first_bad(bad, a)
-            break
-    laws["action_join_element"] = w
-    laws["action_bottom_element"] = _first_bad(act[:, X.bottom] != X.bottom)
+    laws["action_product"] = first_violation(lambda a: act[Q.mul[a]] != act[a][act],
+                                             rows, product)
+    laws["action_join_scalar"] = first_violation(
+        lambda a: act[jq[a]] != jx[act[a][None, :], act], rows, join_scalar)
+    laws["action_bottom_scalar"] = bottom_scalar
+    laws["action_join_element"] = first_violation(
+        lambda a: act[a][jx] != jx[np.ix_(act[a], act[a])], rows, join_element)
+    laws["action_bottom_element"] = bottom_element
 
     if Q.unit is not None:
-        laws["action_unit"] = _first_bad(act[Q.unit] != np.arange(X.n, dtype=np.intp))
+        laws["action_unit"] = first_bad(act[Q.unit] != np.arange(X.n, dtype=np.intp))
     return ValidationReport(laws)
 
 
@@ -174,37 +176,40 @@ class PreHilbertReport:
 
 
 def validate_prehilbert(X: PreHilbertModule) -> PreHilbertReport:
+    """Check the module laws and the inner-product laws exactly.
+
+    <x OR x', y> = <x,y> OR <x',y> is decided on join-irreducible x'.  Once
+    the module and product laws and the left join and bottom laws of the
+    inner product hold, <ax, y> = a<x,y> preserves finite joins in a and x
+    and is checked on join-irreducible a and x.  The right-hand law
+    <x, ay> = <x,y>a* then follows from it, symmetry and the involution
+    being an anti-homomorphism: <x, ay> = (a<y,x>)* = <x,y>a*.  Any law
+    that fails its reduced check is scanned exhaustively for its witness.
+    """
     Q, lat, act, ip = X.quantale, X.carrier, X.action, X.ip
-    jq = Q.lattice.join_table
+    mul, inv, jq = Q.mul, Q.inv, Q.lattice.join_table
+    JQ = np.asarray(Q.lattice.join_irreducibles, dtype=np.intp)
+    JX = lat.join_irreducibles
     laws = dict(validate_module(X.module).laws)
+    module_linear = Q.bilinear and all(
+        laws[k] is None for k in ("action_join_scalar", "action_bottom_scalar",
+                                  "action_join_element", "action_bottom_element"))
 
-    w = None
-    for a in range(Q.n):
-        bad = ip[act[a]] != Q.mul[a][ip]
-        if bad.any():
-            w = _first_bad(bad, a)
-            break
-    laws["ip_scalar_left"] = w
+    join_left = holds_on(lambda j: ip[lat.join_table[:, j]] != jq[ip, ip[j][None, :]], JX)
+    bottom_left = first_bad(ip[lat.bottom] != Q.bottom)
+    scalar_left = (module_linear and join_left and bottom_left is None
+                   and holds_on(lambda x: ip[act[JQ, x]] != mul[np.ix_(JQ, ip[x])], JX))
+    laws["ip_scalar_left"] = first_violation(lambda a: ip[act[a]] != mul[a][ip],
+                                             range(Q.n), scalar_left)
+    laws["ip_join_left"] = first_violation(
+        lambda x: ip[lat.join_table[x]] != jq[ip[x][None, :], ip], range(X.n), join_left)
+    laws["ip_bottom_left"] = bottom_left
+    laws["ip_symmetry"] = first_bad(ip != inv[ip].T)
 
-    w = None
-    for x in range(X.n):
-        bad = ip[lat.join_table[x]] != jq[ip[x][None, :], ip]
-        if bad.any():
-            w = _first_bad(bad, x)
-            break
-    laws["ip_join_left"] = w
-    laws["ip_bottom_left"] = _first_bad(ip[lat.bottom] != Q.bottom)
-    laws["ip_symmetry"] = _first_bad(ip != Q.inv[ip].T)
-
-    # Right-variable sesquilinearity is a consequence of the axioms above;
-    # checking it anyway guards the table against transposition slips.
-    w = None
-    for a in range(Q.n):
-        bad = ip[:, act[a]] != Q.mul[ip, Q.inv[a]]
-        if bad.any():
-            w = _first_bad(bad, a)
-            break
-    laws["ip_scalar_right"] = w
+    scalar_right = (laws["ip_scalar_left"] is None and laws["ip_symmetry"] is None
+                    and bool((inv[mul] == mul[np.ix_(inv, inv)].T).all()))
+    laws["ip_scalar_right"] = first_violation(lambda a: ip[:, act[a]] != mul[ip, inv[a]],
+                                              range(Q.n), scalar_right)
 
     seen: dict = {}
     degen = None
@@ -254,7 +259,7 @@ def parseval_check(X: PreHilbertModule, sigma):
     acc = np.full((X.n, X.n), Q.bottom, dtype=np.intp)
     for s in np.asarray(sigma, dtype=np.intp):
         acc = Q.lattice.join_table[acc, Q.mul[ip[:, s][:, None], ip[s][None, :]]]
-    return _first_bad(acc != ip)
+    return first_bad(acc != ip)
 
 
 @dataclass(eq=False)
@@ -289,9 +294,15 @@ def hom_join(phi: ModuleHom, psi: ModuleHom) -> ModuleHom:
 
 
 def is_module_hom(phi: ModuleHom):
-    """(ok, witness) for join/bottom/action preservation, fully vectorized."""
+    """(ok, witness) for join/bottom/action preservation.
+
+    Join preservation is decided on join-irreducible second arguments
+    (qlab.laws); the full pair table is compared only to find a witness.
+    """
     Xs, Xt, f = phi.source, phi.target, phi.map
-    w = _first_bad(f[Xs.carrier.join_table] != Xt.carrier.join_table[np.ix_(f, f)])
+    js, jt = Xs.carrier.join_table, Xt.carrier.join_table
+    joins = holds_on(lambda j: f[js[:, j]] != jt[f, f[j]], Xs.carrier.join_irreducibles)
+    w = None if joins else first_bad(f[js] != jt[np.ix_(f, f)])
     if w is not None:
         return False, ("join",) + w
     if f[Xs.carrier.bottom] != Xt.carrier.bottom:
@@ -299,7 +310,7 @@ def is_module_hom(phi: ModuleHom):
     nq = Xs.quantale.n
     lhs = f[Xs.action]
     rhs = Xt.action[np.arange(nq, dtype=np.intp)[:, None], f[None, :]]
-    w = _first_bad(lhs != rhs)
+    w = first_bad(lhs != rhs)
     if w is not None:
         return False, ("action",) + w
     return True, None
@@ -321,7 +332,7 @@ def adjoint(phi: ModuleHom, sigma=None) -> ModuleHom:
         out = Xs.carrier.join_table[out, Xs.action[Xt.ip[:, phi.map[t]], t]]
     lhs = Xt.ip[phi.map]          # [x, y] = <phi(x), y>
     rhs = Xs.ip[:, out]           # [x, y] = <x, adj(y)>
-    w = _first_bad(lhs != rhs)
+    w = first_bad(lhs != rhs)
     if w is not None:
         raise AdjointIdentityFails(w)
     return ModuleHom(Xt, Xs, out)
@@ -570,13 +581,13 @@ def module_support(X: PreHilbertModule) -> SupportedModule:
     diag = ip[ar, ar]
     supv = mt[diag, e]
 
-    w = _first_bad(~Q.leq[supv, diag])
+    w = first_bad(~Q.leq[supv, diag])
     if w is not None:
         raise SupportAxiomFails("below_inner", w)
-    w = _first_bad(X.carrier.leq & ~Q.leq[supv[:, None], supv[None, :]])
+    w = first_bad(X.carrier.leq & ~Q.leq[supv[:, None], supv[None, :]])
     if w is not None:
         raise SupportAxiomFails("monotone", w)
-    w = _first_bad(~lat.leq[ar, act[supv, ar]])
+    w = first_bad(~lat.leq[ar, act[supv, ar]])
     if w is not None:
         raise SupportAxiomFails("restores", w)
 

@@ -13,6 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .laws import first_violation, holds_on
+
 
 class NotAPoset(ValueError):
     """Raised when the input order relation is not a partial order."""
@@ -130,26 +132,32 @@ class SupLattice:
 
         For a finite lattice this is equivalent to the full frame law.
         Returns (ok, witness); the witness is the lex-first failing triple.
+        The law says each a AND - preserves binary joins, so it is decided
+        on join-irreducible c (see qlab.laws); the exhaustive scan runs only
+        to find the witness.  The result is computed once per lattice.
         """
+        return self._frame_law
+
+    @cached_property
+    def _frame_law(self) -> tuple[bool, tuple[int, int, int] | None]:
         jt, mt = self.join_table, self.meet_table
-        for a in range(self.n):
-            lhs = mt[a][jt]
-            rhs = jt[np.ix_(mt[a], mt[a])]
-            bad = lhs != rhs
-            if bad.any():
-                b, c = map(int, np.argwhere(bad)[0])
-                return False, (a, b, c)
-        return True, None
+        proved = holds_on(lambda j: mt[:, jt[:, j]] != jt[mt, mt[:, j, None]],
+                          self.join_irreducibles)
+        w = first_violation(lambda a: mt[a][jt] != jt[np.ix_(mt[a], mt[a])],
+                            range(self.n), proved)
+        return w is None, w
 
     @cached_property
     def join_irreducibles(self) -> list[int]:
-        """Elements that are not the join of the elements strictly below them."""
-        out = []
-        for x in range(self.n):
-            below = [y for y in range(self.n) if self.leq[y, x] and y != x]
-            if self.join(below) != x:
-                out.append(x)
-        return out
+        """Elements that are not the join of the elements strictly below them.
+
+        Equivalently, x has a largest element y strictly below it; that y is
+        the one strictly below x whose downset is one element smaller.
+        """
+        down = self.leq.sum(axis=0)
+        strict = self.leq & ~np.eye(self.n, dtype=bool)
+        below = strict & (down[:, None] == down[None, :] - 1)
+        return [int(x) for x in np.flatnonzero(below.any(axis=0))]
 
     def covers(self) -> list[tuple[int, int]]:
         strict = self.leq & ~np.eye(self.n, dtype=bool)

@@ -1,0 +1,62 @@
+"""The law-check primitive shared by lattices, quantales and modules.
+
+Every law is a family of table identities whose lex-first violation is the
+witness a report carries.  A law that is cubic in the table size is scanned
+one row at a time (first_violation), so temporaries stay n x n.
+
+The scan is needed only to find a witness.  Whether the law holds is
+usually decided faster on join-irreducible generators (holds_on), by one of
+two exact reductions that the callers state next to each use:
+
+* A map f between finite lattices preserves binary joins iff
+  f(x OR j) = f(x) OR f(j) for every x and every join-irreducible j.  (By
+  induction on a join-irreducible decomposition of the second argument;
+  for x <= y the identities give f(y) = f(x) OR ..., so f is monotone,
+  which covers the empty decomposition.)
+* If both sides of an equation (or inequality) between two maps preserve
+  finite joins, the empty one included, in each argument separately, it
+  holds everywhere iff it holds on join-irreducible arguments, because
+  every element is the join of the irreducibles below it.  So a
+  multilinear law needs checking only on generators once its premises,
+  the join and bottom laws that make it multilinear, have been checked.
+
+A caller passes proved=True to first_violation only when the premises and
+the reduced check both passed; any other outcome runs the exhaustive scan,
+so every witness is the one the exhaustive scan alone would report.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable
+
+import numpy as np
+
+BadRow = Callable[[int], np.ndarray]
+
+
+def first_bad(bad: np.ndarray):
+    """Index tuple of the first true cell of `bad` in row-major order, or None."""
+    if not bad.any():
+        return None
+    return tuple(int(v) for v in np.argwhere(bad)[0])
+
+
+def first_violation(bad_row: BadRow, rows: Iterable[int], proved: bool = False):
+    """Lex-first witness (r, i, ...) of a row-by-row scan, or None.
+
+    bad_row(r) is the boolean violation array of row r; rows are visited in
+    order and the first true cell of the first bad row wins.  With proved
+    set the law is already known to hold and nothing is scanned.
+    """
+    if proved:
+        return None
+    for r in rows:
+        cell = first_bad(bad_row(r))
+        if cell is not None:
+            return (int(r),) + cell
+    return None
+
+
+def holds_on(bad_row: BadRow, generators: Iterable[int]) -> bool:
+    """True when bad_row(j) has no true cell for any generator j."""
+    return not any(bad_row(j).any() for j in generators)

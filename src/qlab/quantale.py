@@ -2,18 +2,22 @@
 
 A quantale here is a finite sup-lattice with an associative multiplication
 that preserves joins in each argument, an involution, and optionally a unit.
-All law checks are exhaustive; the cubic ones (associativity, join
-distribution, modularity, frame law) are vectorized one row at a time so that
-512-element quantales stay well inside interactive time.
+All law checks are exact.  The cubic ones (associativity, join distribution,
+modularity, frame law) are decided on join-irreducible generators by the
+reductions in qlab.laws, each after its premises have been checked; only a
+law that fails there is scanned exhaustively, one row at a time, to find
+the lex-first witness the exhaustive scan alone would report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from .laws import first_bad, first_violation, holds_on
 from .lattice import SupLattice
 
 
@@ -73,6 +77,30 @@ class Quantale:
     def meet(self, items) -> int:
         return self.lattice.meet(items)
 
+    @cached_property
+    def linearity(self) -> dict:
+        """Which of the four laws that make the product bilinear hold.
+
+        Join distribution in each argument is decided on join-irreducible
+        generators (qlab.laws).  Computed once per quantale: the laws are
+        premises of the reduced associativity, modularity and module checks.
+        """
+        mul, jt, bot = self.mul, self.lattice.join_table, self.bottom
+        J = self.lattice.join_irreducibles
+        return {
+            "join_distribution_left": holds_on(
+                lambda j: mul[jt[:, j]] != jt[mul, mul[j][None, :]], J),
+            "join_distribution_right": holds_on(
+                lambda j: mul[:, jt[:, j]] != jt[mul, mul[:, j, None]], J),
+            "bottom_left": bool((mul[bot] == bot).all()),
+            "bottom_right": bool((mul[:, bot] == bot).all()),
+        }
+
+    @property
+    def bilinear(self) -> bool:
+        """The product preserves all finite joins in each argument."""
+        return all(self.linearity.values())
+
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Quantale(n={self.n}{tag})"
@@ -92,58 +120,40 @@ class ValidationReport:
         return {law: w for law, w in self.laws.items() if w is not None}
 
 
-def _first_bad(bad: np.ndarray, *prefix: int):
-    if not bad.any():
-        return None
-    return tuple(prefix) + tuple(int(v) for v in np.argwhere(bad)[0])
-
-
 def validate_quantale(Q: Quantale) -> ValidationReport:
-    """Check every quantale law exhaustively, recording lex-first witnesses.
+    """Check every quantale law exactly, recording lex-first witnesses.
 
     Join preservation over arbitrary families reduces to binary joins plus
-    the bottom element, which is what gets checked.
+    the bottom element, which is what gets checked.  Once the product is
+    bilinear, associativity is trilinear and is checked on triples of
+    join-irreducibles.
     """
     lat, mul, inv = Q.lattice, Q.mul, Q.inv
     n, jt = lat.n, lat.join_table
     ar = np.arange(n, dtype=np.intp)
     bot = lat.bottom
+    J = np.asarray(lat.join_irreducibles, dtype=np.intp)
+    lin = Q.linearity
+    rows = range(n)
     laws: dict = {}
 
-    w = None
-    for a in range(n):
-        bad = mul[mul[a]] != mul[a][mul]
-        if bad.any():
-            w = _first_bad(bad, a)
-            break
-    laws["associativity"] = w
-
-    w = None
-    for a in range(n):
-        bad = mul[jt[a]] != jt[mul[a][None, :], mul]
-        if bad.any():
-            w = _first_bad(bad, a)
-            break
-    laws["join_distribution_left"] = w
-
-    w = None
-    for a in range(n):
-        bad = mul[a][jt] != jt[np.ix_(mul[a], mul[a])]
-        if bad.any():
-            w = _first_bad(bad, a)
-            break
-    laws["join_distribution_right"] = w
-
-    laws["bottom_left"] = _first_bad(mul[bot] != bot)
-    laws["bottom_right"] = _first_bad(mul[:, bot] != bot)
-    laws["involution_involutive"] = _first_bad(inv[inv] != ar)
-    laws["involution_antihom"] = _first_bad(inv[mul] != mul[np.ix_(inv, inv)].T)
-    laws["involution_join"] = _first_bad(inv[jt] != jt[np.ix_(inv, inv)])
+    mJJ = mul[np.ix_(J, J)]
+    assoc = Q.bilinear and holds_on(lambda c: mul[mJJ, c] != mul[np.ix_(J, mul[J, c])], J)
+    laws["associativity"] = first_violation(lambda a: mul[mul[a]] != mul[a][mul], rows, assoc)
+    laws["join_distribution_left"] = first_violation(
+        lambda a: mul[jt[a]] != jt[mul[a][None, :], mul], rows, lin["join_distribution_left"])
+    laws["join_distribution_right"] = first_violation(
+        lambda a: mul[a][jt] != jt[np.ix_(mul[a], mul[a])], rows, lin["join_distribution_right"])
+    laws["bottom_left"] = first_bad(mul[bot] != bot)
+    laws["bottom_right"] = first_bad(mul[:, bot] != bot)
+    laws["involution_involutive"] = first_bad(inv[inv] != ar)
+    laws["involution_antihom"] = first_bad(inv[mul] != mul[np.ix_(inv, inv)].T)
+    laws["involution_join"] = first_bad(inv[jt] != jt[np.ix_(inv, inv)])
     laws["involution_bottom"] = None if inv[bot] == bot else (bot,)
 
     if Q.unit is not None:
-        laws["unit_left"] = _first_bad(mul[Q.unit] != ar)
-        laws["unit_right"] = _first_bad(mul[:, Q.unit] != ar)
+        laws["unit_left"] = first_bad(mul[Q.unit] != ar)
+        laws["unit_right"] = first_bad(mul[:, Q.unit] != ar)
 
     return ValidationReport(laws)
 
@@ -191,53 +201,32 @@ def support(Q: Quantale) -> SupportReport:
     a1 = mul[:, top]
     sup = mt[a1, e]
     laws: dict = {}
-    laws["join_preserving"] = _first_bad(sup[jt] != jt[sup[:, None], sup[None, :]])
+    joins = holds_on(lambda j: sup[jt[:, j]] != jt[sup, sup[j]], lat.join_irreducibles)
+    laws["join_preserving"] = None if joins else first_bad(sup[jt] != jt[np.ix_(sup, sup)])
     laws["bottom"] = None if sup[bot] == bot else (bot,)
-    laws["below_self_star"] = _first_bad(~Q.leq[sup, mul[ar, inv]])
-    laws["restores"] = _first_bad(~Q.leq[ar, mul[sup, ar]])
-    laws["stability"] = _first_bad(~Q.leq[sup[a1], sup])
+    laws["below_self_star"] = first_bad(~Q.leq[sup, mul[ar, inv]])
+    laws["restores"] = first_bad(~Q.leq[ar, mul[sup, ar]])
+    laws["stability"] = first_bad(~Q.leq[sup[a1], sup])
 
     report = SupportReport(sup, laws)
     if not report.supported:
         return report
 
     cc: dict = {}
-    cc["sup_times_top"] = _first_bad(mul[sup, top] != a1)
+    cc["sup_times_top"] = first_bad(mul[sup, top] != a1)
     b_elems = np.flatnonzero(Q.leq[:, e])
     bad = mt[np.ix_(b_elems, b_elems)] != mul[np.ix_(b_elems, b_elems)]
-    cc["b_meet_is_product"] = _first_bad(bad)
-    cc["b_self_adjoint"] = _first_bad(inv[b_elems] != b_elems)
-    cc["b_fixed_by_sup"] = _first_bad(sup[b_elems] != b_elems)
+    cc["b_meet_is_product"] = first_bad(bad)
+    cc["b_self_adjoint"] = first_bad(inv[b_elems] != b_elems)
+    cc["b_fixed_by_sup"] = first_bad(sup[b_elems] != b_elems)
     if report.stable:
-        w = None
-        for a in range(n):
-            bad = sup[mul[a]] != sup[mul[a, sup]]
-            if bad.any():
-                w = _first_bad(bad, a)
-                break
-        cc["stability_composed"] = w
-        cc["self_star_formula"] = _first_bad(sup != mt[mul[ar, inv], e])
-        w = None
-        for b in b_elems:
-            bad = mul[b] != mt[mul[b, top], ar]
-            if bad.any():
-                w = _first_bad(bad, int(b))
-                break
-        cc["b_product_formula"] = w
-        w = None
-        for b in b_elems:
-            bad = mt[mul[b], e] != mt[b, ar]
-            if bad.any():
-                w = _first_bad(bad, int(b))
-                break
-        cc["b_meet_unit_swap"] = w
-        w = None
-        for b in b_elems:
-            bad = sup[mul[b]] != mul[b, sup]
-            if bad.any():
-                w = _first_bad(bad, int(b))
-                break
-        cc["b_equivariance"] = w
+        cc["stability_composed"] = first_bad(sup[mul] != sup[mul[:, sup]])
+        cc["self_star_formula"] = first_bad(sup != mt[mul[ar, inv], e])
+        cc["b_product_formula"] = first_violation(
+            lambda b: mul[b] != mt[mul[b, top], ar], b_elems)
+        cc["b_meet_unit_swap"] = first_violation(
+            lambda b: mt[mul[b], e] != mt[b, ar], b_elems)
+        cc["b_equivariance"] = first_violation(lambda b: sup[mul[b]] != mul[b, sup], b_elems)
     report.cross_checks = cc
     return report
 
@@ -355,15 +344,23 @@ def _gelfand_flags(Q: Quantale):
 
 
 def modular_law(Q: Quantale):
-    """First lex witness (a, b, c) with ab AND c not below a(b AND a*c), or None."""
-    mul, inv, mt = Q.mul, Q.inv, Q.lattice.meet_table
-    for a in range(Q.n):
-        lhs = mt[mul[a]]
-        rhs = mul[a][mt[:, mul[inv[a]]]]
-        bad = ~Q.leq[lhs, rhs]
-        if bad.any():
-            return _first_bad(bad, a)
-    return None
+    """First lex witness (a, b, c) with ab AND c not below a(b AND a*c), or None.
+
+    On a frame with a bilinear product both sides preserve finite joins in
+    b and in c (distributivity splits the meets), so for each a the law is
+    checked on join-irreducible b and c only.
+    """
+    mul, inv, mt, leq = Q.mul, Q.inv, Q.lattice.meet_table, Q.leq
+    J = np.asarray(Q.lattice.join_irreducibles, dtype=np.intp)
+    ar = np.arange(Q.n, dtype=np.intp)[:, None]
+    mulJ = mul[:, J]
+
+    def bad_c(c):           # [a, b] over b in J: ab AND c vs a(b AND a*c)
+        return ~leq[mt[mulJ, c], mul[ar, mt[J[None, :], mul[inv, c][:, None]]]]
+
+    proved = Q.lattice.is_frame()[0] and Q.bilinear and holds_on(bad_c, J)
+    return first_violation(lambda a: ~leq[mt[mul[a]], mul[a][mt[:, mul[inv[a]]]]],
+                           range(Q.n), proved)
 
 
 def classify(Q: Quantale) -> PropertyReport:

@@ -203,6 +203,42 @@ def test_search_env_budget(tmp_path, capsys, monkeypatch):
     assert "QLAB_BUDGET" in err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--budget", "inf"), ("--budget", "1e400"), ("--budget", "-5"), ("--budget", "nan"),
+    ("--cap", "inf"), ("--cap", "1e400"), ("--cap", "-5"),
+])
+def test_search_rejects_bad_budget_and_cap(tmp_path, capsys, option, value):
+    lat = write(tmp_path, "d.json", quantale_r4().lattice)
+    code, out, err = run(capsys, "search", "--lattice", lat, "--trivial-involution",
+                         "--fix-unit", "1", f"{option}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {option} ")
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "-5"])
+def test_env_budget_rejects_infinite_and_negative(tmp_path, capsys, monkeypatch, value):
+    lat = write(tmp_path, "d.json", quantale_r4().lattice)
+    monkeypatch.setenv("QLAB_BUDGET", value)
+    for argv in (["search", "--lattice", lat], ["sections", "catalog:z2_regular"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: QLAB_BUDGET ")
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "-5"])
+def test_module_cap_rejects_infinite_and_negative(tmp_path, capsys, value):
+    pt = write(tmp_path, "pt.json", QSet(relq(2), [[relq(2).unit]]))
+    for command, ref in (("complete", pt), ("sections", "catalog:z2_regular"),
+                         ("basis-check", "catalog:z2_regular"),
+                         ("sheafify", "catalog:z2_regular")):
+        code, out, err = run(capsys, command, ref, f"--cap={value}")
+        assert code == 2, command
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --cap "), command
+
+
 def test_search_rejects_unknown_flag(tmp_path, capsys):
     lat = write(tmp_path, "d.json", quantale_r4().lattice)
     code, _, err = run(capsys, "search", "--lattice", lat, "--require", "shiny")

@@ -1,0 +1,256 @@
+"""Differential tests: generator-reduced law checks against exhaustive scans.
+
+The oracle side runs the same checks with every reduced check answering
+"not proved" (holds_on replaced by a function returning False), so each law
+is decided by its exhaustive row scan alone.  Inputs are catalog structures,
+modules and homs with one table cell overwritten, so most of them break
+some law, and both sides must report the same laws dict, witnesses
+included.  Every input is copied afresh for each side (the catalog caches
+its groupoids), so no cached premise crosses over.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qlab import hilbert, lattice, objio, quantale
+from qlab.catalog import relq
+from qlab.groupoid import module_from_action, quantale_of
+from qlab.hilbert import (ModuleHom, PreHilbertModule, QModule, is_module_hom,
+                          module_from_qset, module_over_self, validate_module,
+                          validate_prehilbert)
+from qlab.lattice import SupLattice, build_lattice
+from qlab.qmatrix import random_qset
+from qlab.quantale import Quantale, modular_law, support, validate_quantale
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+QUANTALES = ["relq2", "egger8", "r4", "zmod2", "zmod3", "chain2", "pow2",
+             "z2", "z3", "pair2", "z2_plus_pair2"]
+
+
+@contextlib.contextmanager
+def exhaustive():
+    """Run the law checks with every reduced check failing to prove."""
+    mp = pytest.MonkeyPatch()
+    for mod in (lattice, quantale, hilbert):
+        mp.setattr(mod, "holds_on", lambda bad_row, generators: False)
+    try:
+        yield
+    finally:
+        mp.undo()
+
+
+def both(build, check):
+    fast = check(build())
+    with exhaustive():
+        slow = check(build())
+    return fast, slow
+
+
+def fresh_lattice(lat: SupLattice) -> SupLattice:
+    return SupLattice(lat.leq.copy(), lat.labels)
+
+
+def fresh_quantale(Q: Quantale, mul=None, inv=None) -> Quantale:
+    mul = Q.mul if mul is None else mul
+    inv = Q.inv if inv is None else inv
+    return Quantale(fresh_lattice(Q.lattice), mul.copy(), inv.copy(), Q.unit, Q.name)
+
+
+def fresh_module(X: PreHilbertModule, action=None, ip=None) -> PreHilbertModule:
+    Q = fresh_quantale(X.quantale)
+    carrier = Q.lattice if X.carrier is X.quantale.lattice else fresh_lattice(X.carrier)
+    action = X.action if action is None else action
+    ip = X.ip if ip is None else ip
+    return PreHilbertModule(QModule(Q, carrier, action.copy()), ip.copy())
+
+
+def catalog_quantale(name: str) -> Quantale:
+    kind, obj = objio.resolve(f"catalog:{name}")
+    return fresh_quantale(obj if kind == "quantale" else quantale_of(obj))
+
+
+def action_module(name: str) -> PreHilbertModule:
+    return fresh_module(module_from_action(objio.resolve(f"catalog:{name}")[1]).module)
+
+
+def qset_module(seed: int) -> PreHilbertModule:
+    Q = relq(2)
+    X = module_from_qset(Q, random_qset(Q, 2, np.random.default_rng(seed))).module
+    return fresh_module(X)
+
+
+def overwrite(table: np.ndarray, cell: tuple, value: int) -> np.ndarray:
+    out = table.copy()
+    out[cell] = value
+    return out
+
+
+def draw_cell(data, shape, bound):
+    cell = tuple(data.draw(st.integers(0, s - 1)) for s in shape)
+    return cell, data.draw(st.integers(0, bound - 1))
+
+
+def quantale_laws(Q: Quantale):
+    return (validate_quantale(Q).laws, modular_law(Q), Q.lattice.is_frame(),
+            None if Q.unit is None else support(Q).laws)
+
+
+def prehilbert_laws(X: PreHilbertModule):
+    rep = validate_prehilbert(X)
+    return validate_module(X.module).laws, rep.laws, rep.degeneracy_witness
+
+
+# ------------------------------------------------------------- quantales
+
+@SETTINGS
+@given(st.sampled_from(QUANTALES), st.sampled_from(["mul", "inv", None]), st.data())
+def test_quantale_laws_match_the_exhaustive_scan(name, table, data):
+    n = catalog_quantale(name).n
+    shape = {"mul": (n, n), "inv": (n,), None: ()}[table]
+    cell, value = draw_cell(data, shape, n)
+
+    def build():
+        Q = catalog_quantale(name)
+        if table is None:
+            return Q
+        return fresh_quantale(Q, **{table: overwrite(getattr(Q, table), cell, value)})
+
+    fast, slow = both(build, quantale_laws)
+    assert fast == slow
+
+
+def pentagon() -> SupLattice:
+    return build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+
+
+def m3() -> SupLattice:
+    return build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+@pytest.mark.parametrize("make", [pentagon, m3])
+def test_modular_law_scans_exhaustively_off_frames(make, monkeypatch):
+    proved = []
+    scan = quantale.first_violation
+
+    def spy(bad_row, rows, proved_flag=False):
+        proved.append(proved_flag)
+        return scan(bad_row, rows, proved_flag)
+
+    def zero():
+        lat = make()
+        return Quantale(lat, np.zeros((5, 5), dtype=np.intp), np.arange(5))
+
+    fast, slow = both(zero, quantale_laws)
+    assert fast == slow
+    Q = zero()
+    assert Q.lattice.is_frame()[0] is False and Q.bilinear
+    monkeypatch.setattr(quantale, "first_violation", spy)
+    assert modular_law(Q) is None
+    assert proved == [False]
+
+
+def test_valid_quantales_skip_the_scans(monkeypatch):
+    proved = []
+    scan = quantale.first_violation
+
+    def spy(bad_row, rows, proved_flag=False):
+        proved.append(proved_flag)
+        return scan(bad_row, rows, proved_flag)
+
+    Q = catalog_quantale("pair2")
+    monkeypatch.setattr(quantale, "first_violation", spy)
+    assert validate_quantale(Q).ok and modular_law(Q) is None
+    assert proved == [True] * 4
+
+
+# -------------------------------------------------------------- lattices
+
+def moore_lattice(masks: list[int]) -> SupLattice:
+    """The subsets closed under intersection, with the full set, by inclusion."""
+    family = {15}
+    for m in masks:
+        family |= {m & f for f in family} | {m}
+    elems = np.array(sorted(family))
+    return SupLattice((elems[:, None] & ~elems[None, :]) == 0)
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 15), max_size=6))
+def test_frame_law_matches_the_exhaustive_scan(masks):
+    fast, slow = both(lambda: moore_lattice(masks), lambda lat: lat.is_frame())
+    assert fast == slow
+    lat = moore_lattice(masks)
+    by_definition = [x for x in range(lat.n)
+                     if lat.join([y for y in range(lat.n) if lat.leq[y, x] and y != x]) != x]
+    assert lat.join_irreducibles == by_definition
+
+
+# --------------------------------------------------------------- modules
+
+MODULES = {
+    "self:relq2": lambda: module_over_self(catalog_quantale("relq2")),
+    "self:egger8": lambda: module_over_self(catalog_quantale("egger8")),
+    "self:r4": lambda: module_over_self(catalog_quantale("r4")),
+    "self:z3": lambda: module_over_self(catalog_quantale("z3")),
+    "z2_regular": lambda: action_module("z2_regular"),
+    "z3_regular": lambda: action_module("z3_regular"),
+    "pair2_objects": lambda: action_module("pair2_objects"),
+    "qset:0": lambda: qset_module(0),
+    "qset:1": lambda: qset_module(1),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(MODULES)), st.sampled_from(["action", "ip", None]), st.data())
+def test_module_laws_match_the_exhaustive_scan(name, table, data):
+    X0 = MODULES[name]()
+    shape, bound = {"action": (X0.action.shape, X0.n), "ip": (X0.ip.shape, X0.quantale.n),
+                    None: ((), 1)}[table]
+    cell, value = draw_cell(data, shape, bound)
+
+    def build():
+        X = MODULES[name]()
+        if table is None:
+            return X
+        return fresh_module(X, **{table: overwrite(getattr(X, table), cell, value)})
+
+    fast, slow = both(build, prehilbert_laws)
+    assert fast == slow
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(MODULES)), st.booleans(), st.data())
+def test_module_homs_match_the_exhaustive_scan(name, scaled, data):
+    X0 = MODULES[name]()
+    a = data.draw(st.integers(0, X0.quantale.n - 1))
+    cell, value = draw_cell(data, (X0.n,), X0.n)
+    corrupt = data.draw(st.booleans())
+
+    def build():
+        X = MODULES[name]()
+        f = X.action[a] if scaled else np.arange(X.n)
+        return ModuleHom(X, X, overwrite(f, cell, value) if corrupt else f)
+
+    fast, slow = both(build, is_module_hom)
+    assert fast == slow
+
+
+def test_right_scalar_law_needs_symmetry():
+    """<x, y> = x1 is left-linear but not symmetric, so <x, ay> = <x,y>a*
+    cannot be derived from the left-hand law and must be scanned."""
+    def build():
+        Q = catalog_quantale("relq2")
+        ip = np.repeat(Q.mul[:, Q.top, None], Q.n, axis=1)
+        return PreHilbertModule(QModule(Q, Q.lattice, Q.mul), ip)
+
+    fast, slow = both(build, prehilbert_laws)
+    assert fast == slow
+    laws = fast[1]
+    assert laws["ip_scalar_left"] is None and laws["ip_join_left"] is None
+    assert laws["ip_symmetry"] is not None and laws["ip_scalar_right"] is not None
