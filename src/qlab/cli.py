@@ -77,6 +77,13 @@ def _labels(obj, items) -> list:
     return out
 
 
+def _failure(obj, rep) -> tuple[str, list, str]:
+    """The first failing law of a report, its labelled witness, and a detail line."""
+    law, wit = next(iter(rep.failures().items()))
+    labels = _labels(obj, wit)
+    return law, labels, f"{law} fails at {', '.join(map(str, labels))}"
+
+
 def _as_module(ref: str, cap: int) -> PreHilbertModule:
     kind, obj = objio.resolve(ref, expect=("module", "action", "qset"))
     if kind == "module":
@@ -101,8 +108,7 @@ def cmd_check(args) -> int:
             rep = validate_quantale(obj)
             ok = rep.ok
             if not ok:
-                law, wit = next(iter(rep.failures().items()))
-                detail = f"{law} fails at {', '.join(map(str, _labels(obj, wit)))}"
+                detail = _failure(obj, rep)[2]
         elif kind == "qset":
             ok, wit = is_qset(obj)
             if not ok:
@@ -115,8 +121,7 @@ def cmd_check(args) -> int:
             rep = validate_prehilbert(obj)
             ok = rep.ok
             if not ok:
-                law, wit = next(iter(rep.failures().items()))
-                detail = f"{law} fails at {', '.join(map(str, wit))}"
+                detail = _failure(obj, rep)[2]
         results.append({"ref": ref, "kind": kind, "ok": ok, "detail": detail})
     lines = [f"{r['ref']}: " + (f"{r['kind']} ok" + (f" ({r['detail']})" if r["detail"] else "")
              if r["ok"] else f"invalid: {r['detail']}") for r in results]
@@ -127,6 +132,13 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     kind, obj = objio.resolve(args.ref, expect=("quantale", "groupoid"))
     Q = obj if kind == "quantale" else quantale_of(obj)
+    valid = validate_quantale(Q)
+    if not valid.ok:
+        law, wit, detail = _failure(Q, valid)
+        _out(args, [f"{args.ref}: invalid: {detail}"],
+             {"command": "classify", "ref": args.ref, "n": Q.n, "name": Q.name,
+              "valid": False, "law": law, "witness": wit})
+        return 1
     rep = classify(Q)
     name = Q.name or args.ref
     lines = [f"quantale {name}: {Q.n} elements"]

@@ -12,6 +12,7 @@ is built on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,21 @@ class PreHilbertModule:
     def n(self) -> int:
         return self.module.carrier.n
 
+    @cached_property
+    def left_linearity(self) -> dict:
+        """Whether <-, y> preserves binary joins and the bottom, for every y.
+
+        ip_join_left is decided on join-irreducible x' (qlab.laws).
+        Computed once per module: the two laws are premises of the reduced
+        ip_scalar_left check and of the reduced adjoint identity.
+        """
+        lat, ip, jq = self.carrier, self.ip, self.quantale.lattice.join_table
+        return {
+            "ip_join_left": holds_on(lambda j: ip[lat.join_table[:, j]] != jq[ip, ip[j][None, :]],
+                                     lat.join_irreducibles),
+            "ip_bottom_left": bool((ip[lat.bottom] == self.quantale.bottom).all()),
+        }
+
     def __repr__(self) -> str:
         return f"PreHilbertModule(|Q|={self.quantale.n}, |X|={self.n})"
 
@@ -195,7 +211,7 @@ def validate_prehilbert(X: PreHilbertModule) -> PreHilbertReport:
         laws[k] is None for k in ("action_join_scalar", "action_bottom_scalar",
                                   "action_join_element", "action_bottom_element"))
 
-    join_left = holds_on(lambda j: ip[lat.join_table[:, j]] != jq[ip, ip[j][None, :]], JX)
+    join_left = X.left_linearity["ip_join_left"]
     bottom_left = first_bad(ip[lat.bottom] != Q.bottom)
     scalar_left = (module_linear and join_left and bottom_left is None
                    and holds_on(lambda x: ip[act[JQ, x]] != mul[np.ix_(JQ, ip[x])], JX))
@@ -293,6 +309,12 @@ def hom_join(phi: ModuleHom, psi: ModuleHom) -> ModuleHom:
                      phi.target.carrier.join_table[phi.map, psi.map])
 
 
+def _preserves_joins(phi: ModuleHom) -> bool:
+    """phi(x OR j) = phi(x) OR phi(j) for every x and join-irreducible j."""
+    f, js, jt = phi.map, phi.source.carrier.join_table, phi.target.carrier.join_table
+    return holds_on(lambda j: f[js[:, j]] != jt[f, f[j]], phi.source.carrier.join_irreducibles)
+
+
 def is_module_hom(phi: ModuleHom):
     """(ok, witness) for join/bottom/action preservation.
 
@@ -301,8 +323,7 @@ def is_module_hom(phi: ModuleHom):
     """
     Xs, Xt, f = phi.source, phi.target, phi.map
     js, jt = Xs.carrier.join_table, Xt.carrier.join_table
-    joins = holds_on(lambda j: f[js[:, j]] != jt[f, f[j]], Xs.carrier.join_irreducibles)
-    w = None if joins else first_bad(f[js] != jt[np.ix_(f, f)])
+    w = None if _preserves_joins(phi) else first_bad(f[js] != jt[np.ix_(f, f)])
     if w is not None:
         return False, ("join",) + w
     if f[Xs.carrier.bottom] != Xt.carrier.bottom:
@@ -319,7 +340,13 @@ def is_module_hom(phi: ModuleHom):
 def adjoint(phi: ModuleHom, sigma=None) -> ModuleHom:
     """The unique adj with <phi(x),y> = <x,adj(y)>, via a basis of the source.
 
-    adj(y) = join over basis elements t of <y, phi(t)> t.
+    adj(y) = join over basis elements t of <y, phi(t)> t.  For fixed y both
+    sides of the identity preserve finite joins in x once phi preserves
+    joins (decided on join-irreducibles) and the bottom, and both modules
+    satisfy ip_join_left and ip_bottom_left (PreHilbertModule.left_linearity,
+    memoized).  Then the identity is checked on join-irreducible x only;
+    otherwise, or when that check fails, every x is scanned for the
+    lex-first witness (x, y) of AdjointIdentityFails.
     """
     Xs, Xt = phi.source, phi.target
     if sigma is None:
@@ -327,12 +354,18 @@ def adjoint(phi: ModuleHom, sigma=None) -> ModuleHom:
     ok, witness = is_hilbert_basis(Xs, sigma)
     if not ok:
         raise NotEnoughSections(witness)
+    f = phi.map
     out = np.full(Xt.n, Xs.carrier.bottom, dtype=np.intp)
     for t in np.asarray(sigma, dtype=np.intp):
-        out = Xs.carrier.join_table[out, Xs.action[Xt.ip[:, phi.map[t]], t]]
-    lhs = Xt.ip[phi.map]          # [x, y] = <phi(x), y>
-    rhs = Xs.ip[:, out]           # [x, y] = <x, adj(y)>
-    w = first_bad(lhs != rhs)
+        out = Xs.carrier.join_table[out, Xs.action[Xt.ip[:, f[t]], t]]
+
+    def bad(x):                   # [y]: <phi(x), y> != <x, adj(y)>
+        return Xt.ip[f[x]] != Xs.ip[x, out]
+
+    proved = (all(Xs.left_linearity.values()) and all(Xt.left_linearity.values())
+              and f[Xs.carrier.bottom] == Xt.carrier.bottom and _preserves_joins(phi)
+              and holds_on(bad, Xs.carrier.join_irreducibles))
+    w = first_violation(bad, range(Xs.n), proved)
     if w is not None:
         raise AdjointIdentityFails(w)
     return ModuleHom(Xt, Xs, out)

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .laws import first_violation, holds_on
+from .laws import first_bad, first_violation, holds_on
 
 
 class NotAPoset(ValueError):
@@ -34,25 +34,64 @@ class NotALattice(ValueError):
         super().__init__(f"not a lattice: no {kind} for pair {witness}")
 
 
+_BLOCK_WORDS = 1 << 16   # uint64 words of pair up-sets held at once
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows as little-endian uint64 words: column c is bit c % 64 of word c // 64."""
+    padded = np.zeros((rows.shape[0], -(-rows.shape[1] // 64) * 64), dtype=bool)
+    padded[:, :rows.shape[1]] = rows
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def relation_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean relational product: out[i, k] iff a[i, j] and b[j, k] for some j.
+
+    Exact bit arithmetic on packed rows: for each j, the packed row b[j] is
+    OR-ed into every row i with a[i, j], so the work is one word operation
+    per true cell of a and word of b, and temporaries are single rows.
+    """
+    packed = _pack(b)
+    out = np.zeros((a.shape[0], packed.shape[1]), dtype="<u8")
+    for j, rows in enumerate(np.ascontiguousarray(a.T)):
+        out[rows] |= packed[j]
+    return np.unpackbits(out.view(np.uint8), axis=1, count=b.shape[1],
+                         bitorder="little").astype(bool)
+
+
 def _bound_table(leq: np.ndarray, upper: bool) -> np.ndarray:
     """Table of least upper (or greatest lower) bounds for all pairs.
 
-    The lub of a set U of upper bounds, when it exists, is the unique member
-    of U whose up-set is strictly largest, so we pick the argmax and verify.
+    The lub of i and j, when it exists, is the unique common upper bound
+    whose up-set U(c) contains every common upper bound, so it is the one
+    whose up-set is largest.  The elements are ranked by descending up-set
+    size (bottom-most first, ties by index) and every up-set is packed into
+    uint64 words in rank order.  The candidate for (i, j) is then the first
+    set bit of U(i) AND U(j), the same element an argmax over up-set sizes
+    would pick, and it is the lub iff U(i) AND U(j) is contained in its
+    packed up-set.  Pairs with no common bound or a failed containment
+    raise NotALattice with the lex-first pair, as a row-by-row scan would.
+    Rows are processed in blocks of at most _BLOCK_WORDS words.
     """
     rel = leq if upper else leq.T
     n = rel.shape[0]
-    sizes = rel.sum(axis=1)
+    order = np.argsort(-rel.sum(axis=1), kind="stable")
+    packed = _pack(rel[:, order])
     table = np.empty((n, n), dtype=np.intp)
-    for i in range(n):
-        bounds = rel[i] & rel  # bounds[j, k]: k bounds both i and j
-        scores = np.where(bounds, sizes, -1)
-        cand = np.argmax(scores, axis=1)
-        bad = ~bounds[np.arange(n), cand] | (bounds & ~rel[cand]).any(axis=1)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise NotALattice("join" if upper else "meet", (i, j))
-        table[i] = cand
+    step = max(1, _BLOCK_WORDS // (n * packed.shape[1]))
+    one = np.uint64(1)
+    for r in range(0, n, step):
+        common = packed[r:r + step, None, :] & packed[None, :, :]
+        word = np.argmax(common != 0, axis=2)
+        w = np.take_along_axis(common, word[..., None], axis=2)[..., 0]
+        low = (w & (~w + one)).astype(np.float64)     # lowest set bit, exactly 2**b
+        rank = 64 * word + np.frexp(low)[1] - 1        # frexp(2**b) = (0.5, b + 1)
+        cand = order[np.clip(rank, 0, n - 1)]
+        bad = (w == 0) | (common & ~packed[cand]).any(axis=2)
+        cell = first_bad(bad)
+        if cell is not None:
+            raise NotALattice("join" if upper else "meet", (r + cell[0], cell[1]))
+        table[r:r + step] = cand
     return table
 
 
@@ -89,8 +128,7 @@ class SupLattice:
         if anti.any():
             i, j = map(int, np.argwhere(anti)[0])
             raise NotAPoset("antisymmetry", (i, j))
-        closure = leq @ leq
-        gaps = closure & ~leq
+        gaps = relation_product(leq, leq) & ~leq
         if gaps.any():
             i, k = map(int, np.argwhere(gaps)[0])
             j = int(np.argmax(leq[i] & leq[:, k]))
@@ -109,7 +147,7 @@ class SupLattice:
         # reflexive-transitive closure by repeated squaring
         leq = step
         while True:
-            nxt = leq @ leq
+            nxt = relation_product(leq, leq)
             if (nxt == leq).all():
                 break
             leq = nxt
@@ -161,7 +199,7 @@ class SupLattice:
 
     def covers(self) -> list[tuple[int, int]]:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
-        cov = strict & ~(strict @ strict)
+        cov = strict & ~relation_product(strict, strict)
         return [(int(i), int(j)) for i, j in np.argwhere(cov)]
 
     def downset(self, a: int) -> list[int]:

@@ -8,7 +8,6 @@ sets of a handful of elements, exhaustive loops.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -234,18 +233,38 @@ class Singleton:
     canonical_q: int
 
 
-def _column_ok_fast(Q: Quantale, A: np.ndarray, col: Sequence[int]) -> bool:
-    s = np.asarray(col, dtype=np.intp)
-    if not Q.leq[Q.mul[A, s[None, :]], s[:, None]].all():  # a_ab s_b <= s_a
-        return False
-    return bool(Q.leq[Q.mul[s[:, None], Q.inv[s][None, :]], A].all())  # s_a s_b* <= a_ab
+_BLOCK_LOOKUPS = 1 << 16   # pair-table lookups of one block of columns
 
 
 def _columns_product(Q: Quantale, A: np.ndarray):
-    k = A.shape[0]
-    for col in itertools.product(range(Q.n), repeat=k):
-        if _column_ok_fast(Q, A, col):
-            yield col
+    """Every column s with a_ab s_b <= s_a and s_a s_b* <= a_ab, in lex order.
+
+    Both inequalities are conjunctions over index pairs (a, b) of a
+    condition on (s_a, s_b) alone, so each pair gets an n x n table of
+    admissible value pairs.  The diagonal pairs restrict each s_a to its
+    own value list; the product of those lists is walked in lexicographic
+    order, a block of columns at a time (at most _BLOCK_LOOKUPS table
+    lookups), and a column is kept when every pair admits it.
+    """
+    k, n = A.shape[0], Q.n
+    leq, mul, inv = Q.leq, Q.mul, Q.inv
+    a_idx, b_idx = (x.ravel() for x in np.indices((k, k)))
+    entry = A[a_idx, b_idx]
+    ar = np.arange(n, dtype=np.intp)
+    # admits[p, u, v]: s_a = u and s_b = v satisfy both laws at pair p = (a, b)
+    admits = (leq[mul[entry][:, None, :], ar[None, :, None]]
+              & leq[mul[:, inv][None, :, :], entry[:, None, None]])
+    values = [np.flatnonzero(admits[a * k + a].diagonal()) for a in range(k)]
+    shape = tuple(len(v) for v in values)
+    total = int(np.prod(shape, dtype=object))
+    pairs = np.arange(k * k)
+    step = max(1, _BLOCK_LOOKUPS // (k * k))
+    for start in range(0, total, step):
+        digits = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+        cols = np.stack([values[a][d] for a, d in enumerate(digits)], axis=1)
+        good = admits[pairs, cols[:, a_idx], cols[:, b_idx]].all(axis=1)
+        for col in cols[good]:
+            yield tuple(int(v) for v in col)
 
 
 def _columns_dfs(Q: Quantale, A: np.ndarray):

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qlab
 from qlab import objio
 from qlab.catalog import egger8, quantale_r4, relq
 from qlab.cli import main
 from qlab.hilbert import module_over_self
 from qlab.qmatrix import QSet
+from qlab.quantale import Quantale
 
 
 def run(capsys, *argv):
@@ -270,3 +275,45 @@ def test_json_reports_are_canonical_everywhere(tmp_path, capsys):
         code, out, _ = run(capsys, *argv, "--json")
         doc = json.loads(out)
         assert out == objio.canonical_dumps(doc), argv
+
+
+# one mul cell overwritten: before classify validated its input, the first
+# two crashed with an AssertionError ("classification ladder broken",
+# "support cross-checks failed") and the third printed a full ladder
+CORRUPTED = [(relq, 1, 3, 4), (relq, 0, 0, 15), (egger8, 1, 2, 0)]
+
+
+def corrupted(tmp_path, make, a, b, value) -> str:
+    Q = make(2) if make is relq else make()
+    mul = Q.mul.copy()
+    mul[a, b] = value
+    return write(tmp_path, "bad.json", Quantale(Q.lattice, mul, Q.inv, Q.unit, Q.name))
+
+
+@pytest.mark.parametrize("make,a,b,value", CORRUPTED)
+def test_classify_reports_a_non_quantale_like_check(tmp_path, capsys, make, a, b, value):
+    path = corrupted(tmp_path, make, a, b, value)
+    code, out, err = run(capsys, "classify", path)
+    assert (code, err) == (1, "")
+    assert out.startswith(f"{path}: invalid: ") and " fails at " in out
+    assert run(capsys, "check", path) == (code, out, err)
+
+    code, out, _ = run(capsys, "classify", "--json", path)
+    doc = json.loads(out)
+    check = json.loads(run(capsys, "check", "--json", path)[1])["results"][0]
+    assert code == 1 and doc["valid"] is False
+    assert check["detail"] == f"{doc['law']} fails at {', '.join(doc['witness'])}"
+
+
+@pytest.mark.parametrize("command", ["classify", "check"])
+@pytest.mark.parametrize("make,a,b,value", [CORRUPTED[0], CORRUPTED[2]])
+def test_invalid_quantale_reports_survive_python_O(tmp_path, command, make, a, b, value):
+    path = corrupted(tmp_path, make, a, b, value)
+    src = os.path.dirname(os.path.dirname(qlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = [subprocess.run([sys.executable, *flags, "-m", "qlab.cli", command, path],
+                           capture_output=True, text=True, env=env)
+            for flags in ([], ["-O"])]
+    plain, optimized = ((p.returncode, p.stdout, p.stderr) for p in runs)
+    assert plain == optimized
+    assert plain[0] == 1 and "invalid: " in plain[1] and plain[2] == ""

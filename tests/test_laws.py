@@ -10,6 +10,7 @@ its groupoids), so no cached premise crosses over.
 """
 
 import contextlib
+import itertools
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 from qlab import hilbert, lattice, objio, quantale
 from qlab.catalog import relq
-from qlab.groupoid import module_from_action, quantale_of
-from qlab.hilbert import (ModuleHom, PreHilbertModule, QModule, is_module_hom,
+from qlab.groupoid import _enumerate_homs, module_from_action, quantale_of
+from qlab.hilbert import (AdjointIdentityFails, ModuleHom, NotEnoughSections,
+                          PreHilbertModule, QModule, adjoint, identity_hom, is_module_hom,
                           module_from_qset, module_over_self, validate_module,
                           validate_prehilbert)
 from qlab.lattice import SupLattice, build_lattice
@@ -239,6 +241,117 @@ def test_module_homs_match_the_exhaustive_scan(name, scaled, data):
 
     fast, slow = both(build, is_module_hom)
     assert fast == slow
+
+
+def adjoint_outcome(phi: ModuleHom):
+    try:
+        return "ok", adjoint(phi).map.tolist()
+    except AdjointIdentityFails as exc:
+        return "fails", exc.witness
+    except NotEnoughSections as exc:
+        return "no basis", exc.witness
+
+
+def join_extensions(src, dst):
+    """Every join-preserving map between the powerset carriers of two action modules."""
+    X1, X2 = src.module, dst.module
+    assert np.array_equal(src.atoms, 1 << np.arange(len(src.atoms)))
+    for images in itertools.product(range(X2.n), repeat=len(src.atoms)):
+        table = np.full(X1.n, X2.carrier.bottom, dtype=np.intp)
+        for mask in range(1, X1.n):
+            low = (mask & -mask).bit_length() - 1
+            table[mask] = X2.carrier.join_table[table[mask & (mask - 1)], images[low]]
+        yield table
+
+
+ACTION_PAIRS = [("z2_regular", "z2_regular"), ("z2_objects", "z2_regular"),
+                ("pair2_objects", "pair2_regular"), ("z3_objects", "z3_regular"),
+                ("z3_regular", "z3_regular")]
+
+
+@SETTINGS
+@given(st.sampled_from(ACTION_PAIRS), st.data())
+def test_adjoints_of_enumerated_homs_match_the_exhaustive_scan(pair, data):
+    src, dst = (module_from_action(objio.resolve(f"catalog:{name}")[1]) for name in pair)
+    tables = _enumerate_homs(src, dst, pinned=False)
+    f = tables[data.draw(st.integers(0, len(tables) - 1))]
+    cell, value = draw_cell(data, f.shape, dst.module.n)
+    table = overwrite(f, cell, value) if data.draw(st.booleans()) else f
+
+    def build():
+        X1 = fresh_module(src.module)
+        return ModuleHom(X1, X1 if pair[0] == pair[1] else fresh_module(dst.module), table)
+
+    fast, slow = both(build, adjoint_outcome)
+    assert fast == slow
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(MODULES)), st.data())
+def test_adjoints_of_scalings_match_the_exhaustive_scan(name, data):
+    X0 = MODULES[name]()
+    a = data.draw(st.integers(0, X0.quantale.n - 1))
+    cell, value = draw_cell(data, (X0.n,), X0.n)
+    corrupt = data.draw(st.booleans())
+
+    def build():
+        X = MODULES[name]()
+        return ModuleHom(X, X, overwrite(X.action[a], cell, value) if corrupt else X.action[a])
+
+    fast, slow = both(build, adjoint_outcome)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("pair", ACTION_PAIRS, ids="->".join)
+def test_adjoints_of_every_join_preserving_map_match_the_exhaustive_scan(pair):
+    """Most of these maps are not equivariant, so the identity fails on
+    some join-irreducible while every premise of the reduction holds."""
+    src, dst = (module_from_action(objio.resolve(f"catalog:{name}")[1]) for name in pair)
+    same = pair[0] == pair[1]
+    fast_src, slow_src = fresh_module(src.module), fresh_module(src.module)
+    fast_dst = fast_src if same else fresh_module(dst.module)
+    slow_dst = slow_src if same else fresh_module(dst.module)
+    outcomes = set()
+    for table in join_extensions(src, dst):
+        fast = adjoint_outcome(ModuleHom(fast_src, fast_dst, table))
+        with exhaustive():
+            slow = adjoint_outcome(ModuleHom(slow_src, slow_dst, table))
+        assert fast == slow
+        outcomes.add(fast[0])
+    assert "ok" in outcomes
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(MODULES)), st.booleans(), st.data())
+def test_adjoints_over_a_corrupted_inner_product_match_the_exhaustive_scan(
+        name, source_side, data):
+    """The carrier map x |-> ax from a module to a copy of it with one
+    inner-product cell overwritten, or back."""
+    X0 = MODULES[name]()
+    cell, value = draw_cell(data, X0.ip.shape, X0.quantale.n)
+    a = data.draw(st.integers(0, X0.quantale.n - 1))
+
+    def build():
+        X = MODULES[name]()
+        Y = fresh_module(X, ip=overwrite(X.ip, cell, value))
+        return ModuleHom(Y, X, X.action[a]) if source_side else ModuleHom(X, Y, X.action[a])
+
+    fast, slow = both(build, adjoint_outcome)
+    assert fast == slow
+
+
+def test_adjoints_of_homs_skip_the_scan(monkeypatch):
+    proved = []
+    scan = hilbert.first_violation
+
+    def spy(bad_row, rows, proved_flag=False):
+        proved.append(proved_flag)
+        return scan(bad_row, rows, proved_flag)
+
+    X = module_over_self(catalog_quantale("relq2"))
+    monkeypatch.setattr(hilbert, "first_violation", spy)
+    assert adjoint(identity_hom(X)).same_table(identity_hom(X))
+    assert proved == [True]
 
 
 def test_right_scalar_law_needs_symmetry():
