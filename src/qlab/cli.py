@@ -24,7 +24,7 @@ from .hilbert import (CarrierTooLarge, PreHilbertModule, has_enough_sections,
                       hilbert_sections, is_hilbert_basis, module_from_qset,
                       parseval_check, validate_prehilbert)
 from .lattice import NotALattice, NotAPoset
-from .objio import InputError, canonical_dumps
+from .objio import InputError, canonical_dumps, write_canonical
 from .qmatrix import QSet, completion, is_qset, is_strict
 from .quantale import BNotLocale, NotUnital, Quantale, classify, validate_quantale
 from .search import BudgetExceeded, SearchSpec, search
@@ -58,7 +58,7 @@ def _cap(args, fallback: int) -> int:
 
 def _out(args, lines: list[str], doc: dict) -> None:
     if args.json:
-        sys.stdout.write(canonical_dumps(doc))
+        write_canonical(doc, sys.stdout)
     else:
         for line in lines:
             print(line)

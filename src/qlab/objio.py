@@ -33,8 +33,27 @@ class InputError(ValueError):
     """Malformed file, schema mismatch, or unresolvable reference."""
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "), indent=2)
+_FLUSH_CHUNKS = 1 << 14
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
+    return "".join(_ENCODER.iterencode(obj)) + "\n"
+
+
+def write_canonical(obj, fh) -> None:
+    """Write canonical_dumps(obj) to fh, joining ~16k encoder chunks per write.
+
+    The whole text of a large report is never held at once.
+    """
+    chunks: list[str] = []
+    for chunk in _ENCODER.iterencode(obj):
+        chunks.append(chunk)
+        if len(chunks) >= _FLUSH_CHUNKS:
+            fh.write("".join(chunks))
+            chunks.clear()
+    chunks.append("\n")
+    fh.write("".join(chunks))
 
 
 def _need(payload: dict, key: str, kind: str):

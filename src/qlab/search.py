@@ -4,9 +4,15 @@ A join-preserving multiplication is determined by its values on pairs of
 join-irreducibles, so the search branches only on those cells.  The
 involution links each cell (p, q) to (q*, p*), and a join-irreducible unit
 pins its row and column, which together cut the raw cell count roughly in
-half before any value is tried.  Every complete assignment is extended to a
-full table by joins, re-validated from scratch by the quantale module, and
-classified; only models matching the requested flags are emitted.
+half before any value is tried.  The complete assignments (the leaves) are
+visited in lexicographic order of the free cells, in blocks: the last few
+free cells run over all their values inside one numpy block, and the block
+is tested for associativity on irreducible triples all at once.  Every leaf
+is still reached and tested, and the statistics, the order of the models
+and the budget and limit stops are exactly those of a walk that takes one
+leaf at a time.  Every associative leaf is extended to a full table by
+joins, re-validated from scratch by the quantale module, and classified;
+only models matching the requested flags are emitted.
 
 The searcher never trusts its own pruning: validate_quantale and classify
 are independent code paths, so an unsound prune can only lose models, never
@@ -15,6 +21,7 @@ emit a bad one, and the leaf-level checks are exhaustive.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +29,9 @@ import numpy as np
 from .lattice import SupLattice
 from .quantale import (Quantale, _FLAG_NAMES, classify, lattice_order_isos,
                        validate_quantale)
+
+# Leaves per block: the last d free cells vary inside a block, n**d <= _BLOCK.
+_BLOCK = 1 << 14
 
 
 class BudgetExceeded(RuntimeError):
@@ -37,7 +47,8 @@ class BudgetExceeded(RuntimeError):
 class SearchStats:
     free_cells: int = 0
     involutions: int = 0
-    candidates: int = 0          # complete irreducible tables reached
+    candidates: int = 0          # complete irreducible tables reached; tested in
+                                 # blocks, counted as one leaf at a time
     emitted: int = 0
     pruned_assoc: int = 0
     rejected_quantale: int = 0
@@ -130,6 +141,41 @@ def _canonical_key(Q: Quantale, autos: list[np.ndarray]) -> bytes:
     return best
 
 
+def _associative_rows(lat: SupLattice, J: list[int], jt: np.ndarray,
+                      block: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the irreducible tables in `block` that are associative.
+
+    block[b, i, j] = J[i].J[j].  The join-extension of each table gives
+    R[a, b, l] = a.J[l] and L[a, b, i] = J[i].a: the join, through the join
+    table `jt`, of the products with the irreducibles below a.  A table is
+    associative iff (J[i]J[j]).J[l] = J[i].(J[j]J[l]) for every irreducible
+    triple, as for the full table; each triple is tested only on the tables
+    that passed the ones before it.
+    """
+    B, k = block.shape[:2]
+    rows = np.ascontiguousarray(block.transpose(1, 0, 2))   # rows[t, b, l] = J[t].J[l]
+    cols = np.ascontiguousarray(block.transpose(2, 0, 1))   # cols[t, b, i] = J[i].J[t]
+    R = np.empty((lat.n, B, k), dtype=block.dtype)
+    L = np.empty((lat.n, B, k), dtype=block.dtype)
+    for a in range(lat.n):
+        below = np.flatnonzero(lat.leq[J, a])
+        if not below.size:
+            R[a] = L[a] = lat.bottom
+            continue
+        r, c = rows[below[0]], cols[below[0]]
+        for t in below[1:]:
+            r, c = jt[r, rows[t]], jt[c, cols[t]]
+        R[a], L[a] = r, c
+    alive = np.arange(B)
+    for i, j, l in itertools.product(range(k), repeat=3):
+        left = R[block[alive, i, j], alive, l]
+        right = L[block[alive, j, l], alive, i]
+        alive = alive[left == right]
+        if not alive.size:
+            break
+    return alive
+
+
 def search(spec: SearchSpec) -> SearchResult:
     """Enumerate every quantale structure matching the spec, in a fixed order.
 
@@ -142,20 +188,46 @@ def search(spec: SearchSpec) -> SearchResult:
     J = lat.join_irreducibles
     k = len(J)
     pos = {q: i for i, q in enumerate(J)}
-    jt = lat.join_table
     stats = SearchStats()
     models: list[Quantale] = []
     keys: set[bytes] = set()
     autos = lattice_order_isos(lat, lat) if spec.dedup_iso else None
 
-    # irr_below[a] = indices into J of the irreducibles below element a
-    irr_below = [[i for i, q in enumerate(J) if lat.leq[q, a]] for a in range(n)]
+    # leaf tables hold elements in the smallest unsigned dtype (uint8 for n <= 256)
+    dtype = np.min_scalar_type(n - 1)
+    jt_t = lat.join_table.astype(dtype)
 
     involutions = _involution_candidates(lat, spec.fix_involution)
     stats.involutions = len(involutions)
 
     class _Stop(Exception):
         pass
+
+    def accept(m: np.ndarray, inv: np.ndarray) -> None:
+        """Validate, classify, filter and dedup one associative leaf."""
+        mul = _full_table(lat, J, m)
+        unit = spec.fix_unit if spec.fix_unit is not None else _detect_unit(lat, mul)
+        Q = Quantale(lat, mul, inv, unit)
+        if not validate_quantale(Q).ok:
+            stats.rejected_quantale += 1
+            return
+        flags = classify(Q)
+        for name, want in spec.require.items():
+            if flags.flag(name) is not want:
+                stats.rejected_require += 1
+                return
+        if autos is not None:
+            key = _canonical_key(Q, autos)
+            if key in keys:
+                stats.deduped += 1
+                return
+            keys.add(key)
+        models.append(Q)
+        stats.emitted += 1
+        if spec.limit is not None and stats.emitted >= spec.limit:
+            stats.truncated = True
+            stats.exhausted = False
+            raise _Stop
 
     def run_involution(inv: np.ndarray) -> None:
         # the involution permutes the irreducibles; map cell (p,q) -> (q*,p*)
@@ -183,69 +255,48 @@ def search(spec: SearchSpec) -> SearchResult:
                 linked.add(partner)
         stats.free_cells = max(stats.free_cells, len(free))
 
-        def assoc_ok() -> bool:
-            # (pq)r = p(qr) through the join-extension, irreducibles only
-            for i in range(k):
-                for j in range(k):
-                    for l in range(k):
-                        left = lat.bottom
-                        for t in irr_below[m[i, j]]:
-                            left = jt[left, m[t, l]]
-                        right = lat.bottom
-                        for t in irr_below[m[j, l]]:
-                            right = jt[right, m[i, t]]
-                        if left != right:
-                            return False
-            return True
+        # Flat cells of a k*k table: each free cell and its involution
+        # partner.  The partner gets inv[v] before the cell gets v, so a
+        # self-linked cell keeps v.
+        flat = [(i * k + j, inv_j[j] * k + inv_j[i]) for i, j in free]
+        tail = 0
+        while tail < len(free) and n ** (tail + 1) <= _BLOCK:
+            tail += 1
+        head = len(free) - tail
 
-        def leaf() -> None:
-            stats.candidates += 1
-            if spec.budget is not None and stats.candidates > spec.budget:
+        # The block template: the last `tail` free cells over all n**tail
+        # values in lexicographic order; pinned cells from m.
+        inv_t = inv.astype(dtype)
+        grid = np.array(list(itertools.product(range(n), repeat=tail)), dtype=dtype)
+        template = np.repeat(np.where(m < 0, 0, m).astype(dtype).reshape(1, k * k),
+                             len(grid), axis=0)
+        for c, (cell, partner) in enumerate(flat[head:]):
+            template[:, partner] = inv_t[grid[:, c]]
+            template[:, cell] = grid[:, c]
+
+        # Prefixes of the other free cells, in lexicographic order; the
+        # counters advance to their one-leaf-at-a-time values at every stop.
+        for prefix in itertools.product(range(n), repeat=head):
+            block = template
+            if spec.budget is not None and stats.candidates + len(block) > spec.budget:
+                block = block[:spec.budget - stats.candidates]
+            block = block.copy()
+            for (cell, partner), v in zip(flat, prefix):
+                block[:, partner] = inv_t[v]
+                block[:, cell] = v
+            block = block.reshape(-1, k, k)
+            first, seen = stats.candidates, 0
+            for b in _associative_rows(lat, J, jt_t, block).tolist():
+                stats.candidates = first + b + 1
+                stats.pruned_assoc += b - seen
+                seen = b + 1
+                accept(block[b].astype(np.intp), inv)
+            stats.candidates = first + len(block)
+            stats.pruned_assoc += len(block) - seen
+            if len(block) < len(template):
+                stats.candidates += 1
                 stats.exhausted = False
                 raise BudgetExceeded(stats, models)
-            if not assoc_ok():
-                stats.pruned_assoc += 1
-                return
-            mul = _full_table(lat, J, m)
-            unit = spec.fix_unit if spec.fix_unit is not None else _detect_unit(lat, mul)
-            Q = Quantale(lat, mul, inv, unit)
-            if not validate_quantale(Q).ok:
-                stats.rejected_quantale += 1
-                return
-            flags = classify(Q)
-            for name, want in spec.require.items():
-                if flags.flag(name) is not want:
-                    stats.rejected_require += 1
-                    return
-            if autos is not None:
-                key = _canonical_key(Q, autos)
-                if key in keys:
-                    stats.deduped += 1
-                    return
-                keys.add(key)
-            models.append(Q)
-            stats.emitted += 1
-            if spec.limit is not None and stats.emitted >= spec.limit:
-                stats.truncated = True
-                stats.exhausted = False
-                raise _Stop
-
-        def place(c: int) -> None:
-            if c == len(free):
-                leaf()
-                return
-            i, j = free[c]
-            partner = (inv_j[j], inv_j[i])
-            for v in range(n):
-                m[i, j] = v
-                if partner != (i, j):
-                    m[partner] = int(inv[v])
-                place(c + 1)
-            m[i, j] = -1
-            if partner != (i, j):
-                m[partner] = -1
-
-        place(0)
 
     try:
         for inv in involutions:

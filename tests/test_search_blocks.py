@@ -1,0 +1,340 @@
+"""Differential tests: the block search against the one-leaf-at-a-time walk.
+
+The oracle below is the earlier recursive search, kept here only: `place`
+assigns one free cell at a time, and every leaf runs `assoc_ok`, the
+Python triple loop over irreducibles.  The block search must give the same
+models in the same order and an equal SearchStats, also when it stops on
+`limit` or raises BudgetExceeded, and for every block size.
+"""
+
+import contextlib
+import importlib
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from qlab.lattice import (NotALattice, NotAPoset, SupLattice, build_lattice,
+                          chain_lattice, powerset_lattice)
+from qlab.quantale import (_FLAG_NAMES, Quantale, classify, lattice_order_isos,
+                           validate_quantale)
+from qlab.search import (BudgetExceeded, SearchResult, SearchSpec, SearchStats,
+                         _canonical_key, _detect_unit, _full_table,
+                         _involution_candidates)
+
+search_mod = importlib.import_module("qlab.search")    # qlab.search is also a function
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.filter_too_much])
+
+
+# ---------------------------------------------------------------- oracle
+
+def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
+    """The recursive search: one free cell per level, `assoc_ok` per leaf.
+
+    `visit`, when given, sees the irreducible table of every tested leaf.
+    """
+    lat = spec.lattice
+    n = lat.n
+    J = lat.join_irreducibles
+    k = len(J)
+    pos = {q: i for i, q in enumerate(J)}
+    jt = lat.join_table
+    stats = SearchStats()
+    models: list[Quantale] = []
+    keys: set[bytes] = set()
+    autos = lattice_order_isos(lat, lat) if spec.dedup_iso else None
+
+    # irr_below[a] = indices into J of the irreducibles below element a
+    irr_below = [[i for i, q in enumerate(J) if lat.leq[q, a]] for a in range(n)]
+
+    involutions = _involution_candidates(lat, spec.fix_involution)
+    stats.involutions = len(involutions)
+
+    class _Stop(Exception):
+        pass
+
+    def run_involution(inv: np.ndarray) -> None:
+        inv_j = {i: pos[int(inv[J[i]])] for i in range(k)}
+        m = np.full((k, k), -1, dtype=np.intp)
+
+        if spec.fix_unit is not None and spec.fix_unit in pos:
+            e = spec.fix_unit
+            if inv[e] != e:
+                return
+            ei = pos[e]
+            for i in range(k):
+                m[ei, i] = J[i]
+                m[i, ei] = J[i]
+
+        cells = [(i, j) for i in range(k) for j in range(k) if m[i, j] < 0]
+        free = []
+        linked = set()
+        for c in cells:
+            if c in linked:
+                continue
+            free.append(c)
+            partner = (inv_j[c[1]], inv_j[c[0]])
+            if partner != c:
+                linked.add(partner)
+        stats.free_cells = max(stats.free_cells, len(free))
+
+        def assoc_ok() -> bool:
+            # (pq)r = p(qr) through the join-extension, irreducibles only
+            for i in range(k):
+                for j in range(k):
+                    for l in range(k):
+                        left = lat.bottom
+                        for t in irr_below[m[i, j]]:
+                            left = jt[left, m[t, l]]
+                        right = lat.bottom
+                        for t in irr_below[m[j, l]]:
+                            right = jt[right, m[i, t]]
+                        if left != right:
+                            return False
+            return True
+
+        def leaf() -> None:
+            stats.candidates += 1
+            if spec.budget is not None and stats.candidates > spec.budget:
+                stats.exhausted = False
+                raise BudgetExceeded(stats, models)
+            if visit is not None:
+                visit(m)
+            if not assoc_ok():
+                stats.pruned_assoc += 1
+                return
+            mul = _full_table(lat, J, m)
+            unit = spec.fix_unit if spec.fix_unit is not None else _detect_unit(lat, mul)
+            Q = Quantale(lat, mul, inv, unit)
+            if not validate_quantale(Q).ok:
+                stats.rejected_quantale += 1
+                return
+            flags = classify(Q)
+            for name, want in spec.require.items():
+                if flags.flag(name) is not want:
+                    stats.rejected_require += 1
+                    return
+            if autos is not None:
+                key = _canonical_key(Q, autos)
+                if key in keys:
+                    stats.deduped += 1
+                    return
+                keys.add(key)
+            models.append(Q)
+            stats.emitted += 1
+            if spec.limit is not None and stats.emitted >= spec.limit:
+                stats.truncated = True
+                stats.exhausted = False
+                raise _Stop
+
+        def place(c: int) -> None:
+            if c == len(free):
+                leaf()
+                return
+            i, j = free[c]
+            partner = (inv_j[j], inv_j[i])
+            for v in range(n):
+                m[i, j] = v
+                if partner != (i, j):
+                    m[partner] = int(inv[v])
+                place(c + 1)
+            m[i, j] = -1
+            if partner != (i, j):
+                m[partner] = -1
+
+        place(0)
+
+    try:
+        for inv in involutions:
+            run_involution(inv)
+    except _Stop:
+        pass
+    return SearchResult(models, stats)
+
+
+# ---------------------------------------------------------------- helpers
+
+def outcome(run, spec: SearchSpec):
+    """(raised budget?, model bytes in order, stats) of one search."""
+    try:
+        res = run(spec)
+    except BudgetExceeded as exc:
+        raised, models, stats = True, exc.models, exc.stats
+    else:
+        raised, models, stats = False, res.models, res.stats
+    keys = [(Q.mul.tobytes(), Q.inv.tobytes(), Q.unit) for Q in models]
+    return raised, keys, stats
+
+
+def assert_same(spec_args: dict, block: int) -> tuple:
+    with mock.patch.object(search_mod, "_BLOCK", block):
+        fast = outcome(search_mod.search, SearchSpec(**spec_args))
+    slow = outcome(search_one_leaf_at_a_time, SearchSpec(**spec_args))
+    assert fast == slow
+    return fast
+
+
+def pentagon() -> SupLattice:
+    return build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+
+
+def m3() -> SupLattice:
+    return build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+DIAMOND = powerset_lattice(["a", "b"])
+CUBE = powerset_lattice(["a", "b", "c"])
+NAMED = {"chain2": chain_lattice(2), "chain3": chain_lattice(3),
+         "chain4": chain_lattice(4), "diamond": DIAMOND, "pentagon": pentagon(),
+         "m3": m3(), "cube": CUBE}
+BLOCKS = (1, 7, search_mod._BLOCK)
+
+
+@st.composite
+def lattices(draw):
+    """A named small lattice, or a random one on at most 6 elements."""
+    if draw(st.booleans()):
+        return NAMED[draw(st.sampled_from(sorted(NAMED)))]
+    inner = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    step = np.triu(rng.random((inner, inner)) < draw(st.floats(0.0, 0.8)), 1)
+    leq = np.eye(inner + 2, dtype=bool)
+    leq[:inner, :inner] |= step
+    for _ in range(inner):                       # transitive closure
+        leq[:inner, :inner] |= (leq[:inner, :inner].astype(int)
+                                @ leq[:inner, :inner].astype(int)) > 0
+    leq[inner, :] = True                          # a bottom
+    leq[:, inner + 1] = True                      # a top
+    try:
+        return SupLattice(leq)
+    except (NotALattice, NotAPoset):
+        assume(False)
+
+
+@st.composite
+def specs(draw):
+    lat = draw(lattices())
+    args = {"lattice": lat, "cap": 8, "dedup_iso": draw(st.booleans())}
+    if draw(st.booleans()):
+        invs = _involution_candidates(lat, None)
+        args["fix_involution"] = invs[draw(st.integers(0, len(invs) - 1))]
+    if draw(st.booleans()):
+        args["fix_unit"] = draw(st.integers(0, lat.n - 1))
+    flags = draw(st.lists(st.sampled_from(sorted(_FLAG_NAMES)), max_size=2, unique=True))
+    args["require"] = {name: draw(st.booleans()) for name in flags}
+    args["limit"] = draw(st.none() | st.integers(1, 4))
+    args["budget"] = draw(st.integers(0, 1500))
+    return args
+
+
+# ---------------------------------------------------------------- tests
+
+@SETTINGS
+@given(specs(), st.sampled_from(BLOCKS))
+def test_block_search_matches_the_one_leaf_walk(spec_args, block):
+    assert_same(spec_args, block)
+
+
+EXHAUSTIVE = {
+    "chain2": {"lattice": NAMED["chain2"]},
+    "chain3-dedup": {"lattice": NAMED["chain3"], "dedup_iso": True},
+    "chain4": {"lattice": NAMED["chain4"]},
+    "chain4-unital": {"lattice": NAMED["chain4"], "require": {"unital": True}},
+    "diamond-unit": {"lattice": DIAMOND, "fix_unit": 1},
+    "diamond-dedup-supported": {"lattice": DIAMOND, "dedup_iso": True,
+                                "require": {"stably_supported": True}},
+    "pentagon-unit": {"lattice": NAMED["pentagon"], "fix_unit": 1},
+    "m3-unit-dedup": {"lattice": NAMED["m3"], "fix_unit": 2, "dedup_iso": True},
+    "cube-unit-nonmodular": {"lattice": CUBE, "cap": 8, "fix_unit": 1,
+                             "require": {"modular": False}},
+}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE))
+def test_exhaustive_searches_match_the_one_leaf_walk(name, block):
+    spec_args = EXHAUSTIVE[name]
+    raised, models, stats = assert_same(spec_args, block)
+    assert not raised and stats.exhausted
+
+
+# (spec, leaves in the whole search, patched block size, leaves per block)
+BOUNDARY = [
+    ({"lattice": DIAMOND}, 2 * 4 ** 3, 7, 4),      # two involutions, 3 free cells each
+    ({"lattice": DIAMOND}, 2 * 4 ** 3, 64, 64),
+    ({"lattice": CUBE, "cap": 8, "fix_involution": np.arange(8)}, 8 ** 6, 100, 64),
+    ({"lattice": CUBE, "cap": 8, "fix_involution": np.arange(8)}, 8 ** 6,
+     search_mod._BLOCK, 8 ** 4),
+]
+
+
+@pytest.mark.parametrize("spec_args, total, block, leaves", BOUNDARY,
+                         ids=("diamond-7", "diamond-64", "cube-100", "cube-default"))
+def test_budget_stops_at_block_edges_match_the_one_leaf_walk(spec_args, total, block,
+                                                             leaves):
+    for budget in (0, 1, leaves - 1, leaves, leaves + 1, leaves + leaves // 2,
+                   2 * leaves - 1, 2 * leaves, 2 * leaves + 1):
+        raised, _, stats = assert_same({**spec_args, "budget": budget}, block)
+        assert raised is (budget < total)
+        assert stats.candidates == (budget + 1 if raised else total)
+
+
+@pytest.mark.parametrize("block", (1, 7, 64, 256))
+@pytest.mark.parametrize("limit", (1, 2, 3, 5, 8))
+def test_limit_stops_inside_a_block_match_the_one_leaf_walk(block, limit):
+    raised, models, stats = assert_same({"lattice": DIAMOND, "limit": limit}, block)
+    assert not raised and stats.truncated and len(models) == limit
+
+
+def test_budget_on_a_search_wider_than_int64():
+    # 28 free cells over 8 values: 8**28 = 2**84 leaves.
+    spec = SearchSpec(chain_lattice(8), cap=8, budget=10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as ei:
+            search_mod.search(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.stats.free_cells == 28
+    assert ei.value.stats.candidates == 11
+    assert len(ei.value.models) == 10
+    assert peak < 16 * 2 ** 20          # one block of 8**4 tables, not more
+
+
+@pytest.mark.parametrize("block", (7, search_mod._BLOCK))
+def test_budget_stops_inside_the_second_involution_match_the_one_leaf_walk(block):
+    # The atom swap is the diamond's second involution (leaves 65-128), and
+    # its cells a.b and b.a are self-linked.
+    for budget in range(64, 130, 5):
+        assert_same({"lattice": DIAMOND, "budget": budget}, block)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("spec_args", [
+    {"lattice": DIAMOND},                                   # a.b and b.a self-linked
+    {"lattice": NAMED["m3"], "fix_unit": 1, "budget": 3000},
+    {"lattice": CUBE, "cap": 8, "fix_unit": 1},
+], ids=("diamond", "m3", "cube"))
+def test_blocks_hold_the_leaf_tables_in_walk_order(spec_args, block):
+    walked, tested = [], []
+    with contextlib.suppress(BudgetExceeded):
+        search_one_leaf_at_a_time(SearchSpec(**spec_args),
+                                  visit=lambda m: walked.append(m.tobytes()))
+    real = search_mod._associative_rows
+
+    def spy(lat, J, jt, rows):
+        tested.extend(t.astype(np.intp).tobytes() for t in rows)
+        return real(lat, J, jt, rows)
+
+    with mock.patch.object(search_mod, "_BLOCK", block), \
+            mock.patch.object(search_mod, "_associative_rows", spy):
+        with contextlib.suppress(BudgetExceeded):
+            search_mod.search(SearchSpec(**spec_args))
+    assert tested == walked
