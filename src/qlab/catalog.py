@@ -25,25 +25,14 @@ def powerset_quantale(atom_mul: np.ndarray, atom_inv: Sequence[int], unit_mask: 
     product is empty), atom_inv is a permutation of atoms, and elements of the
     quantale are subset bitmasks, which double as lattice indices.
     """
-    atom_mul = np.asarray(atom_mul, dtype=np.int64)
-    k = atom_mul.shape[0]
-    n = 1 << k
-    masks = np.arange(n, dtype=np.int64)
-
+    atom_mul = np.asarray(atom_mul, dtype=np.intp)
     lat = powerset_lattice(list(atom_labels))
     if labels is not None:
         lat.labels = [str(x) for x in labels]
-
-    row = np.zeros((k, n), dtype=np.int64)  # row[g, V] = product of atom g with subset V
-    for b in range(k):
-        sel = (masks >> b & 1) == 1
-        row[:, sel] |= atom_mul[:, b][:, None]
-    mul = np.zeros((n, n), dtype=np.int64)
-    inv = np.zeros(n, dtype=np.int64)
-    for b in range(k):
-        sel = (masks >> b & 1) == 1
-        mul[sel, :] |= row[b][None, :]
-        inv[sel] |= np.int64(1) << np.int64(atom_inv[b])
+    # the atoms are the join-irreducibles; row[V, g] = g . V, then mul[U, V] = U . V
+    row = lat.join_extend(atom_mul.T, lat)
+    mul = lat.join_extend(row.T, lat)
+    inv = lat.join_extend(1 << np.asarray(atom_inv, dtype=np.intp), lat)
     return Quantale(lat, mul, inv, unit=int(unit_mask), name=name)
 
 

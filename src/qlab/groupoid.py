@@ -162,19 +162,6 @@ def bisections(G: FiniteGroupoid) -> list[int]:
     return out
 
 
-def groupoid_support(G: FiniteGroupoid):
-    """sup(U) = u(d(U)) as a table over subset bitmasks, checked two ways."""
-    n = 1 << G.n_arrows
-    sup = np.zeros(n, dtype=np.intp)
-    for g in range(G.n_arrows):
-        bit = 1 << g
-        ubit = 1 << int(G.units[G.d[g]])
-        sel = (np.arange(n) & bit) != 0
-        sup[sel] |= ubit
-    assert np.array_equal(sup, support(G.quantale).sup)
-    return sup
-
-
 class GroupoidAction:
     """A right-to-left geometric action: act[g, x] defined when d(g) = p(x)."""
 
@@ -240,15 +227,13 @@ class ActionModule:
     module: hb.PreHilbertModule
     supported: hb.SupportedModule
     atoms: np.ndarray            # carrier index of each single point {x}
-    translate: np.ndarray        # (n_arrows, n_X) bitmask: lam_g(S cut to fiber r(g))
 
 
 def module_from_action(A: GroupoidAction, verify: bool = True) -> ActionModule:
     G = A.groupoid
     Q = G.quantale
     ne = A.n_points
-    nx = 1 << ne
-    masks = np.arange(nx)
+    masks = np.arange(1 << ne)
     carrier = powerset_lattice(A.points)
 
     # pullback point maps lam_g = act(i(g), -): fiber r(g) -> fiber d(g)
@@ -257,34 +242,19 @@ def module_from_action(A: GroupoidAction, verify: bool = True) -> ActionModule:
         for y in np.flatnonzero(A.p == G.r[g]):
             lam[g, y] = A.act[G.inv[g], y]
 
-    translate = np.zeros((G.n_arrows, nx), dtype=np.int64)
-    for g in range(G.n_arrows):
-        single = np.zeros(ne, dtype=np.int64)
-        for y in range(ne):
-            if lam[g, y] >= 0:
-                single[y] = np.int64(1) << np.int64(lam[g, y])
-        for y in range(ne):
-            sel = (masks >> y & 1) == 1
-            translate[g, sel] |= single[y]
+    # {g}.{y} = {lam_g(y)}, or empty off the fiber; both arguments extend by joins
+    single = np.where(lam >= 0, 1 << np.maximum(lam, 0), 0)
+    actX = Q.lattice.join_extend(carrier.join_extend(single.T, carrier).T, carrier)
 
-    actX = np.zeros((Q.n, nx), dtype=np.int64)
+    ip = np.zeros((len(masks), len(masks)), dtype=np.intp)
     for g in range(G.n_arrows):
-        sel = (np.arange(Q.n) >> g & 1) == 1
-        actX[sel, :] |= translate[g][None, :]
+        hits = (masks[:, None] & actX[1 << g][None, :]) != 0
+        ip |= hits * (1 << g)
 
-    ip = np.zeros((nx, nx), dtype=np.int64)
-    for g in range(G.n_arrows):
-        hits = (masks[:, None] & translate[g][None, :]) != 0
-        ip |= hits * (np.int64(1) << np.int64(g))
-
-    module = hb.PreHilbertModule(hb.QModule(Q, carrier, actX.astype(np.intp)),
-                                 ip.astype(np.intp))
+    module = hb.PreHilbertModule(hb.QModule(Q, carrier, actX), ip)
 
     # B-valued cross-check: <S,T> AND e must be u(p(S cap T))
-    pobj = np.zeros(nx, dtype=np.int64)
-    for x in range(ne):
-        sel = (masks >> x & 1) == 1
-        pobj[sel] |= np.int64(1) << np.int64(G.units[A.p[x]])
+    pobj = carrier.join_extend(1 << G.units[A.p], Q.lattice)
     expected = pobj[masks[:, None] & masks[None, :]]
     assert np.array_equal(Q.lattice.meet_table[module.ip, Q.unit], expected)
 
@@ -293,10 +263,10 @@ def module_from_action(A: GroupoidAction, verify: bool = True) -> ActionModule:
         assert report.ok, report.failures()
         assert report.non_degenerate
     sm = hb.module_support(module)
-    assert np.array_equal(sm.sup, pobj[masks])   # sup(S) = u(p(S))
+    assert np.array_equal(sm.sup, pobj)   # sup(S) = u(p(S))
 
-    atoms = (np.int64(1) << np.arange(ne, dtype=np.int64)).astype(np.intp)
-    return ActionModule(A, module, sm, atoms, translate)
+    atoms = 1 << np.arange(ne, dtype=np.intp)
+    return ActionModule(A, module, sm, atoms)
 
 
 @dataclass
@@ -383,14 +353,7 @@ def sheafify(X: hb.PreHilbertModule, cap: int = 1 << 13) -> SheafifyReport:
     for t in range(k):
         canon = N.carrier.join_table[canon, N.action[ipl[:, secs[t]], mm.rows[t]]]
 
-    nq = np.arange(Q.n, dtype=np.intp)
-    checks.update({
-        "bijective": X.n == N.n and len(set(canon.tolist())) == X.n,
-        "join": bool((canon[lat.join_table]
-                      == N.carrier.join_table[np.ix_(canon, canon)]).all()),
-        "action": bool((canon[act] == N.action[nq[:, None], canon[None, :]]).all()),
-        "unitary": bool((N.ip[np.ix_(canon, canon)] == X.ip).all()),
-    })
+    checks.update(hb.canonical_map_checks(X, N, canon))
     return SheafifyReport(qs, secs, sup, mm, canon, checks)
 
 
@@ -518,12 +481,8 @@ def _enumerate_homs(am1: ActionModule, am2: ActionModule, pinned: bool) -> list[
 
     def place(k: int) -> None:
         if k == n1:
-            table = np.full(X1.n, X2.carrier.bottom, dtype=np.intp)
-            for mask in range(1, X1.n):
-                low = mask & -mask
-                table[mask] = X2.carrier.join_table[table[mask & (mask - 1)],
-                                                    chosen[atom_pos1[low]]]
-            found.append(table)
+            found.append(X1.carrier.join_extend(np.asarray(chosen, dtype=np.intp),
+                                                X2.carrier))
             return
         for y in cands[k]:
             chosen[k] = y
@@ -560,6 +519,7 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
     locs = [hb.local_sections(am.supported).local for am in mods]
     pairs = []
     for i, am1 in enumerate(mods):
+        basis = hb.hilbert_sections(am1.module)
         for j, am2 in enumerate(mods):
             loc1, loc2 = locs[i], set(locs[j].tolist())
             equiv = _equivariant_maps(actions[i], actions[j])
@@ -568,19 +528,14 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
             keyed = {t.tobytes(): pos for pos, t in enumerate(sheaf_tables)}
 
             # every sheaf hom is a direct image hom
-            basis = hb.hilbert_sections(am1.module)
             for t in sheaf_tables:
                 phi = hb.ModuleHom(am1.module, am2.module, t)
                 assert hb.is_direct_image(phi, hb.adjoint(phi, basis))
 
             bij = []
             for f in equiv:
-                table = np.full(am1.module.n, am2.module.carrier.bottom, dtype=np.intp)
-                for mask in range(1, am1.module.n):
-                    low = (mask & -mask).bit_length() - 1
-                    table[mask] = am2.module.carrier.join_table[table[mask & (mask - 1)],
-                                                                am2.atoms[f[low]]]
-                key = table.tobytes()
+                key = am1.module.carrier.join_extend(am2.atoms[list(f)],
+                                                     am2.module.carrier).tobytes()
                 assert key in keyed, "direct image of an equivariant map must be a sheaf hom"
                 bij.append(keyed[key])
             assert len(set(bij)) == len(bij)

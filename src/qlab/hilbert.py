@@ -91,6 +91,7 @@ class PreHilbertModule:
             raise ValueError("inner product entries out of range")
         self.module = module
         self.ip = ip
+        self._basis_witnesses: dict = {}
 
     @property
     def quantale(self) -> Quantale:
@@ -122,6 +123,13 @@ class PreHilbertModule:
                                      lat.join_irreducibles),
             "ip_bottom_left": bool((ip[lat.bottom] == self.quantale.bottom).all()),
         }
+
+    def basis_witness(self, sigma: np.ndarray) -> int | None:
+        """is_hilbert_basis(self, sigma)'s witness, computed once per module and basis."""
+        key = sigma.tobytes()
+        if key not in self._basis_witnesses:
+            self._basis_witnesses[key] = is_hilbert_basis(self, sigma)[1]
+        return self._basis_witnesses[key]
 
     def __repr__(self) -> str:
         return f"PreHilbertModule(|Q|={self.quantale.n}, |X|={self.n})"
@@ -304,11 +312,6 @@ def hom_compose(psi: ModuleHom, phi: ModuleHom) -> ModuleHom:
     return ModuleHom(phi.source, psi.target, psi.map[phi.map])
 
 
-def hom_join(phi: ModuleHom, psi: ModuleHom) -> ModuleHom:
-    return ModuleHom(phi.source, phi.target,
-                     phi.target.carrier.join_table[phi.map, psi.map])
-
-
 def _preserves_joins(phi: ModuleHom) -> bool:
     """phi(x OR j) = phi(x) OR phi(j) for every x and join-irreducible j."""
     f, js, jt = phi.map, phi.source.carrier.join_table, phi.target.carrier.join_table
@@ -346,17 +349,17 @@ def adjoint(phi: ModuleHom, sigma=None) -> ModuleHom:
     satisfy ip_join_left and ip_bottom_left (PreHilbertModule.left_linearity,
     memoized).  Then the identity is checked on join-irreducible x only;
     otherwise, or when that check fails, every x is scanned for the
-    lex-first witness (x, y) of AdjointIdentityFails.
+    lex-first witness (x, y) of AdjointIdentityFails.  Whether sigma is a
+    Hilbert basis is decided once per module and basis (basis_witness).
     """
     Xs, Xt = phi.source, phi.target
-    if sigma is None:
-        sigma = hilbert_sections(Xs)
-    ok, witness = is_hilbert_basis(Xs, sigma)
-    if not ok:
+    sigma = hilbert_sections(Xs) if sigma is None else np.asarray(sigma, dtype=np.intp)
+    witness = Xs.basis_witness(sigma)
+    if witness is not None:
         raise NotEnoughSections(witness)
     f = phi.map
     out = np.full(Xt.n, Xs.carrier.bottom, dtype=np.intp)
-    for t in np.asarray(sigma, dtype=np.intp):
+    for t in sigma:
         out = Xs.carrier.join_table[out, Xs.action[Xt.ip[:, f[t]], t]]
 
     def bad(x):                   # [y]: <phi(x), y> != <x, adj(y)>
@@ -515,15 +518,23 @@ def representation_report(X: PreHilbertModule, sigma) -> RepresentationReport:
     N = mm.module
     psi = np.array([mm.vector_index(X.ip[x, sigma]) for x in range(X.n)],
                    dtype=np.intp)
-    checks = {
+    return RepresentationReport(mm, psi, canonical_map_checks(X, N, psi))
+
+
+def canonical_map_checks(X: PreHilbertModule, N: PreHilbertModule, psi: np.ndarray) -> dict:
+    """Whether the table psi: X -> N is a unitary isomorphism, claim by claim.
+
+    The four verdicts: psi is a bijection, preserves binary joins, commutes
+    with the action, and preserves the inner product.
+    """
+    nq = np.arange(X.quantale.n, dtype=np.intp)
+    return {
         "bijective": X.n == N.n and len(set(psi.tolist())) == X.n,
         "join": bool((psi[X.carrier.join_table]
                       == N.carrier.join_table[np.ix_(psi, psi)]).all()),
-        "action": bool((psi[X.action]
-                        == N.action[np.arange(X.quantale.n)[:, None], psi[None, :]]).all()),
+        "action": bool((psi[X.action] == N.action[nq[:, None], psi[None, :]]).all()),
         "unitary": bool((N.ip[np.ix_(psi, psi)] == X.ip).all()),
     }
-    return RepresentationReport(mm, psi, checks)
 
 
 def section_relation(mm: MatrixModule) -> QMatrix:

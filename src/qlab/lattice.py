@@ -197,6 +197,24 @@ class SupLattice:
         below = strict & (down[:, None] == down[None, :] - 1)
         return [int(x) for x in np.flatnonzero(below.any(axis=0))]
 
+    def join_extend(self, values, target: "SupLattice") -> np.ndarray:
+        """The join-extension of values on the join-irreducibles into `target`.
+
+        values[i] is an element of `target`, the image of
+        join_irreducibles[i]; trailing axes are carried along.  out[x] is the
+        join in `target` of values[i] over every join_irreducibles[i] <= x,
+        so out[bottom] is target.bottom.  When values come from a
+        join-preserving map this is that map, since every element is the
+        join of the irreducibles below it.  The output has the dtype of
+        `values`; a two-argument table is join_extend applied twice.
+        """
+        values = np.asarray(values)
+        out = np.full((self.n,) + values.shape[1:], target.bottom, dtype=values.dtype)
+        for j, v in zip(self.join_irreducibles, values, strict=True):
+            up = self.leq[j]
+            out[up] = target.join_table[out[up], v]
+        return out
+
     def covers(self) -> list[tuple[int, int]]:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
         cov = strict & ~relation_product(strict, strict)

@@ -105,19 +105,9 @@ def _involution_candidates(lat: SupLattice, fixed) -> list[np.ndarray]:
     return cands
 
 
-def _full_table(lat: SupLattice, J: list[int], m: np.ndarray) -> np.ndarray:
-    """Join-extension of an irreducible-pair table to the whole lattice."""
-    n, k = lat.n, len(J)
-    jt = lat.join_table
-    rows = np.full((k, n), lat.bottom, dtype=np.intp)   # rows[i] = J[i] . b
-    for j in range(k):
-        sel = lat.leq[J[j]]                             # J[j] <= b
-        rows[:, sel] = jt[rows[:, sel], m[:, j, None]]
-    mul = np.full((n, n), lat.bottom, dtype=np.intp)
-    for i in range(k):
-        sel = lat.leq[J[i]]
-        mul[sel, :] = jt[mul[sel, :], rows[i][None, :]]
-    return mul
+def _full_table(lat: SupLattice, m: np.ndarray) -> np.ndarray:
+    """Join-extension of an irreducible-pair table m[i, j] = J[i].J[j] to the whole lattice."""
+    return lat.join_extend(lat.join_extend(m.T, lat).T, lat)
 
 
 def _detect_unit(lat: SupLattice, mul: np.ndarray) -> int | None:
@@ -205,7 +195,7 @@ def search(spec: SearchSpec) -> SearchResult:
 
     def accept(m: np.ndarray, inv: np.ndarray) -> None:
         """Validate, classify, filter and dedup one associative leaf."""
-        mul = _full_table(lat, J, m)
+        mul = _full_table(lat, m)
         unit = spec.fix_unit if spec.fix_unit is not None else _detect_unit(lat, mul)
         Q = Quantale(lat, mul, inv, unit)
         if not validate_quantale(Q).ok:
@@ -284,7 +274,7 @@ def search(spec: SearchSpec) -> SearchResult:
             for (cell, partner), v in zip(flat, prefix):
                 block[:, partner] = inv_t[v]
                 block[:, cell] = v
-            block = block.reshape(-1, k, k)
+            block = block.reshape(len(block), k, k)
             first, seen = stats.candidates, 0
             for b in _associative_rows(lat, J, jt_t, block).tolist():
                 stats.candidates = first + b + 1

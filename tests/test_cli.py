@@ -10,6 +10,7 @@ from qlab import objio
 from qlab.catalog import egger8, quantale_r4, relq
 from qlab.cli import main
 from qlab.hilbert import module_over_self
+from qlab.lattice import chain_lattice
 from qlab.qmatrix import QSet
 from qlab.quantale import Quantale
 
@@ -176,6 +177,13 @@ def test_search_writes_models(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "classify", str(tmp_path / "models" / "model-000.json"))
     assert "inverse_quantal_frame: false" in out
+
+
+def test_search_on_a_one_element_lattice(tmp_path, capsys):
+    lat = write(tmp_path, "point.json", chain_lattice(1))
+    code, out, _ = run(capsys, "search", "--lattice", lat)
+    assert code == 0
+    assert "candidates: 1, emitted: 1" in out
 
 
 def test_search_impossible_requirement(tmp_path, capsys):

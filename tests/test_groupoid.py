@@ -5,7 +5,7 @@ from qlab import groupoid as gp
 from qlab import hilbert as hb
 from qlab.catalog import (catalog_get, cyclic_table, egger8, group_quantale,
                           quantale_r4, relq)
-from qlab.quantale import partial_units
+from qlab.quantale import partial_units, support
 
 
 def z2():
@@ -62,7 +62,22 @@ def test_bisections_are_the_partial_units():
     for G in (z2(), gp.pair_groupoid(2)):
         Q = gp.quantale_of(G)
         assert gp.bisections(G) == partial_units(Q).elements
-        gp.groupoid_support(G)
+
+
+def groupoid_support(G: gp.FiniteGroupoid) -> np.ndarray:
+    """sup(U) = u(d(U)) on subset bitmasks, one arrow bit at a time."""
+    n = 1 << G.n_arrows
+    sup = np.zeros(n, dtype=np.intp)
+    for g in range(G.n_arrows):
+        sel = (np.arange(n) >> g & 1) == 1
+        sup[sel] |= 1 << int(G.units[G.d[g]])
+    return sup
+
+
+@pytest.mark.parametrize("name", gp.GROUPOID_NAMES)
+def test_support_is_the_unit_of_the_domain(name):
+    G = catalog_get(name)[1]
+    assert np.array_equal(support(G.quantale).sup, groupoid_support(G))
 
 
 def test_z2_regular_module_sections_and_sheafify():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qlab import hilbert as hb
 from qlab.catalog import (cyclic_table, egger8, frame_quantale, group_quantale,
                           quantale_r4, relq)
 from qlab.lattice import chain_lattice, powerset_lattice
@@ -9,7 +10,7 @@ from qlab.hilbert import (AdjointIdentityFails, CarrierTooLarge, ModuleHom,
                           SupportAxiomFails, adjoint, functor_M,
                           functor_M_object, has_enough_sections,
                           hilbert_sections, hom_compose, hom_from_relation,
-                          hom_join, identity_hom, is_direct_image,
+                          identity_hom, is_direct_image,
                           is_hilbert_basis, is_module_hom, local_sections,
                           module_from_qset, module_over_self, module_support,
                           parseval_check, qset_from_basis, reconstruct,
@@ -139,6 +140,12 @@ def test_qset_from_basis_and_not_enough_sections():
     assert ei.value.witness == 1
 
 
+def hom_join(phi: ModuleHom, psi: ModuleHom) -> ModuleHom:
+    """The pointwise join of two homs with the same source and target."""
+    return ModuleHom(phi.source, phi.target,
+                     phi.target.carrier.join_table[phi.map, psi.map])
+
+
 def test_hom_algebra():
     X = module_over_self(R4)
     ident = identity_hom(X)
@@ -189,6 +196,23 @@ def test_adjoint_rejects_non_homs_and_empty_bases():
         adjoint(ModuleHom(X, X, [3, 3, 3, 3]))
     with pytest.raises(NotEnoughSections):
         adjoint(identity_hom(X), sigma=[])
+
+
+def test_adjoint_checks_each_basis_once_per_module(monkeypatch):
+    X = module_over_self(R2)
+    basis = hilbert_sections(X)
+    calls = []
+    real = hb.is_hilbert_basis
+    monkeypatch.setattr(hb, "is_hilbert_basis", lambda *a: calls.append(1) or real(*a))
+    for _ in range(3):
+        adjoint(identity_hom(X), basis)
+        adjoint(identity_hom(X))                 # the same basis, found again
+        with pytest.raises(NotEnoughSections) as ei:
+            adjoint(identity_hom(X), sigma=[])
+        assert ei.value.witness == 1
+    assert len(calls) == 2                       # the Hilbert sections and the empty basis
+    adjoint(identity_hom(module_over_self(R2)), basis)
+    assert len(calls) == 3                       # a new module checks again
 
 
 def test_representation_round_trip_over_relq2():

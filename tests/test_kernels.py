@@ -2,11 +2,16 @@
 
 The oracles below are the earlier row-by-row implementations, kept here
 only: the join/meet table built one row at a time, the closure step as a
-numpy boolean matrix product, and the singleton-column walk that tests
-one itertools.product column per call.  Each kernel must give the same
-tables, the same order of results and the same lex-first witnesses.
+numpy boolean matrix product, the singleton-column walk that tests one
+itertools.product column per call, and the hand-written join-extension
+loops that SupLattice.join_extend replaced (the powerset quantale's bit
+loops, the search's two-loop full table, the low-bit per-mask table of
+hom enumeration and direct images, and the action module's bit loops).
+Each kernel must give the same tables, the same order of results and the
+same lex-first witnesses.
 """
 
+import importlib
 import itertools
 
 import numpy as np
@@ -15,10 +20,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qlab import lattice, qmatrix
-from qlab.catalog import egger8, relq
+from qlab.catalog import catalog_entries, catalog_get, egger8, powerset_quantale, relq
+from qlab.groupoid import module_from_action
 from qlab.lattice import (NotALattice, NotAPoset, SupLattice, _bound_table,
-                          build_lattice, relation_product)
+                          build_lattice, chain_lattice, powerset_lattice,
+                          relation_product)
 from qlab.qmatrix import QSet, _columns_product, random_qset, singletons
+
+search_mod = importlib.import_module("qlab.search")    # qlab.search is also a function
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -72,6 +81,94 @@ def columns_one_at_a_time(Q, A):
     for col in itertools.product(range(Q.n), repeat=A.shape[0]):
         if column_ok(Q, A, col):
             yield col
+
+
+def join_extend_by_definition(lat, values, target):
+    """out[x] = the join in target of values[i] over J[i] <= x, one cell at a time."""
+    J = lat.join_irreducibles
+    out = np.empty((lat.n,) + values.shape[1:], dtype=values.dtype)
+    for x in range(lat.n):
+        for idx in np.ndindex(values.shape[1:]):
+            out[(x,) + idx] = target.join(values[(i,) + idx]
+                                          for i, j in enumerate(J) if lat.leq[j, x])
+    return out
+
+
+def join_extend_low_bit(values, target):
+    """The per-mask table on a powerset: S joins S minus its lowest bit with that bit's value."""
+    table = np.full((1 << len(values),) + values.shape[1:], target.bottom, dtype=values.dtype)
+    for mask in range(1, len(table)):
+        low = (mask & -mask).bit_length() - 1
+        table[mask] = target.join_table[table[mask & (mask - 1)], values[low]]
+    return table
+
+
+def full_table_loops(lat, J, m):
+    """The search's full table: rows[i] = J[i].b first, then mul[a] by joins of rows."""
+    n, k = lat.n, len(J)
+    jt = lat.join_table
+    rows = np.full((k, n), lat.bottom, dtype=np.intp)
+    for j in range(k):
+        sel = lat.leq[J[j]]
+        rows[:, sel] = jt[rows[:, sel], m[:, j, None]]
+    mul = np.full((n, n), lat.bottom, dtype=np.intp)
+    for i in range(k):
+        sel = lat.leq[J[i]]
+        mul[sel, :] = jt[mul[sel, :], rows[i][None, :]]
+    return mul
+
+
+def powerset_quantale_bits(atom_mul, atom_inv):
+    """The powerset quantale's mul and inv tables, OR-ed in one atom bit at a time."""
+    atom_mul = np.asarray(atom_mul, dtype=np.int64)
+    k = atom_mul.shape[0]
+    n = 1 << k
+    masks = np.arange(n, dtype=np.int64)
+    row = np.zeros((k, n), dtype=np.int64)
+    for b in range(k):
+        sel = (masks >> b & 1) == 1
+        row[:, sel] |= atom_mul[:, b][:, None]
+    mul = np.zeros((n, n), dtype=np.int64)
+    inv = np.zeros(n, dtype=np.int64)
+    for b in range(k):
+        sel = (masks >> b & 1) == 1
+        mul[sel, :] |= row[b][None, :]
+        inv[sel] |= np.int64(1) << np.int64(atom_inv[b])
+    return mul, inv
+
+
+def action_module_bits(A):
+    """Action, inner product and support tables of P(E), one point and arrow bit at a time."""
+    G = A.groupoid
+    ne, na = A.n_points, G.n_arrows
+    nx = 1 << ne
+    masks = np.arange(nx)
+    lam = np.full((na, ne), -1, dtype=np.intp)
+    for g in range(na):
+        for y in np.flatnonzero(A.p == G.r[g]):
+            lam[g, y] = A.act[G.inv[g], y]
+    translate = np.zeros((na, nx), dtype=np.int64)
+    for g in range(na):
+        single = np.zeros(ne, dtype=np.int64)
+        for y in range(ne):
+            if lam[g, y] >= 0:
+                single[y] = np.int64(1) << np.int64(lam[g, y])
+        for y in range(ne):
+            sel = (masks >> y & 1) == 1
+            translate[g, sel] |= single[y]
+    actX = np.zeros((1 << na, nx), dtype=np.int64)
+    for g in range(na):
+        sel = (np.arange(1 << na) >> g & 1) == 1
+        actX[sel, :] |= translate[g][None, :]
+    ip = np.zeros((nx, nx), dtype=np.int64)
+    for g in range(na):
+        hits = (masks[:, None] & translate[g][None, :]) != 0
+        ip |= hits * (np.int64(1) << np.int64(g))
+    pobj = np.zeros(nx, dtype=np.int64)
+    for x in range(ne):
+        sel = (masks >> x & 1) == 1
+        pobj[sel] |= np.int64(1) << np.int64(G.units[A.p[x]])
+    return actX, ip, pobj
 
 
 def outcome(build):
@@ -210,3 +307,103 @@ def test_singleton_lists_match_the_one_column_walk(qa):
         mp.setattr(qmatrix, "_columns_product", columns_one_at_a_time)
         slow = singletons(X)
     assert fast == slow
+
+
+# ------------------------------------------------------- join extension
+
+def pentagon() -> SupLattice:
+    return build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+
+
+def m3() -> SupLattice:
+    return build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+def is_bitmask_powerset(lat) -> bool:
+    """Whether the elements are the subsets of some atoms, indexed by bitmask."""
+    masks = np.arange(lat.n)
+    return lat.n & (lat.n - 1) == 0 and np.array_equal(lat.join_table,
+                                                       masks[:, None] | masks[None, :])
+
+
+@st.composite
+def small_lattices(draw):
+    """M3, the pentagon, a chain, a powerset, or a relabelled union-closed family of sets."""
+    kind = draw(st.sampled_from(["m3", "pentagon", "chain", "powerset", "family"]))
+    if kind == "m3":
+        return m3()
+    if kind == "pentagon":
+        return pentagon()
+    if kind == "chain":
+        return chain_lattice(draw(st.integers(1, 5)))
+    if kind == "powerset":
+        return powerset_lattice([f"a{i}" for i in range(draw(st.integers(0, 4)))])
+    family = {0} | set(draw(st.lists(st.integers(1, 15), max_size=8)))
+    while True:                                  # close under unions
+        bigger = family | {a | b for a in family for b in family}
+        if bigger == family:
+            break
+        family = bigger
+    sets = np.array(sorted(family))
+    sets = sets[np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).permutation(len(sets))]
+    return SupLattice((sets[:, None] & ~sets[None, :]) == 0)
+
+
+@SETTINGS
+@given(small_lattices(), small_lattices(), st.sampled_from([np.uint8, np.intp]),
+       st.lists(st.integers(0, 3), max_size=2), st.integers(0, 2 ** 32 - 1))
+def test_join_extend_matches_the_definition(lat, target, dtype, tail, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(lat.join_irreducibles), *tail)
+    values = rng.integers(0, target.n, size=shape).astype(dtype)   # not join-preserving
+    out = lat.join_extend(values, target)
+    assert out.dtype == values.dtype and out.shape == (lat.n, *tail)
+    assert np.array_equal(out, join_extend_by_definition(lat, values, target))
+    if is_bitmask_powerset(lat):
+        assert np.array_equal(out, join_extend_low_bit(values, target))
+
+
+@SETTINGS
+@given(small_lattices(), st.integers(0, 2 ** 32 - 1))
+def test_full_table_matches_the_two_loops(lat, seed):
+    J = lat.join_irreducibles
+    m = np.random.default_rng(seed).integers(0, lat.n, size=(len(J), len(J)))
+    assert np.array_equal(search_mod._full_table(lat, m), full_table_loops(lat, J, m))
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_powerset_quantale_matches_the_bit_loops(k, seed):
+    rng = np.random.default_rng(seed)
+    atom_mul = rng.integers(0, 1 << k, size=(k, k))           # any bitmasks at all
+    atom_inv = rng.permutation(k)
+    Q = powerset_quantale(atom_mul, atom_inv, 0, [f"a{i}" for i in range(k)])
+    mul, inv = powerset_quantale_bits(atom_mul, atom_inv)
+    assert np.array_equal(Q.mul, mul) and np.array_equal(Q.inv, inv)
+
+
+def catalog_names(*kinds):
+    return sorted(name for name, (kind, _) in catalog_entries().items() if kind in kinds)
+
+
+@pytest.mark.parametrize("name", catalog_names("quantale", "groupoid"))
+def test_catalog_quantales_match_the_replaced_loops(name):
+    kind, obj = catalog_get(name)
+    Q = obj.quantale if kind == "groupoid" else obj
+    lat, J = Q.lattice, Q.lattice.join_irreducibles
+    m = Q.mul[np.ix_(J, J)]
+    assert np.array_equal(search_mod._full_table(lat, m), full_table_loops(lat, J, m))
+    assert np.array_equal(Q.mul, full_table_loops(lat, J, m))
+    assert is_bitmask_powerset(lat)              # true of every catalog lattice
+    atom_inv = [int(Q.inv[j]).bit_length() - 1 for j in J]
+    mul, inv = powerset_quantale_bits(m, atom_inv)
+    assert np.array_equal(Q.mul, mul) and np.array_equal(Q.inv, inv)
+
+
+@pytest.mark.parametrize("name", catalog_names("action"))
+def test_catalog_action_modules_match_the_replaced_loops(name):
+    am = module_from_action(catalog_get(name)[1], verify=False)
+    action, ip, sup = action_module_bits(am.action)
+    assert np.array_equal(am.module.action, action)
+    assert np.array_equal(am.module.ip, ip)
+    assert np.array_equal(am.supported.sup, sup)

@@ -109,7 +109,7 @@ def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
             if not assoc_ok():
                 stats.pruned_assoc += 1
                 return
-            mul = _full_table(lat, J, m)
+            mul = _full_table(lat, m)
             unit = spec.fix_unit if spec.fix_unit is not None else _detect_unit(lat, mul)
             Q = Quantale(lat, mul, inv, unit)
             if not validate_quantale(Q).ok:
@@ -190,9 +190,9 @@ def m3() -> SupLattice:
 
 DIAMOND = powerset_lattice(["a", "b"])
 CUBE = powerset_lattice(["a", "b", "c"])
-NAMED = {"chain2": chain_lattice(2), "chain3": chain_lattice(3),
-         "chain4": chain_lattice(4), "diamond": DIAMOND, "pentagon": pentagon(),
-         "m3": m3(), "cube": CUBE}
+NAMED = {"chain1": chain_lattice(1), "chain2": chain_lattice(2),
+         "chain3": chain_lattice(3), "chain4": chain_lattice(4), "diamond": DIAMOND,
+         "pentagon": pentagon(), "m3": m3(), "cube": CUBE}
 BLOCKS = (1, 7, search_mod._BLOCK)
 
 
@@ -242,6 +242,7 @@ def test_block_search_matches_the_one_leaf_walk(spec_args, block):
 
 
 EXHAUSTIVE = {
+    "chain1": {"lattice": NAMED["chain1"]},
     "chain2": {"lattice": NAMED["chain2"]},
     "chain3-dedup": {"lattice": NAMED["chain3"], "dedup_iso": True},
     "chain4": {"lattice": NAMED["chain4"]},
