@@ -25,12 +25,12 @@ from .hilbert import (CarrierTooLarge, PreHilbertModule, has_enough_sections,
                       parseval_check, validate_prehilbert)
 from .lattice import NotALattice, NotAPoset
 from .objio import InputError, canonical_dumps, write_canonical
-from .qmatrix import QSet, completion, is_qset, is_strict
+from .qmatrix import NotStablyGelfand, QSet, completion, is_qset, is_strict
 from .quantale import BNotLocale, NotUnital, Quantale, classify, validate_quantale
 from .search import BudgetExceeded, SearchSpec, search
 
 _MATH_ERRORS = (NotAPoset, NotALattice, NotAGroupoid, InvalidAction, NotEtale,
-                NotUnital, BNotLocale)
+                NotUnital, BNotLocale, NotStablyGelfand)
 
 
 def _count(name: str, raw) -> int:

@@ -293,17 +293,16 @@ class SheafifyReport:
 
 
 def local_section_indices(X: hb.PreHilbertModule):
-    """(sections, sup, ipl): Hilbert data of the base-locale restriction."""
+    """(sections, sup, base): the base-locale restriction and its Hilbert data.
+
+    base is X with the inner product <x,y> AND e; the local sections of X
+    are its Hilbert sections and sup(x) is its diagonal.
+    """
     Q = X.quantale
     if Q.unit is None:
         raise ValueError("local sections need a unital quantale")
-    ipl = Q.lattice.meet_table[X.ip, Q.unit]
-    lat, act = X.carrier, X.action
-    ar = np.arange(X.n, dtype=np.intp)
-    secs = np.asarray([s for s in range(X.n)
-                       if lat.leq[act[ipl[:, s], s], ar].all()], dtype=np.intp)
-    sup = ipl[ar, ar]
-    return secs, sup, ipl
+    base = hb.PreHilbertModule(X.module, Q.lattice.meet_table[X.ip, Q.unit])
+    return hb.hilbert_sections(base), np.diagonal(base.ip).copy(), base
 
 
 def sheafify(X: hb.PreHilbertModule, cap: int = 1 << 13) -> SheafifyReport:
@@ -317,14 +316,10 @@ def sheafify(X: hb.PreHilbertModule, cap: int = 1 << 13) -> SheafifyReport:
     lat, act = X.carrier, X.action
     e = Q.unit
     jt, mt = Q.lattice.join_table, Q.lattice.meet_table
-    secs, sup, ipl = local_section_indices(X)
-
-    recon = np.full(X.n, lat.bottom, dtype=np.intp)
-    for s in secs:
-        recon = lat.join_table[recon, act[ipl[:, s], s]]
-    bad = recon != np.arange(X.n, dtype=np.intp)
-    if bad.any():
-        raise NotEtale(int(np.argwhere(bad)[0][0]))
+    secs, sup, base = local_section_indices(X)
+    etale, witness = hb.is_hilbert_basis(base, secs)
+    if not etale:
+        raise NotEtale(witness)
 
     srep = support(Q)
     punits = partial_units(Q).elements
@@ -349,9 +344,7 @@ def sheafify(X: hb.PreHilbertModule, cap: int = 1 << 13) -> SheafifyReport:
 
     mm = hb.module_from_qset(Q, qs, cap=cap)
     N = mm.module
-    canon = np.full(X.n, N.carrier.bottom, dtype=np.intp)
-    for t in range(k):
-        canon = N.carrier.join_table[canon, N.action[ipl[:, secs[t]], mm.rows[t]]]
+    canon = N.carrier.join_products(N.action, base.ip[:, secs], mm.rows)
 
     checks.update(hb.canonical_map_checks(X, N, canon))
     return SheafifyReport(qs, secs, sup, mm, canon, checks)
@@ -364,7 +357,7 @@ def check_section_lemmas(X: hb.PreHilbertModule) -> dict:
     callers normally assert the values.
     """
     Q = X.quantale
-    secs, sup, ipl = local_section_indices(X)
+    secs = local_section_indices(X)[0]
     sec_set = set(int(s) for s in secs)
     punits = partial_units(Q).elements
     closed = all(int(X.action[a, s]) in sec_set for a in punits for s in secs)
@@ -398,21 +391,19 @@ class EquivalenceReport:
 
 def _equivariant_maps(A1: GroupoidAction, A2: GroupoidAction) -> list[tuple]:
     """All f: E1 -> E2 over the objects commuting with every arrow."""
-    G = A1.groupoid
     n1 = A1.n_points
     cands = [np.flatnonzero(A2.p == A1.p[x]).tolist() for x in range(n1)]
     out: list[tuple] = []
     chosen = [-1] * n1
+    # each (g, x, z = g.x) is decided once x and z are both placed
+    checks: list[list] = [[] for _ in range(n1)]
+    for g, x in np.argwhere(A1.act >= 0).tolist():
+        z = int(A1.act[g, x])
+        checks[max(x, z)].append((g, x, z))
+    act2 = A2.act.tolist()
 
     def consistent(k: int) -> bool:
-        for g in range(G.n_arrows):
-            for x in range(k + 1):
-                if A1.act[g, x] < 0:
-                    continue
-                z = A1.act[g, x]
-                if z <= k and A2.act[g, chosen[x]] != chosen[z]:
-                    return False
-        return True
+        return all(act2[g][chosen[x]] == chosen[z] for g, x, z in checks[k])
 
     def place(k: int) -> None:
         if k == n1:

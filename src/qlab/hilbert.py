@@ -256,11 +256,8 @@ def hilbert_sections(X: PreHilbertModule) -> np.ndarray:
 
 def reconstruct(X: PreHilbertModule, sigma) -> np.ndarray:
     """r[x] = join over s in sigma of <x,s>s."""
-    lat, act, ip = X.carrier, X.action, X.ip
-    out = np.full(X.n, lat.bottom, dtype=np.intp)
-    for s in np.asarray(sigma, dtype=np.intp):
-        out = lat.join_table[out, act[ip[:, s], s]]
-    return out
+    sigma = np.asarray(sigma, dtype=np.intp)
+    return X.carrier.join_products(X.action, X.ip[:, sigma], sigma)
 
 
 def is_hilbert_basis(X: PreHilbertModule, sigma) -> tuple[bool, int | None]:
@@ -279,11 +276,8 @@ def has_enough_sections(X: PreHilbertModule):
 
 def parseval_check(X: PreHilbertModule, sigma):
     """First (x, y) where <x,y> != join_s <x,s><s,y>, or None."""
-    Q, ip = X.quantale, X.ip
-    acc = np.full((X.n, X.n), Q.bottom, dtype=np.intp)
-    for s in np.asarray(sigma, dtype=np.intp):
-        acc = Q.lattice.join_table[acc, Q.mul[ip[:, s][:, None], ip[s][None, :]]]
-    return first_bad(acc != ip)
+    Q, ip, sigma = X.quantale, X.ip, np.asarray(sigma, dtype=np.intp)
+    return first_bad(Q.lattice.join_products(Q.mul, ip[:, sigma], ip[sigma]) != ip)
 
 
 @dataclass(eq=False)
@@ -358,9 +352,7 @@ def adjoint(phi: ModuleHom, sigma=None) -> ModuleHom:
     if witness is not None:
         raise NotEnoughSections(witness)
     f = phi.map
-    out = np.full(Xt.n, Xs.carrier.bottom, dtype=np.intp)
-    for t in sigma:
-        out = Xs.carrier.join_table[out, Xs.action[Xt.ip[:, f[t]], t]]
+    out = Xs.carrier.join_products(Xs.action, Xt.ip[:, f[sigma]], sigma)
 
     def bad(x):                   # [y]: <phi(x), y> != <x, adj(y)>
         return Xt.ip[f[x]] != Xs.ip[x, out]
@@ -464,13 +456,7 @@ def module_from_qset(Q: Quantale, X: QSet, cap: int = 1 << 12) -> MatrixModule:
         for i in range(m):
             row[i] = index[np.ascontiguousarray(moved[i]).tobytes()]
 
-    ip = np.empty((m, m), dtype=np.intp)
-    for i in range(m):
-        acc = np.full(m, Q.bottom, dtype=np.intp)
-        for t in range(k):
-            acc = jt[acc, mul[arr[i, t], inv[arr[:, t]]]]
-        ip[i] = acc
-
+    ip = Q.lattice.join_products(mul, arr, inv[arr].T)
     mod = PreHilbertModule(QModule(Q, carrier, act), ip)
     rows = np.array([index[np.ascontiguousarray(A[a]).tobytes()] for a in range(k)],
                     dtype=np.intp)
@@ -579,12 +565,10 @@ def hom_from_relation(mm: MatrixModule, Y: PreHilbertModule, H: QMatrix) -> Modu
     ok, witness = is_relation(H, mm.qset, MY)
     if not ok:
         raise NotARelation(f"H is not a relation into M(Y): {witness}")
-    k = mm.qset.size
-    out = np.full(mm.module.n, Y.carrier.bottom, dtype=np.intp)
-    for s in range(k):
-        for t in range(len(secs_t)):
-            scalar = Q.mul[mm.vectors[:, s], Q.inv[H.data[t, s]]]
-            out = Y.carrier.join_table[out, Y.action[scalar, secs_t[t]]]
+    # coefficients in (s, t) order: v_s h_ts* on section secs_t[t]
+    coeffs = Q.mul[mm.vectors[:, :, None], Q.inv[H.data.T][None, :, :]]
+    out = Y.carrier.join_products(Y.action, coeffs.reshape(mm.module.n, -1),
+                                  np.tile(secs_t, mm.qset.size))
     phi = ModuleHom(mm.module, Y, out)
     ok, witness = is_module_hom(phi)
     assert ok, witness

@@ -215,6 +215,22 @@ class SupLattice:
             out[up] = target.join_table[out[up], v]
         return out
 
+    def join_products(self, act, coeffs, vectors) -> np.ndarray:
+        """out[i, ...] = the join over t of act[coeffs[i, t], vectors[t, ...]].
+
+        act is a quantale's mul or a module's action table, with values in
+        this lattice; vectors may be 1-D or 2-D.  This is the product of
+        Q-valued matrices, (AB)_ik = join_t a_it b_tk, and the Hilbert-basis
+        sum x = join_s <x,s>s.  The join folds in order of t from the
+        bottom, so an empty sum is the bottom.
+        """
+        coeffs, vectors = np.asarray(coeffs), np.asarray(vectors)
+        out = np.full(coeffs.shape[:1] + vectors.shape[1:], self.bottom, dtype=np.intp)
+        lift = (slice(None),) + (None,) * (vectors.ndim - 1)
+        for c, v in zip(coeffs.T, vectors, strict=True):
+            out = self.join_table[out, act[c[lift], v]]
+        return out
+
     def covers(self) -> list[tuple[int, int]]:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
         cov = strict & ~relation_product(strict, strict)

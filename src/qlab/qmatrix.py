@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantale import Quantale, projections
+from .quantale import Quantale, _gelfand_flags, projections
 
 
 class ShapeMismatch(ValueError):
@@ -22,6 +22,14 @@ class ShapeMismatch(ValueError):
 
 class QuantaleMismatch(ValueError):
     pass
+
+
+class NotStablyGelfand(ValueError):
+    """Singletons need a stably Gelfand quantale: aa*a <= a must force aa*a = a."""
+
+    def __init__(self, witness: tuple):
+        super().__init__(f"not stably Gelfand: aa*a <= a but aa*a != a at a = {witness[0]}")
+        self.witness = witness
 
 
 class QMatrix:
@@ -57,12 +65,7 @@ def _check_pair(A: QMatrix, B: QMatrix, inner: bool) -> None:
 
 def mat_mul(A: QMatrix, B: QMatrix) -> QMatrix:
     _check_pair(A, B, inner=True)
-    Q = A.Q
-    jt, mul = Q.lattice.join_table, Q.mul
-    out = np.full((A.shape[0], B.shape[1]), Q.bottom, dtype=np.intp)
-    for t in range(A.shape[1]):
-        out = jt[out, mul[A.data[:, t][:, None], B.data[t][None, :]]]
-    return QMatrix(Q, out)
+    return QMatrix(A.Q, A.Q.lattice.join_products(A.Q.mul, A.data, B.data))
 
 
 def mat_adjoint(A: QMatrix) -> QMatrix:
@@ -306,31 +309,27 @@ def _attach_witnesses(Q: Quantale, A: np.ndarray, col: tuple) -> Singleton | Non
     return Singleton(col, tuple(qs), canonical)
 
 
-def singletons(X: QSet, cap: int = 1 << 20, stably_gelfand: bool = True) -> list[Singleton]:
+def singletons(X: QSet, cap: int = 1 << 20) -> list[Singleton]:
     """All singleton columns of a Q-set, each with its projection witnesses.
 
-    Over a stably Gelfand quantale the column conditions reduce to the two
-    inequalities checked by the fast walk, and q = S*S always witnesses the
-    column.  Otherwise the full equality condition on the column and an
-    explicit projection search are applied.  Small search spaces use the
-    plain product walk; larger ones the pruned backtracking enumerator.
+    The quantale must be stably Gelfand (NotStablyGelfand otherwise).  Then
+    the column conditions reduce to the two inequalities checked by the
+    fast walk, and q = S*S always witnesses the column.  Small search
+    spaces use the plain product walk; larger ones the pruned backtracking
+    enumerator.
     """
     Q, A = X.Q, X.A.data
-    k = X.size
-    walk = _columns_product(Q, A) if Q.n ** k <= cap else _columns_dfs(Q, A)
+    witness = _gelfand_flags(Q)[3].get("stably_gelfand")
+    if witness is not None:
+        raise NotStablyGelfand(witness)
+    walk = _columns_product(Q, A) if Q.n ** X.size <= cap else _columns_dfs(Q, A)
     out = []
     for col in walk:
-        if not stably_gelfand:
-            s = np.asarray(col, dtype=np.intp)
-            recon = [Q.join(Q.mul[A[a], s]) for a in range(k)]
-            if list(s) != recon:
-                continue
         item = _attach_witnesses(Q, A, col)
-        if item is not None:
-            out.append(item)
-        elif stably_gelfand:
+        if item is None:
             raise AssertionError("column passed the stably Gelfand conditions "
                                  "but has no witnessing projection")
+        out.append(item)
     return out
 
 
@@ -354,25 +353,18 @@ def completion(X: QSet, cap: int = 1 << 20) -> Completion:
     for a in range(k):
         col = tuple(int(v) for v in A[:, a])
         if col not in index:
-            raise AssertionError("a column of the matrix is not a singleton; "
-                                 "the quantale is probably not stably Gelfand")
+            raise AssertionError("a column of the matrix is not a singleton")
         column_map.append(index[col])
     complete = len(column_map) == len(set(column_map)) == len(sings)
 
     m = len(sings)
-    hat = np.empty((m, m), dtype=np.intp)
-    cols = [np.asarray(s.column, dtype=np.intp) for s in sings]
-    for i in range(m):
-        for j in range(m):
-            hat[i, j] = Q.join(Q.mul[Q.inv[cols[i]], cols[j]])
+    cols = np.array([s.column for s in sings], dtype=np.intp).reshape(m, k)
+    hat = Q.lattice.join_products(Q.mul, Q.inv[cols], cols.T)
     hat_qset = QSet(Q, hat, labels=[f"s{i}" for i in range(m)])
     ok, w = is_qset(hat_qset)
     if not ok:
         raise AssertionError(f"completion failed to be a Q-set: {w}")
-
-    unitary = QMatrix(Q, np.stack([Q.inv[c] for c in cols]) if m else
-                      np.zeros((0, k), dtype=np.intp))
-    return Completion(hat_qset, sings, column_map, complete, unitary)
+    return Completion(hat_qset, sings, column_map, complete, QMatrix(Q, Q.inv[cols]))
 
 
 def random_qset(Q: Quantale, size: int, rng: np.random.Generator,

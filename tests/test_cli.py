@@ -313,15 +313,42 @@ def test_classify_reports_a_non_quantale_like_check(tmp_path, capsys, make, a, b
     assert check["detail"] == f"{doc['law']} fails at {', '.join(doc['witness'])}"
 
 
+def plain_and_optimized(*argv):
+    """(exit code, stdout, stderr) of the CLI run without and with python -O."""
+    src = os.path.dirname(os.path.dirname(qlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = [subprocess.run([sys.executable, *flags, "-m", "qlab.cli", *argv],
+                           capture_output=True, text=True, env=env)
+            for flags in ([], ["-O"])]
+    return [(p.returncode, p.stdout, p.stderr) for p in runs]
+
+
 @pytest.mark.parametrize("command", ["classify", "check"])
 @pytest.mark.parametrize("make,a,b,value", [CORRUPTED[0], CORRUPTED[2]])
 def test_invalid_quantale_reports_survive_python_O(tmp_path, command, make, a, b, value):
-    path = corrupted(tmp_path, make, a, b, value)
-    src = os.path.dirname(os.path.dirname(qlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    runs = [subprocess.run([sys.executable, *flags, "-m", "qlab.cli", command, path],
-                           capture_output=True, text=True, env=env)
-            for flags in ([], ["-O"])]
-    plain, optimized = ((p.returncode, p.stdout, p.stderr) for p in runs)
+    plain, optimized = plain_and_optimized(command, corrupted(tmp_path, make, a, b, value))
     assert plain == optimized
     assert plain[0] == 1 and "invalid: " in plain[1] and plain[2] == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("sheafify", "--json", "catalog:z2_plus_pair2_regular"),
+    ("verify-equivalence", "--json", "catalog:z2_plus_pair2",
+     "catalog:z2_plus_pair2_regular", "catalog:z2_plus_pair2_objects"),
+])
+def test_sheaf_reports_survive_python_O(argv):
+    plain, optimized = plain_and_optimized(*argv)
+    assert plain == optimized
+    assert plain[0] == 0 and json.loads(plain[1])["ok"] is True and plain[2] == ""
+
+
+def test_complete_rejects_a_quantale_that_is_not_stably_gelfand(tmp_path, capsys):
+    # the zero product on the 2-chain: 1.1*.1 = 0 <= 1, so the column laws
+    # of singletons no longer decide singletons; before the premise was
+    # checked this died with an AssertionError traceback
+    Q = Quantale(chain_lattice(2), [[0, 0], [0, 0]], [0, 1])
+    path = write(tmp_path, "zero.json", QSet(Q, [[0]]))
+    assert run(capsys, "check", path)[0] == 0
+    code, out, err = run(capsys, "complete", path)
+    assert (code, err) == (1, "")
+    assert out.startswith("invalid: not stably Gelfand") and out.rstrip().endswith("a = 1")

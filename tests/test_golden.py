@@ -5,8 +5,9 @@ whole-array kernels (lattice bound tables, singleton columns, adjoints)
 replaced, the search digests from the one-leaf-at-a-time search that
 the block search replaced, and the pair3, egger8 and z2_plus_pair2
 digests from the hand-written join-extension loops that
-SupLattice.join_extend replaced, so a kernel that changes one byte of a
-report fails here.
+SupLattice.join_extend replaced, and the basis-check digests from the
+basis-sum loops that SupLattice.join_products replaced, so a kernel that
+changes one byte of a report fails here.
 Every command reads only catalog entries and one fixed Q-set file, named
 by a relative path so that the echoed ref is the same on every run.
 """
@@ -48,6 +49,11 @@ GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
         ("verify-equivalence", "catalog:z2_plus_pair2", "catalog:z2_plus_pair2_regular",
          "catalog:z2_plus_pair2_objects"),
         0, "57e14f14345ec46eb9f8afd31f56568b9149813820dc414ee147f1c42ff1096c"),
+    "basis-check": (("basis-check", "catalog:pair3_regular"),
+                    0, "e4bbea549623de6e56bfbe506f3dfc5a210aec8af074155ec19e0ef9d3c22945"),
+    # both the basis and the Parseval identity fail
+    "basis-check-sigma": (("basis-check", "catalog:pair2_regular", "--sigma", "3,5"),
+                          1, "f60dca29e7475dd5a94a8ec4eec222663ef22ed70804b7ecac80ac1676e467a0"),
     "search-r4": (
         ("search", "--lattice", "catalog:r4", "--trivial-involution", "--fix-unit", "1",
          "--require", "stably_supported,!inverse_quantal_frame"),

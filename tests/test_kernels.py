@@ -6,7 +6,12 @@ numpy boolean matrix product, the singleton-column walk that tests one
 itertools.product column per call, and the hand-written join-extension
 loops that SupLattice.join_extend replaced (the powerset quantale's bit
 loops, the search's two-loop full table, the low-bit per-mask table of
-hom enumeration and direct images, and the action module's bit loops).
+hom enumeration and direct images, and the action module's bit loops),
+and the hand-written "join over t of a product" loops that
+SupLattice.join_products replaced (the matrix product fold, the
+completion's cell-by-cell dot products, the module's row-by-row inner
+product, the s/t double loop of hom_from_relation, and the basis sums of
+reconstruct and parseval_check).
 Each kernel must give the same tables, the same order of results and the
 same lex-first witnesses.
 """
@@ -25,7 +30,11 @@ from qlab.groupoid import module_from_action
 from qlab.lattice import (NotALattice, NotAPoset, SupLattice, _bound_table,
                           build_lattice, chain_lattice, powerset_lattice,
                           relation_product)
-from qlab.qmatrix import QSet, _columns_product, random_qset, singletons
+from qlab.hilbert import (hilbert_sections, hom_from_relation, module_from_qset,
+                          parseval_check, reconstruct, section_relation)
+from qlab.laws import first_bad
+from qlab.qmatrix import (QMatrix, QSet, _columns_product, completion, mat_mul,
+                          random_qset, singletons)
 
 search_mod = importlib.import_module("qlab.search")    # qlab.search is also a function
 
@@ -169,6 +178,62 @@ def action_module_bits(A):
         sel = (masks >> x & 1) == 1
         pobj[sel] |= np.int64(1) << np.int64(G.units[A.p[x]])
     return actX, ip, pobj
+
+
+def mat_mul_fold(Q, A, B):
+    """The matrix product one inner index at a time: out = out OR A[:, t] B[t]."""
+    out = np.full((A.shape[0], B.shape[1]), Q.bottom, dtype=np.intp)
+    for t in range(A.shape[1]):
+        out = Q.lattice.join_table[out, Q.mul[A[:, t][:, None], B[t][None, :]]]
+    return out
+
+
+def completion_hat_loops(Q, cols):
+    """hat[i, j] = join_t s_i(t)* s_j(t), one Q.join per cell."""
+    m = len(cols)
+    hat = np.empty((m, m), dtype=np.intp)
+    for i in range(m):
+        for j in range(m):
+            hat[i, j] = Q.join(Q.mul[Q.inv[cols[i]], cols[j]])
+    return hat
+
+
+def dot_products_by_row(Q, arr):
+    """ip[i] = join_t arr[i, t] arr[:, t]*, row by row."""
+    m, k = arr.shape
+    ip = np.empty((m, m), dtype=np.intp)
+    for i in range(m):
+        acc = np.full(m, Q.bottom, dtype=np.intp)
+        for t in range(k):
+            acc = Q.lattice.join_table[acc, Q.mul[arr[i, t], Q.inv[arr[:, t]]]]
+        ip[i] = acc
+    return ip
+
+
+def hom_from_relation_loops(mm, Y, H, secs_t):
+    """phi(v) = join over s, then t, of (v_s h_ts*) . secs_t[t]."""
+    Q = Y.quantale
+    out = np.full(mm.module.n, Y.carrier.bottom, dtype=np.intp)
+    for s in range(mm.qset.size):
+        for t in range(len(secs_t)):
+            scalar = Q.mul[mm.vectors[:, s], Q.inv[H[t, s]]]
+            out = Y.carrier.join_table[out, Y.action[scalar, secs_t[t]]]
+    return out
+
+
+def reconstruct_loop(X, sigma):
+    out = np.full(X.n, X.carrier.bottom, dtype=np.intp)
+    for s in sigma:
+        out = X.carrier.join_table[out, X.action[X.ip[:, s], s]]
+    return out
+
+
+def parseval_loop(X, sigma):
+    acc = np.full((X.n, X.n), X.quantale.bottom, dtype=np.intp)
+    for s in sigma:
+        acc = X.quantale.lattice.join_table[acc, X.quantale.mul[X.ip[:, s][:, None],
+                                                                X.ip[s][None, :]]]
+    return acc
 
 
 def outcome(build):
@@ -407,3 +472,74 @@ def test_catalog_action_modules_match_the_replaced_loops(name):
     assert np.array_equal(am.module.action, action)
     assert np.array_equal(am.module.ip, ip)
     assert np.array_equal(am.supported.sup, sup)
+
+
+# ------------------------------------------------------ join of products
+
+@SETTINGS
+@given(st.sampled_from(sorted(QUANTALES)), st.integers(0, 4), st.integers(0, 3),
+       st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_join_products_is_the_matrix_product_fold(name, m, t, p, seed):
+    Q = QUANTALES[name]
+    rng = np.random.default_rng(seed)
+    A, B = rng.integers(0, Q.n, size=(m, t)), rng.integers(0, Q.n, size=(t, p))
+    got = Q.lattice.join_products(Q.mul, A, B)
+    assert got.shape == (m, p) and np.array_equal(got, mat_mul_fold(Q, A, B))
+    assert t or (got == Q.bottom).all()                  # the empty sum is the bottom
+    assert np.array_equal(mat_mul(QMatrix(Q, A), QMatrix(Q, B)).data, got)
+    for k in range(p):                  # 1-D vectors give one column of the product
+        assert np.array_equal(Q.lattice.join_products(Q.mul, A, B[:, k]), got[:, k])
+
+
+@SETTINGS
+@given(matrices(qsets_only=True), st.integers(0, 2 ** 32 - 1))
+def test_qset_products_match_the_replaced_loops(qa, seed):
+    Q, A = qa
+    X = QSet(Q, A)
+    assert np.array_equal(mat_mul(X.A, X.A).data, mat_mul_fold(Q, A, A))
+    comp = completion(X)
+    cols = [np.asarray(s.column, dtype=np.intp) for s in comp.singleton_list]
+    assert np.array_equal(comp.qset.A.data, completion_hat_loops(Q, cols))
+    assert np.array_equal(comp.unitary.data, np.stack([Q.inv[c] for c in cols]))
+    mm = module_from_qset(Q, X)
+    assert np.array_equal(mm.module.ip, dot_products_by_row(Q, mm.vectors))
+    assert_hom_from_relation_matches_the_double_loop(mm, seed)
+
+
+def assert_hom_from_relation_matches_the_double_loop(mm, seed):
+    """On H = R (A D A), a relation X -> M(Q^I A) for the section relation R and any D."""
+    X, Q = mm.qset, mm.qset.Q
+    D = QMatrix(Q, np.random.default_rng(seed).integers(0, Q.n, size=(X.size, X.size)))
+    H = mat_mul(section_relation(mm), mat_mul(X.A, mat_mul(D, X.A)))
+    phi = hom_from_relation(mm, mm.module, H)
+    secs = hilbert_sections(mm.module)
+    assert np.array_equal(phi.map, hom_from_relation_loops(mm, mm.module, H.data, secs))
+
+
+R2 = QUANTALES["relq2"]
+FIXED_QSETS = {   # random_qset mostly gives 4-element carriers; these are larger
+    "unit_point": [[R2.unit]],
+    "two_units": [[R2.unit, 0], [0, R2.unit]],
+    "golden": [[9, 0, 8, 1], [0, 15, 5, 0], [8, 3, 9, 0], [1, 0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(FIXED_QSETS))
+def test_hom_from_relation_on_larger_carriers(name, seed):
+    assert_hom_from_relation_matches_the_double_loop(
+        module_from_qset(R2, QSet(R2, FIXED_QSETS[name])), seed)
+
+
+@pytest.mark.parametrize("name", catalog_names("action"))
+def test_catalog_basis_sums_match_the_replaced_loops(name):
+    X = module_from_action(catalog_get(name)[1], verify=False).module
+    secs = hilbert_sections(X)
+    for sigma in (secs, secs[::2], secs[:0], np.arange(0, X.n, 3)):
+        r = reconstruct(X, sigma)                                    # 1-D vectors
+        ps = X.quantale.lattice.join_products(X.quantale.mul, X.ip[:, sigma], X.ip[sigma])
+        assert np.array_equal(r, reconstruct_loop(X, sigma))
+        assert np.array_equal(ps, parseval_loop(X, sigma))
+        assert parseval_check(X, sigma) == first_bad(ps != X.ip)
+        if not len(sigma):                                           # the empty sum
+            assert (r == X.carrier.bottom).all() and (ps == X.quantale.bottom).all()

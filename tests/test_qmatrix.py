@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from qlab.catalog import egger8, frame_quantale, group_quantale, cyclic_table, relq
-from qlab.lattice import powerset_lattice
-from qlab.qmatrix import (QMatrix, QSet, QuantaleMismatch, ShapeMismatch,
+from qlab.lattice import chain_lattice, powerset_lattice
+from qlab.qmatrix import (NotStablyGelfand, QMatrix, QSet, QuantaleMismatch, ShapeMismatch,
                           _columns_dfs, _columns_product, completion,
                           frame_map_conditions, is_gelfand_map, is_map, is_qset,
                           is_relation, is_strict, is_strict_map, mat_adjoint,
                           mat_join, mat_leq, mat_mul, quantal_set_conditions,
                           random_qset, singletons)
+from qlab.quantale import Quantale
 
 R2 = relq(2)
 
@@ -88,6 +89,13 @@ def test_column_walks_agree():
         a = sorted(_columns_product(R2, X.A.data))
         b = sorted(_columns_dfs(R2, X.A.data))
         assert a == b
+
+
+def test_singletons_need_a_stably_gelfand_quantale():
+    Q = Quantale(chain_lattice(2), [[0, 0], [0, 0]], [0, 1])   # 1.1*.1 = 0 < 1
+    with pytest.raises(NotStablyGelfand) as err:
+        singletons(QSet(Q, [[0]]))
+    assert err.value.witness == (1,)
 
 
 def test_singletons_of_the_unit_point():
