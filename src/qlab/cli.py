@@ -50,7 +50,7 @@ def _env_budget() -> int | None:
 
 
 def _cap(args, fallback: int) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return _count("--cap", args.cap)
     env = _env_budget()
     return env if env is not None else fallback
@@ -161,7 +161,7 @@ def cmd_classify(args) -> int:
 
 def cmd_complete(args) -> int:
     kind, X = objio.resolve(args.ref, expect="qset")
-    comp = completion(X, cap=_cap(args, 1 << 20))
+    comp = completion(X)
     lines = [f"qset of size {X.size} over {X.Q.name or 'quantale'}",
              f"singletons: {len(comp.singleton_list)}",
              f"complete: {str(comp.is_complete).lower()}"]
@@ -391,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("complete", cmd_complete, "singleton completion of a Q-set")
     p.add_argument("ref", help="qset file")
-    p.add_argument("--cap", help="column-enumeration cap (default 2^20 or QLAB_BUDGET)")
     p.add_argument("--out", help="write the completed qset to this file")
 
     p = add("sections", cmd_sections, "Hilbert sections of a module")

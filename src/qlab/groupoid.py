@@ -24,6 +24,7 @@ import numpy as np
 from . import hilbert as hb
 from .catalog import cyclic_table, powerset_quantale
 from .lattice import powerset_lattice
+from .laws import lex_solutions
 from .qmatrix import QMatrix, QSet, is_qset, is_relation, mat_mul
 from .quantale import Quantale, classify, partial_units, support
 
@@ -389,100 +390,59 @@ class EquivalenceReport:
         return all(p.counts_match for p in self.pairs)
 
 
+def _commuting_maps(values, target: np.ndarray, triples, empty=None) -> np.ndarray:
+    """lex_solutions of s with target[g, s[x]] == s[z] for each (g, x, z).
+
+    z = -1 asks for target[g, s[x]] == empty instead.  Each triple is filed
+    under position max(x, z), where its last value is placed.
+    """
+    checks: list[list] = [[] for _ in values]
+    for g, x, z in triples:
+        checks[max(x, z)].append((g, x, z))
+
+    def consistent(k: int, P: np.ndarray, c: np.ndarray) -> np.ndarray:
+        def at(x: int) -> np.ndarray:
+            return c[None, :] if x == k else P[:, x, None]
+
+        ok = np.ones((len(P), len(c)), dtype=bool)
+        for g, x, z in checks[k]:
+            ok &= target[g, at(x)] == (empty if z < 0 else at(z))
+        return ok
+
+    return lex_solutions(values, consistent)
+
+
 def _equivariant_maps(A1: GroupoidAction, A2: GroupoidAction) -> list[tuple]:
     """All f: E1 -> E2 over the objects commuting with every arrow."""
-    n1 = A1.n_points
-    cands = [np.flatnonzero(A2.p == A1.p[x]).tolist() for x in range(n1)]
-    out: list[tuple] = []
-    chosen = [-1] * n1
-    # each (g, x, z = g.x) is decided once x and z are both placed
-    checks: list[list] = [[] for _ in range(n1)]
-    for g, x in np.argwhere(A1.act >= 0).tolist():
-        z = int(A1.act[g, x])
-        checks[max(x, z)].append((g, x, z))
-    act2 = A2.act.tolist()
-
-    def consistent(k: int) -> bool:
-        return all(act2[g][chosen[x]] == chosen[z] for g, x, z in checks[k])
-
-    def place(k: int) -> None:
-        if k == n1:
-            out.append(tuple(chosen))
-            return
-        for y in cands[k]:
-            chosen[k] = y
-            if consistent(k):
-                place(k + 1)
-        chosen[k] = -1
-
-    place(0)
-    return out
+    values = [np.flatnonzero(A2.p == A1.p[x]) for x in range(A1.n_points)]
+    triples = [(g, x, int(A1.act[g, x])) for g, x in np.argwhere(A1.act >= 0).tolist()]
+    return [tuple(f) for f in _commuting_maps(values, A2.act, triples).tolist()]
 
 
-def _hom_candidates(am1: ActionModule, am2: ActionModule, pinned: bool):
-    """Per-atom candidate images, from module-level data only."""
-    sup1 = am1.supported.sup
-    sup2 = am2.supported.sup
-    if not pinned:
-        return [list(range(am2.module.n)) for _ in range(am1.action.n_points)]
-    loc2 = hb.local_sections(am2.supported).local
-    out = []
-    for x in range(am1.action.n_points):
-        a = am1.atoms[x]
-        out.append([int(c) for c in loc2 if sup2[c] == sup1[a]])
-    return out
-
-
-def _enumerate_homs(am1: ActionModule, am2: ActionModule, pinned: bool) -> list[np.ndarray]:
+def _enumerate_homs(am1: ActionModule, am2: ActionModule,
+                    images: np.ndarray | None) -> list[np.ndarray]:
     """Join-preserving candidates via atom images, verified afterwards.
 
-    The DFS prunes with the quantale atoms: an arrow g carries atom x to
-    either bottom or another atom, and the image assignment must commute.
-    Survivors are re-checked with the generic module-hom test, so the
-    pruning only has to be sound, not complete.
+    Atom x may go to any element of `images` (None: any carrier element)
+    with the support of {x}.  The quantale atoms prune: an arrow g carries
+    atom x to either bottom or another atom, and the image assignment must
+    commute.  Survivors are re-checked with the generic module-hom test, so
+    the pruning only has to be sound, not complete.
     """
-    G = am1.action.groupoid
-    n1 = am1.action.n_points
     X1, X2 = am1.module, am2.module
-    cands = _hom_candidates(am1, am2, pinned)
-    qatom = [1 << g for g in range(G.n_arrows)]
-    # point_act[g][x] = carrier index of {g}.{x} in X1 (bottom or an atom)
-    pact1 = np.array([[X1.action[qatom[g], am1.atoms[x]] for x in range(n1)]
-                      for g in range(G.n_arrows)], dtype=np.intp)
-    atom_pos1 = {int(am1.atoms[x]): x for x in range(n1)}
-    chosen = [-1] * n1
-    found: list[np.ndarray] = []
-
-    def consistent(k: int) -> bool:
-        for g in range(G.n_arrows):
-            img = X2.action[qatom[g], chosen[k]]
-            tgt = pact1[g, k]
-            if tgt == X1.carrier.bottom:
-                if img != X2.carrier.bottom:
-                    return False
-            else:
-                z = atom_pos1[int(tgt)]
-                if z <= k and chosen[z] != img:
-                    return False
-            # arrows landing on atom k from earlier atoms
-            for x in range(k):
-                if pact1[g, x] == am1.atoms[k] and X2.action[qatom[g], chosen[x]] != chosen[k]:
-                    return False
-        return True
-
-    def place(k: int) -> None:
-        if k == n1:
-            found.append(X1.carrier.join_extend(np.asarray(chosen, dtype=np.intp),
-                                                X2.carrier))
-            return
-        for y in cands[k]:
-            chosen[k] = y
-            if consistent(k):
-                place(k + 1)
-        chosen[k] = -1
-
-    place(0)
-    return found
+    atoms1 = am1.atoms.tolist()
+    if images is None:
+        values = [np.arange(X2.n)] * len(atoms1)
+    else:
+        sup1, sup2 = am1.supported.sup, am2.supported.sup
+        values = [images[sup2[images] == sup1[a]] for a in atoms1]
+    qatoms = 1 << np.arange(am1.action.groupoid.n_arrows)
+    # {g}.{x} in X1 is the bottom (z = -1) or the atom {z}
+    pos = {int(X1.carrier.bottom): -1} | {a: x for x, a in enumerate(atoms1)}
+    triples = [(g, x, pos[int(X1.action[q, a])])
+               for g, q in enumerate(qatoms) for x, a in enumerate(atoms1)]
+    sols = _commuting_maps(values, X2.action[qatoms], triples, X2.carrier.bottom)
+    return list(X1.carrier.join_extend(sols.T, X2.carrier).T.copy())
 
 
 def _is_sheaf_hom(am1: ActionModule, am2: ActionModule, table: np.ndarray,
@@ -514,7 +474,7 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
         for j, am2 in enumerate(mods):
             loc1, loc2 = locs[i], set(locs[j].tolist())
             equiv = _equivariant_maps(actions[i], actions[j])
-            sheaf_tables = [t for t in _enumerate_homs(am1, am2, pinned=True)
+            sheaf_tables = [t for t in _enumerate_homs(am1, am2, locs[j])
                             if _is_sheaf_hom(am1, am2, t, loc1, loc2)]
             keyed = {t.tobytes(): pos for pos, t in enumerate(sheaf_tables)}
 
@@ -534,7 +494,7 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
             total = None
             space = am2.module.n ** am1.action.n_points
             if space <= all_hom_cap:
-                all_tables = [t for t in _enumerate_homs(am1, am2, pinned=False)
+                all_tables = [t for t in _enumerate_homs(am1, am2, None)
                               if hb.is_module_hom(hb.ModuleHom(am1.module, am2.module, t))[0]]
                 total = len(all_tables)
                 subset = {t.tobytes() for t in all_tables

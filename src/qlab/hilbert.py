@@ -713,7 +713,7 @@ class BridgeReport:
     pairing: list        # (singleton position, carrier index of its adjoint row)
 
 
-def singleton_section_bridge(X: QSet, cap: int = 1 << 20) -> BridgeReport:
+def singleton_section_bridge(X: QSet) -> BridgeReport:
     """Two independent enumerations that must agree: S <-> S*.
 
     Every singleton column S of (I,A) must appear, adjointed, as a Hilbert
@@ -721,7 +721,7 @@ def singleton_section_bridge(X: QSet, cap: int = 1 << 20) -> BridgeReport:
     inner products of the matched sections.
     """
     Q = X.Q
-    comp = completion(X, cap=cap)
+    comp = completion(X)
     sings = comp.singleton_list
     mm = module_from_qset(Q, X)
     secs = hilbert_sections(mm.module)

@@ -23,11 +23,15 @@ two exact reductions that the callers state next to each use:
 A caller passes proved=True to first_violation only when the premises and
 the reduced check both passed; any other outcome runs the exhaustive scan,
 so every witness is the one the exhaustive scan alone would report.
+
+lex_solutions is the one enumerator behind singleton columns, lattice
+order isomorphisms, equivariant maps and module homs: it lists every tuple
+that a per-position test allows, in lexicographic order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -60,3 +64,36 @@ def first_violation(bad_row: BadRow, rows: Iterable[int], proved: bool = False):
 def holds_on(bad_row: BadRow, generators: Iterable[int]) -> bool:
     """True when bad_row(j) has no true cell for any generator j."""
     return not any(bad_row(j).any() for j in generators)
+
+
+_LEX_BLOCK = 1 << 16   # (prefix, candidate) pairs tested by one consistent() call
+
+Consistent = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+
+
+def lex_solutions(values: Sequence[np.ndarray], consistent: Consistent) -> np.ndarray:
+    """Every tuple s with each s[k] in values[k] that consistent allows, in lex order.
+
+    Returns an (S, K) intp array.  values[k] is the ascending array of
+    candidates of position k.  consistent(k, P, c) gets surviving prefixes P
+    (F, k) in lex order and the candidates c of position k, and returns the
+    (F, len(c)) boolean array of allowed extensions; it tests the constraints
+    that position k completes.  The walk is depth-first over blocks of about
+    _LEX_BLOCK pairs, and np.nonzero reads a block row-major, which keeps the
+    lex order; pending blocks are at most one block's extensions per level.
+    """
+    values = [np.asarray(v, dtype=np.intp) for v in values]
+    K = len(values)
+    out = []
+    stack = [np.empty((1, 0), dtype=np.intp)]   # the empty prefix
+    while stack:
+        P = stack.pop()
+        k = P.shape[1]
+        if k == K:
+            out.append(P)
+            continue
+        rows, cols = np.nonzero(consistent(k, P, values[k]))
+        ext = np.column_stack([P[rows], values[k][cols]])
+        step = max(1, _LEX_BLOCK // max(1, len(values[k + 1])) if k + 1 < K else len(ext))
+        stack.extend(ext[i:i + step] for i in reversed(range(0, len(ext), step)))
+    return np.concatenate(out) if out else np.empty((0, K), dtype=np.intp)

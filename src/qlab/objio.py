@@ -294,9 +294,20 @@ def parse_document(doc) -> tuple[str, dict]:
 
 
 def build_object(kind: str, payload: dict):
+    """Build one object; a payload of the wrong shape is an InputError.
+
+    qlab's own errors (a failed axiom, a bad reference) pass unchanged; any
+    other error a builder meets, such as unpacking a short entry or calling
+    .items() on a list, means the payload does not follow its schema.
+    """
     if kind not in _BUILDERS:
         raise InputError(f"unknown kind {kind!r}")
-    return _BUILDERS[kind](payload)
+    try:
+        return _BUILDERS[kind](payload)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        if type(exc).__module__.startswith("qlab."):
+            raise
+        raise InputError(f"malformed {kind} payload: {exc}") from None
 
 
 def load_path(path: str) -> tuple[str, object]:

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .laws import lex_solutions
 from .quantale import Quantale, _gelfand_flags, projections
 
 
@@ -236,64 +237,28 @@ class Singleton:
     canonical_q: int
 
 
-_BLOCK_LOOKUPS = 1 << 16   # pair-table lookups of one block of columns
-
-
-def _columns_product(Q: Quantale, A: np.ndarray):
+def _columns(Q: Quantale, A: np.ndarray) -> np.ndarray:
     """Every column s with a_ab s_b <= s_a and s_a s_b* <= a_ab, in lex order.
 
     Both inequalities are conjunctions over index pairs (a, b) of a
-    condition on (s_a, s_b) alone, so each pair gets an n x n table of
-    admissible value pairs.  The diagonal pairs restrict each s_a to its
-    own value list; the product of those lists is walked in lexicographic
-    order, a block of columns at a time (at most _BLOCK_LOOKUPS table
-    lookups), and a column is kept when every pair admits it.
+    condition on (s_a, s_b) alone.  The diagonal pairs restrict each s_a to
+    its own value list; an off-diagonal pair is tested, both ways round, at
+    position max(a, b), once both values are placed.
     """
-    k, n = A.shape[0], Q.n
     leq, mul, inv = Q.leq, Q.mul, Q.inv
-    a_idx, b_idx = (x.ravel() for x in np.indices((k, k)))
-    entry = A[a_idx, b_idx]
-    ar = np.arange(n, dtype=np.intp)
-    # admits[p, u, v]: s_a = u and s_b = v satisfy both laws at pair p = (a, b)
-    admits = (leq[mul[entry][:, None, :], ar[None, :, None]]
-              & leq[mul[:, inv][None, :, :], entry[:, None, None]])
-    values = [np.flatnonzero(admits[a * k + a].diagonal()) for a in range(k)]
-    shape = tuple(len(v) for v in values)
-    total = int(np.prod(shape, dtype=object))
-    pairs = np.arange(k * k)
-    step = max(1, _BLOCK_LOOKUPS // (k * k))
-    for start in range(0, total, step):
-        digits = np.unravel_index(np.arange(start, min(start + step, total)), shape)
-        cols = np.stack([values[a][d] for a, d in enumerate(digits)], axis=1)
-        good = admits[pairs, cols[:, a_idx], cols[:, b_idx]].all(axis=1)
-        for col in cols[good]:
-            yield tuple(int(v) for v in col)
+    ar = np.arange(Q.n, dtype=np.intp)
+    values = [ar[leq[mul[A[a, a], ar], ar] & leq[mul[ar, inv], A[a, a]]]
+              for a in range(A.shape[0])]
 
+    def consistent(b: int, P: np.ndarray, c: np.ndarray) -> np.ndarray:
+        ok = np.ones((len(P), len(c)), dtype=bool)
+        for a in range(b):
+            u, v = P[:, a, None], c[None, :]        # s_a, s_b
+            ok &= (leq[mul[A[a, b], v], u] & leq[mul[u, inv[v]], A[a, b]]
+                   & leq[mul[A[b, a], u], v] & leq[mul[v, inv[u]], A[b, a]])
+        return ok
 
-def _columns_dfs(Q: Quantale, A: np.ndarray):
-    """Same column set as the product walk, found by pruned backtracking."""
-    k = A.shape[0]
-    mul, inv, leq = Q.mul, Q.inv, Q.leq
-    col = [0] * k
-
-    def place(i: int):
-        if i == k:
-            yield tuple(col)
-            return
-        for v in range(Q.n):
-            ok = True
-            for j in range(i + 1):
-                w = v if j == i else col[j]
-                if (not leq[mul[A[j, i], v], w] or not leq[mul[A[i, j], w], v]
-                        or not leq[mul[v, inv[w]], A[i, j]] or not leq[mul[w, inv[v]], A[j, i]]):
-                    ok = False
-                    break
-            if ok:
-                col[i] = v
-                yield from place(i + 1)
-        col[i] = 0
-
-    yield from place(0)
+    return lex_solutions(values, consistent)
 
 
 def _attach_witnesses(Q: Quantale, A: np.ndarray, col: tuple) -> Singleton | None:
@@ -309,23 +274,20 @@ def _attach_witnesses(Q: Quantale, A: np.ndarray, col: tuple) -> Singleton | Non
     return Singleton(col, tuple(qs), canonical)
 
 
-def singletons(X: QSet, cap: int = 1 << 20) -> list[Singleton]:
+def singletons(X: QSet) -> list[Singleton]:
     """All singleton columns of a Q-set, each with its projection witnesses.
 
     The quantale must be stably Gelfand (NotStablyGelfand otherwise).  Then
-    the column conditions reduce to the two inequalities checked by the
-    fast walk, and q = S*S always witnesses the column.  Small search
-    spaces use the plain product walk; larger ones the pruned backtracking
-    enumerator.
+    the column conditions reduce to the two inequalities of _columns, and
+    q = S*S always witnesses the column.
     """
     Q, A = X.Q, X.A.data
     witness = _gelfand_flags(Q)[3].get("stably_gelfand")
     if witness is not None:
         raise NotStablyGelfand(witness)
-    walk = _columns_product(Q, A) if Q.n ** X.size <= cap else _columns_dfs(Q, A)
     out = []
-    for col in walk:
-        item = _attach_witnesses(Q, A, col)
+    for col in _columns(Q, A).tolist():
+        item = _attach_witnesses(Q, A, tuple(col))
         if item is None:
             raise AssertionError("column passed the stably Gelfand conditions "
                                  "but has no witnessing projection")
@@ -344,10 +306,10 @@ class Completion:
     unitary: QMatrix  # rows are the adjoints of the singleton columns
 
 
-def completion(X: QSet, cap: int = 1 << 20) -> Completion:
+def completion(X: QSet) -> Completion:
     Q, A = X.Q, X.A.data
     k = X.size
-    sings = singletons(X, cap=cap)
+    sings = singletons(X)
     index = {s.column: i for i, s in enumerate(sings)}
     column_map = []
     for a in range(k):

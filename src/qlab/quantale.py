@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .laws import first_bad, first_violation, holds_on
+from .laws import first_bad, first_violation, holds_on, lex_solutions
 from .lattice import SupLattice
 
 
@@ -438,40 +438,24 @@ def _assert_ladder(r: PropertyReport) -> None:
 
 
 def lattice_order_isos(src: SupLattice, dst: SupLattice) -> list[np.ndarray]:
-    """All order isomorphisms src -> dst as permutation arrays."""
+    """All order isomorphisms src -> dst as permutation arrays, in lex order.
+
+    A map that preserves and reflects the order is injective (p[m] = p[k]
+    gives m <= k <= m), so no separate injectivity test is needed.
+    """
     if src.n != dst.n:
         return []
-    n = src.n
-    down_src = src.leq.sum(axis=0)
-    up_src = src.leq.sum(axis=1)
-    down_dst = dst.leq.sum(axis=0)
-    up_dst = dst.leq.sum(axis=1)
-    cands = [np.flatnonzero((down_dst == down_src[i]) & (up_dst == up_src[i])) for i in range(n)]
-    out: list[np.ndarray] = []
-    perm = np.full(n, -1, dtype=np.intp)
-    used = np.zeros(n, dtype=bool)
+    down_src, up_src = src.leq.sum(axis=0), src.leq.sum(axis=1)
+    down_dst, up_dst = dst.leq.sum(axis=0), dst.leq.sum(axis=1)
+    values = [np.flatnonzero((down_dst == down_src[i]) & (up_dst == up_src[i]))
+              for i in range(src.n)]
 
-    def extend(i: int) -> None:
-        if i == n:
-            out.append(perm.copy())
-            return
-        for j in cands[i]:
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if src.leq[i, k] != dst.leq[j, perm[k]] or src.leq[k, i] != dst.leq[perm[k], j]:
-                    ok = False
-                    break
-            if ok:
-                perm[i] = j
-                used[j] = True
-                extend(i + 1)
-                used[j] = False
-                perm[i] = -1
+    def consistent(k: int, P: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # against every placed m < k, both ways round
+        return ((dst.leq[c[None, :, None], P[:, None, :]] == src.leq[k, :k])
+                & (dst.leq[P[:, None, :], c[None, :, None]] == src.leq[:k, k])).all(axis=2)
 
-    extend(0)
-    return out
+    return list(lex_solutions(values, consistent))
 
 
 def are_isomorphic(Q1: Quantale, Q2: Quantale) -> bool:

@@ -81,6 +81,8 @@ class SearchSpec:
             self.fix_involution = np.asarray(self.fix_involution, dtype=np.intp)
         if self.fix_unit is not None and not 0 <= self.fix_unit < self.lattice.n:
             raise ValueError("fix_unit out of range")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"limit must be at least 1: {self.limit}")
 
 
 @dataclass

@@ -242,14 +242,55 @@ def test_env_budget_rejects_infinite_and_negative(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("value", ["inf", "1e400", "-5"])
 def test_module_cap_rejects_infinite_and_negative(tmp_path, capsys, value):
-    pt = write(tmp_path, "pt.json", QSet(relq(2), [[relq(2).unit]]))
-    for command, ref in (("complete", pt), ("sections", "catalog:z2_regular"),
-                         ("basis-check", "catalog:z2_regular"),
-                         ("sheafify", "catalog:z2_regular")):
-        code, out, err = run(capsys, command, ref, f"--cap={value}")
+    for command in ("sections", "basis-check", "sheafify"):
+        code, out, err = run(capsys, command, "catalog:z2_regular", f"--cap={value}")
         assert code == 2, command
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: --cap "), command
+
+
+def test_complete_has_no_cap_option(tmp_path, capsys):
+    pt = write(tmp_path, "pt.json", QSet(relq(2), [[relq(2).unit]]))
+    with pytest.raises(SystemExit) as exc:
+        main(["complete", pt, "--cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
+MALFORMED = {   # name -> (object to dump, in-place edit of its payload)
+    "compose-entry-of-length-2": ("z2", lambda p: p["compose"][0].pop()),
+    "units-as-a-list": ("z2", lambda p: p.update(units=list(p["units"].values()))),
+    "objects-as-a-number": ("z2", lambda p: p.update(objects=5)),
+    "act-entry-of-length-2": ("z2_regular", lambda p: p["act"][0].pop()),
+    "p-as-a-list": ("z2_regular", lambda p: p.update(p=list(p["p"].values()))),
+    "covers-as-a-number": ("lattice", lambda p: p.update(covers=5)),
+    "unit-as-a-string": ("r4", lambda p: p.update(unit="x")),
+    "unit-as-a-list": ("r4", lambda p: p.update(unit=[1])),
+    "index-as-a-number": ("qset", lambda p: p.update(index=5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_payloads_exit_2(tmp_path, capsys, name):
+    base, edit = MALFORMED[name]
+    obj = {"lattice": quantale_r4().lattice,
+           "qset": QSet(relq(2), [[relq(2).unit]])}.get(base) or objio.resolve(f"catalog:{base}")[1]
+    doc = json.loads(objio.dump_object(obj))
+    edit(doc["payload"])
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed {doc['kind']} payload: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_search_rejects_a_limit_below_one(tmp_path, capsys, limit):
+    lat = write(tmp_path, "d.json", quantale_r4().lattice)
+    code, out, err = run(capsys, "search", "--lattice", lat, "--trivial-involution",
+                         "--fix-unit", "1", "--limit", limit)
+    assert (code, out) == (2, "")
+    assert err == f"error: limit must be at least 1: {limit}\n"
 
 
 def test_search_rejects_unknown_flag(tmp_path, capsys):

@@ -6,10 +6,12 @@ replaced, the search digests from the one-leaf-at-a-time search that
 the block search replaced, and the pair3, egger8 and z2_plus_pair2
 digests from the hand-written join-extension loops that
 SupLattice.join_extend replaced, and the basis-check digests from the
-basis-sum loops that SupLattice.join_products replaced, so a kernel that
-changes one byte of a report fails here.
-Every command reads only catalog entries and one fixed Q-set file, named
-by a relative path so that the echoed ref is the same on every run.
+basis-sum loops that SupLattice.join_products replaced, and the qset3
+completion from the pruned backtracking walk over singleton columns that
+laws.lex_solutions replaced, so a kernel that changes one byte of a report
+fails here.
+Every command reads only catalog entries and two fixed Q-set files, named
+by relative paths so that the echoed ref is the same on every run.
 """
 
 import hashlib
@@ -24,6 +26,10 @@ from qlab.cli import main
 QSET = {"kind": "qset", "payload": {
     "quantale": "catalog:relq2", "index": ["x0", "x1", "x2", "x3"],
     "matrix": [[9, 0, 8, 1], [0, 15, 5, 0], [8, 3, 9, 0], [1, 0, 0, 1]]}}
+# a Q-set over relq3 whose completion has 216 singletons; 512^3 candidate columns
+QSET3 = {"kind": "qset", "payload": {
+    "quantale": "catalog:relq3", "index": ["x0", "x1", "x2"],
+    "matrix": [[16, 8, 0], [2, 433, 0], [0, 0, 273]]}}
 
 GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
     "classify": (("classify", "catalog:relq3"),
@@ -34,6 +40,8 @@ GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
                         1, "078848bb9ba62c00eef406c93347154690f668fde93a8bc0535f0cc9cc9799ad"),
     "complete": (("complete", "qset.json"),
                  1, "436f5fc1187fbe9ecb553c04cc99d107ca738f350d8d3d5007aa03f618f0bffd"),
+    "complete-qset3": (("complete", "qset3.json"),
+                       1, "f61b852c61af7491dac0659afdc05e7e9882b8b3222b5e0df2384c60b06f3f2c"),
     "sections": (("sections", "qset.json"),
                  0, "655c598e1ffab163b63f5bcecf63bcb353b539246d25d2ece9e9868838dd3c00"),
     "sheafify": (("sheafify", "catalog:pair3_regular"),
@@ -69,6 +77,7 @@ GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
 def test_json_report_matches_its_golden_digest(name, tmp_path, monkeypatch, capsys):
     argv, code, digest = GOLDEN[name]
     (tmp_path / "qset.json").write_text(json.dumps(QSET))
+    (tmp_path / "qset3.json").write_text(json.dumps(QSET3))
     monkeypatch.chdir(tmp_path)
     got = main([argv[0], "--json", *argv[1:]])
     assert (got, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == (code, digest)

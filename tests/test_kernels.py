@@ -11,7 +11,10 @@ and the hand-written "join over t of a product" loops that
 SupLattice.join_products replaced (the matrix product fold, the
 completion's cell-by-cell dot products, the module's row-by-row inner
 product, the s/t double loop of hom_from_relation, and the basis sums of
-reconstruct and parseval_check).
+reconstruct and parseval_check), and the hand-written searches that
+laws.lex_solutions replaced (the blockwise product walk and the pruned
+backtracking walk over singleton columns, the recursive order-isomorphism
+search, and the recursive walks over equivariant maps and module homs).
 Each kernel must give the same tables, the same order of results and the
 same lex-first witnesses.
 """
@@ -24,17 +27,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qlab import lattice, qmatrix
+from qlab import hilbert as hb
+from qlab import laws, lattice, qmatrix
 from qlab.catalog import catalog_entries, catalog_get, egger8, powerset_quantale, relq
-from qlab.groupoid import module_from_action
+from qlab.groupoid import (_enumerate_homs, _equivariant_maps, module_from_action,
+                           quantale_of)
 from qlab.lattice import (NotALattice, NotAPoset, SupLattice, _bound_table,
                           build_lattice, chain_lattice, powerset_lattice,
                           relation_product)
 from qlab.hilbert import (hilbert_sections, hom_from_relation, module_from_qset,
                           parseval_check, reconstruct, section_relation)
-from qlab.laws import first_bad
-from qlab.qmatrix import (QMatrix, QSet, _columns_product, completion, mat_mul,
-                          random_qset, singletons)
+from qlab.laws import first_bad, lex_solutions
+from qlab.qmatrix import (QMatrix, QSet, _columns, completion, mat_mul, random_qset,
+                          singletons)
+from qlab.quantale import lattice_order_isos
 
 search_mod = importlib.import_module("qlab.search")    # qlab.search is also a function
 
@@ -90,6 +96,153 @@ def columns_one_at_a_time(Q, A):
     for col in itertools.product(range(Q.n), repeat=A.shape[0]):
         if column_ok(Q, A, col):
             yield col
+
+
+def columns_product(Q, A, lookups=1 << 16):
+    """The product walk: tabulate each pair's admissible values, test blocks of columns."""
+    k, n = A.shape[0], Q.n
+    leq, mul, inv = Q.leq, Q.mul, Q.inv
+    a_idx, b_idx = (x.ravel() for x in np.indices((k, k)))
+    entry = A[a_idx, b_idx]
+    ar = np.arange(n, dtype=np.intp)
+    # admits[p, u, v]: s_a = u and s_b = v satisfy both laws at pair p = (a, b)
+    admits = (leq[mul[entry][:, None, :], ar[None, :, None]]
+              & leq[mul[:, inv][None, :, :], entry[:, None, None]])
+    values = [np.flatnonzero(admits[a * k + a].diagonal()) for a in range(k)]
+    shape = tuple(len(v) for v in values)
+    total = int(np.prod(shape, dtype=object))
+    pairs = np.arange(k * k)
+    step = max(1, lookups // (k * k))
+    for start in range(0, total, step):
+        digits = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+        cols = np.stack([values[a][d] for a, d in enumerate(digits)], axis=1)
+        good = admits[pairs, cols[:, a_idx], cols[:, b_idx]].all(axis=1)
+        for col in cols[good]:
+            yield tuple(int(v) for v in col)
+
+
+def columns_dfs(Q, A):
+    """The pruned backtracking walk over column values."""
+    k = A.shape[0]
+    mul, inv, leq = Q.mul, Q.inv, Q.leq
+    col = [0] * k
+
+    def place(i: int):
+        if i == k:
+            yield tuple(col)
+            return
+        for v in range(Q.n):
+            ok = True
+            for j in range(i + 1):
+                w = v if j == i else col[j]
+                if (not leq[mul[A[j, i], v], w] or not leq[mul[A[i, j], w], v]
+                        or not leq[mul[v, inv[w]], A[i, j]] or not leq[mul[w, inv[v]], A[j, i]]):
+                    ok = False
+                    break
+            if ok:
+                col[i] = v
+                yield from place(i + 1)
+        col[i] = 0
+
+    yield from place(0)
+
+
+def order_isos_recursive(src, dst):
+    """The recursive order-isomorphism search, with its used-value test."""
+    if src.n != dst.n:
+        return []
+    n = src.n
+    down_src, up_src = src.leq.sum(axis=0), src.leq.sum(axis=1)
+    down_dst, up_dst = dst.leq.sum(axis=0), dst.leq.sum(axis=1)
+    cands = [np.flatnonzero((down_dst == down_src[i]) & (up_dst == up_src[i])) for i in range(n)]
+    out = []
+    perm = np.full(n, -1, dtype=np.intp)
+    used = np.zeros(n, dtype=bool)
+
+    def extend(i):
+        if i == n:
+            out.append(perm.copy())
+            return
+        for j in cands[i]:
+            if used[j]:
+                continue
+            if all(src.leq[i, k] == dst.leq[j, perm[k]] and src.leq[k, i] == dst.leq[perm[k], j]
+                   for k in range(i)):
+                perm[i], used[j] = j, True
+                extend(i + 1)
+                perm[i], used[j] = -1, False
+
+    extend(0)
+    return out
+
+
+def equivariant_maps_recursive(A1, A2):
+    """The recursive walk: each (g, x, z = g.x) tested once x and z are placed."""
+    n1 = A1.n_points
+    cands = [np.flatnonzero(A2.p == A1.p[x]).tolist() for x in range(n1)]
+    out, chosen = [], [-1] * n1
+    checks = [[] for _ in range(n1)]
+    for g, x in np.argwhere(A1.act >= 0).tolist():
+        z = int(A1.act[g, x])
+        checks[max(x, z)].append((g, x, z))
+
+    def place(k):
+        if k == n1:
+            out.append(tuple(chosen))
+            return
+        for y in cands[k]:
+            chosen[k] = y
+            if all(A2.act[g, chosen[x]] == chosen[z] for g, x, z in checks[k]):
+                place(k + 1)
+        chosen[k] = -1
+
+    place(0)
+    return out
+
+
+def enumerate_homs_recursive(am1, am2, pinned):
+    """The recursive hom walk, its candidates read from the local sections when pinned."""
+    n1, na = am1.action.n_points, am1.action.groupoid.n_arrows
+    X1, X2 = am1.module, am2.module
+    if pinned:
+        loc2 = hb.local_sections(am2.supported).local
+        sup1, sup2 = am1.supported.sup, am2.supported.sup
+        cands = [[int(c) for c in loc2 if sup2[c] == sup1[am1.atoms[x]]] for x in range(n1)]
+    else:
+        cands = [list(range(X2.n))] * n1
+    qatom = [1 << g for g in range(na)]
+    pact1 = np.array([[X1.action[qatom[g], am1.atoms[x]] for x in range(n1)]
+                      for g in range(na)], dtype=np.intp)
+    atom_pos1 = {int(am1.atoms[x]): x for x in range(n1)}
+    chosen, found = [-1] * n1, []
+
+    def consistent(k):
+        for g in range(na):
+            img, tgt = X2.action[qatom[g], chosen[k]], pact1[g, k]
+            if tgt == X1.carrier.bottom:
+                if img != X2.carrier.bottom:
+                    return False
+            else:
+                z = atom_pos1[int(tgt)]
+                if z <= k and chosen[z] != img:
+                    return False
+            for x in range(k):
+                if pact1[g, x] == am1.atoms[k] and X2.action[qatom[g], chosen[x]] != chosen[k]:
+                    return False
+        return True
+
+    def place(k):
+        if k == n1:
+            found.append(X1.carrier.join_extend(np.asarray(chosen, dtype=np.intp), X2.carrier))
+            return
+        for y in cands[k]:
+            chosen[k] = y
+            if consistent(k):
+                place(k + 1)
+        chosen[k] = -1
+
+    place(0)
+    return found
 
 
 def join_extend_by_definition(lat, values, target):
@@ -352,14 +505,14 @@ def matrices(draw, qsets_only=False):
 
 
 @SETTINGS
-@given(matrices(), st.integers(1, 5000))
-def test_column_blocks_match_the_one_column_walk(qa, lookups):
+@given(matrices(), st.sampled_from([1, 2, 7, laws._LEX_BLOCK]), st.integers(1, 5000))
+def test_column_blocks_match_the_one_column_walk(qa, block, lookups):
     Q, A = qa
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qmatrix, "_BLOCK_LOOKUPS", lookups)   # many small blocks
-        fast = list(_columns_product(Q, A))
+        mp.setattr(laws, "_LEX_BLOCK", block)
+        fast = [tuple(col) for col in _columns(Q, A).tolist()]
     assert fast == list(columns_one_at_a_time(Q, A))
-    assert all(type(v) is int for col in fast for v in col)
+    assert fast == list(columns_product(Q, A, lookups)) == list(columns_dfs(Q, A))
 
 
 @SETTINGS
@@ -369,9 +522,12 @@ def test_singleton_lists_match_the_one_column_walk(qa):
     X = QSet(Q, A)
     fast = singletons(X)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qmatrix, "_columns_product", columns_one_at_a_time)
+        mp.setattr(qmatrix, "_columns",
+                   lambda Q, A: np.array(list(columns_one_at_a_time(Q, A)),
+                                         dtype=np.intp).reshape(-1, A.shape[0]))
         slow = singletons(X)
     assert fast == slow
+    assert all(type(v) is int for s in fast for v in s.column)
 
 
 # ------------------------------------------------------- join extension
@@ -543,3 +699,102 @@ def test_catalog_basis_sums_match_the_replaced_loops(name):
         assert parseval_check(X, sigma) == first_bad(ps != X.ip)
         if not len(sigma):                                           # the empty sum
             assert (r == X.carrier.bottom).all() and (ps == X.quantale.bottom).all()
+
+
+# ------------------------------------------------------ lex-order search
+
+@st.composite
+def lex_problems(draw):
+    """Random domains of up to 5 values each (empty ones included) and pair tables."""
+    K = draw(st.integers(0, 4))
+    values = [np.array(sorted(draw(st.sets(st.integers(0, 5), max_size=5))), dtype=np.intp)
+              for _ in range(K)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.floats(0.2, 1.0))
+    allowed = {(j, k): rng.random((6, 6)) < density for k in range(K) for j in range(k + 1)}
+    return values, allowed
+
+
+@SETTINGS
+@given(lex_problems(), st.sampled_from([1, 2, 7, laws._LEX_BLOCK]))
+def test_lex_solutions_match_the_product_filter(problem, block):
+    values, allowed = problem
+    calls = []
+
+    def consistent(k, P, c):
+        calls.append((len(P), len(c)))
+        ok = allowed[k, k][c, c][None, :].repeat(len(P), axis=0)
+        for j in range(k):
+            ok &= allowed[j, k][P[:, j, None], c[None, :]]
+        return ok
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "_LEX_BLOCK", block)
+        got = lex_solutions(values, consistent)
+    brute = [s for s in itertools.product(*(v.tolist() for v in values))
+             if all(allowed[j, k][s[j], s[k]] for k in range(len(s)) for j in range(k + 1))]
+    assert got.dtype == np.intp and got.shape == (len(brute), len(values))
+    assert got.tolist() == [list(s) for s in brute]
+    # each call tests one block: about `block` (prefix, candidate) pairs
+    assert all(F * n <= max(block, n) for F, n in calls)
+
+
+def test_lex_solutions_of_no_positions_and_of_an_empty_domain():
+    def anything(k, P, c):
+        return np.ones((len(P), len(c)), dtype=bool)
+
+    assert lex_solutions([], anything).shape == (1, 0)
+    empty = lex_solutions([np.arange(3), np.array([], dtype=np.intp), np.arange(2)], anything)
+    assert empty.shape == (0, 3) and empty.dtype == np.intp
+
+
+# The recursive search takes 11 s on the 64-element lattice of z2_plus_pair2,
+# and the 512-element powersets have 9! automorphisms each, so those stay out.
+def catalog_lattice(name):
+    kind, obj = catalog_get(name)
+    return (quantale_of(obj) if kind == "groupoid" else obj).lattice
+
+
+CATALOG_LATTICES = {name: lat for name in catalog_names("quantale", "groupoid")
+                    if (lat := catalog_lattice(name)).n <= 16}
+
+
+def assert_same_isos(src, dst):
+    fast, slow = lattice_order_isos(src, dst), order_isos_recursive(src, dst)
+    assert len(fast) == len(slow)
+    assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_LATTICES))
+def test_order_isos_of_catalog_lattices_match_the_recursive_search(name):
+    for other in CATALOG_LATTICES.values():
+        assert_same_isos(CATALOG_LATTICES[name], other)
+
+
+@SETTINGS
+@given(small_lattices(), small_lattices(), st.sampled_from([1, 2, 7, laws._LEX_BLOCK]))
+def test_order_isos_of_small_lattices_match_the_recursive_search(src, dst, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "_LEX_BLOCK", block)
+        assert_same_isos(src, src)
+        assert_same_isos(src, dst)
+
+
+ACTION_PAIRS = [(a, b) for a in catalog_names("action") for b in catalog_names("action")
+                if a.rsplit("_", 1)[0] == b.rsplit("_", 1)[0]]
+
+
+@pytest.mark.parametrize("pair", ACTION_PAIRS, ids="->".join)
+def test_catalog_homs_match_the_recursive_walks(pair):
+    A1, A2 = (catalog_get(name)[1] for name in pair)
+    assert _equivariant_maps(A1, A2) == equivariant_maps_recursive(A1, A2)
+    am1, am2 = module_from_action(A1, verify=False), module_from_action(A2, verify=False)
+    loc2 = hb.local_sections(am2.supported).local
+    runs = [(loc2, True)]
+    if am2.module.n ** A1.n_points <= 4096:           # verify_equivalence's all_hom_cap
+        runs.append((None, False))
+    for images, pinned in runs:
+        fast = _enumerate_homs(am1, am2, images)
+        slow = enumerate_homs_recursive(am1, am2, pinned)
+        assert len(fast) == len(slow)
+        assert all(np.array_equal(f, s) for f, s in zip(fast, slow))

@@ -5,7 +5,7 @@ import pytest
 
 from qlab import objio
 from qlab.catalog import catalog_get, relq
-from qlab.groupoid import module_from_action, pair_groupoid, regular_action
+from qlab.groupoid import NotAGroupoid, module_from_action, pair_groupoid, regular_action
 from qlab.hilbert import module_over_self
 from qlab.lattice import chain_lattice
 from qlab.qmatrix import QSet
@@ -104,6 +104,10 @@ def test_builder_errors():
         objio.build_object("groupoid", {
             "objects": ["x"], "arrows": [{"id": "u", "d": "x", "r": "x"}],
             "compose": [["u", "u", "v"]], "inv": ["u"], "units": {"x": "u"}})
+    with pytest.raises(NotAGroupoid, match="unit_endpoints"):   # passed through unchanged
+        objio.build_object("groupoid", {
+            "objects": ["x", "y"], "arrows": [{"id": "u", "d": "x", "r": "x"}],
+            "compose": [["u", "u", "u"]], "inv": ["u"], "units": {"x": "u", "y": "u"}})
 
 
 def test_load_path_reports_json_position(tmp_path):

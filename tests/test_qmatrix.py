@@ -4,12 +4,12 @@ import pytest
 from qlab.catalog import egger8, frame_quantale, group_quantale, cyclic_table, relq
 from qlab.lattice import chain_lattice, powerset_lattice
 from qlab.qmatrix import (NotStablyGelfand, QMatrix, QSet, QuantaleMismatch, ShapeMismatch,
-                          _columns_dfs, _columns_product, completion,
-                          frame_map_conditions, is_gelfand_map, is_map, is_qset,
-                          is_relation, is_strict, is_strict_map, mat_adjoint,
-                          mat_join, mat_leq, mat_mul, quantal_set_conditions,
+                          _columns, completion, frame_map_conditions, is_gelfand_map,
+                          is_map, is_qset, is_relation, is_strict, is_strict_map,
+                          mat_adjoint, mat_join, mat_leq, mat_mul, quantal_set_conditions,
                           random_qset, singletons)
 from qlab.quantale import Quantale
+from test_kernels import columns_dfs, columns_product
 
 R2 = relq(2)
 
@@ -86,9 +86,8 @@ def test_column_walks_agree():
     rng = np.random.default_rng(3)
     for i in range(10):
         X = random_qset(R2, 1 + i % 2, rng)
-        a = sorted(_columns_product(R2, X.A.data))
-        b = sorted(_columns_dfs(R2, X.A.data))
-        assert a == b
+        cols = [tuple(c) for c in _columns(R2, X.A.data).tolist()]
+        assert cols == list(columns_product(R2, X.A.data)) == list(columns_dfs(R2, X.A.data))
 
 
 def test_singletons_need_a_stably_gelfand_quantale():
