@@ -25,12 +25,12 @@ from .hilbert import (CarrierTooLarge, PreHilbertModule, has_enough_sections,
                       parseval_check, validate_prehilbert)
 from .lattice import NotALattice, NotAPoset
 from .objio import InputError, canonical_dumps, write_canonical
-from .qmatrix import NotStablyGelfand, QSet, completion, is_qset, is_strict
+from .qmatrix import NotAQSet, NotStablyGelfand, QSet, completion, is_qset, is_strict
 from .quantale import BNotLocale, NotUnital, Quantale, classify, validate_quantale
 from .search import BudgetExceeded, SearchSpec, search
 
 _MATH_ERRORS = (NotAPoset, NotALattice, NotAGroupoid, InvalidAction, NotEtale,
-                NotUnital, BNotLocale, NotStablyGelfand)
+                NotUnital, BNotLocale, NotStablyGelfand, NotAQSet)
 
 
 def _count(name: str, raw) -> int:
@@ -264,7 +264,7 @@ def cmd_verify_equivalence(args) -> int:
         if not _same_groupoid(A.groupoid, G):
             raise InputError(f"{ref} is an action of a different groupoid")
         actions.append(A)
-    rep = verify_equivalence(G, actions, all_hom_cap=args.all_hom_cap)
+    rep = verify_equivalence(G, actions, all_hom_cap=_count("--all-hom-cap", args.all_hom_cap))
     lines = [f"groupoid {G.name or args.groupoid}: {len(actions)} actions"]
     pairs = []
     for p in rep.pairs:
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
             "equivariant maps vs sheaf morphisms, pairwise")
     p.add_argument("groupoid", help="groupoid file or catalog: URI")
     p.add_argument("action", nargs="+", help="actions of that groupoid")
-    p.add_argument("--all-hom-cap", type=int, default=4096,
+    p.add_argument("--all-hom-cap", default=4096,
                    help="enumerate all module homs when the space is at most this size")
 
     p = add("search", cmd_search, "exhaustive quantale-structure search on a lattice")

@@ -26,7 +26,7 @@ from .catalog import cyclic_table, powerset_quantale
 from .lattice import powerset_lattice
 from .laws import lex_solutions
 from .qmatrix import QMatrix, QSet, is_qset, is_relation, mat_mul
-from .quantale import Quantale, classify, partial_units, support
+from .quantale import NotUnital, Quantale, classify, partial_units, support
 
 
 class NotAGroupoid(ValueError):
@@ -301,7 +301,7 @@ def local_section_indices(X: hb.PreHilbertModule):
     """
     Q = X.quantale
     if Q.unit is None:
-        raise ValueError("local sections need a unital quantale")
+        raise NotUnital("local sections need a unital quantale")
     base = hb.PreHilbertModule(X.module, Q.lattice.meet_table[X.ip, Q.unit])
     return hb.hilbert_sections(base), np.diagonal(base.ip).copy(), base
 

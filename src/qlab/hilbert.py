@@ -18,7 +18,7 @@ import numpy as np
 
 from .laws import first_bad, first_violation, holds_on
 from .lattice import SupLattice
-from .qmatrix import QMatrix, QSet, completion, is_qset, is_relation, mat_mul
+from .qmatrix import NotAQSet, QMatrix, QSet, completion, is_qset, is_relation, mat_mul
 from .quantale import Quantale, ValidationReport, support
 
 
@@ -111,17 +111,16 @@ class PreHilbertModule:
 
     @cached_property
     def left_linearity(self) -> dict:
-        """Whether <-, y> preserves binary joins and the bottom, for every y.
+        """Witnesses that <-, y> preserves binary joins and the bottom, None = holds.
 
-        ip_join_left is decided on join-irreducible x' (qlab.laws).
-        Computed once per module: the two laws are premises of the reduced
-        ip_scalar_left check and of the reduced adjoint identity.
+        ip_join_left is SupLattice.join_witness.  Computed once per module:
+        the two laws are premises of the reduced ip_scalar_left check and of
+        the reduced adjoint identity.
         """
-        lat, ip, jq = self.carrier, self.ip, self.quantale.lattice.join_table
+        lat, ip, Q = self.carrier, self.ip, self.quantale
         return {
-            "ip_join_left": holds_on(lambda j: ip[lat.join_table[:, j]] != jq[ip, ip[j][None, :]],
-                                     lat.join_irreducibles),
-            "ip_bottom_left": bool((ip[lat.bottom] == self.quantale.bottom).all()),
+            "ip_join_left": lat.join_witness(ip, Q.lattice),
+            "ip_bottom_left": first_bad(ip[lat.bottom] != Q.bottom),
         }
 
     def basis_witness(self, sigma: np.ndarray) -> int | None:
@@ -144,35 +143,26 @@ def module_over_self(Q: Quantale) -> PreHilbertModule:
 def validate_module(M: QModule) -> ValidationReport:
     """Check the left-module laws (binary joins + bottom) exactly.
 
-    Join preservation in each argument is decided on join-irreducibles of
-    that argument (qlab.laws).  Once those laws, their bottom laws and the
-    bilinearity of the product hold, (ab)x = a(bx) is trilinear and is
-    checked on join-irreducible a, b and x.
+    Join preservation in each argument is SupLattice.join_witness.  Once
+    those laws, their bottom laws and the bilinearity of the product hold,
+    (ab)x = a(bx) is trilinear and is checked on join-irreducible a, b and x.
     """
     Q, X, act = M.quantale, M.carrier, M.action
-    rows = range(Q.n)
-    jq, jx = Q.lattice.join_table, X.join_table
     JQ = np.asarray(Q.lattice.join_irreducibles, dtype=np.intp)
     JX = X.join_irreducibles
-    laws: dict = {}
-
-    join_scalar = holds_on(lambda j: act[jq[:, j]] != jx[act, act[j][None, :]], JQ)
-    join_element = holds_on(lambda j: act[:, jx[:, j]] != jx[act, act[:, j, None]], JX)
-    bottom_scalar = first_bad(act[Q.bottom] != X.bottom)
-    bottom_element = first_bad(act[:, X.bottom] != X.bottom)
-    linear = (Q.bilinear and join_scalar and join_element
-              and bottom_scalar is None and bottom_element is None)
+    linearity = {
+        "action_join_scalar": Q.lattice.join_witness(act, X),
+        "action_bottom_scalar": first_bad(act[Q.bottom] != X.bottom),
+        "action_join_element": X.join_witness(act, X, axis=1),
+        "action_bottom_element": first_bad(act[:, X.bottom] != X.bottom),
+    }
+    linear = Q.bilinear and all(w is None for w in linearity.values())
     mJJ = Q.mul[np.ix_(JQ, JQ)]
     product = linear and holds_on(lambda x: act[mJJ, x] != act[np.ix_(JQ, act[JQ, x])], JX)
 
-    laws["action_product"] = first_violation(lambda a: act[Q.mul[a]] != act[a][act],
-                                             rows, product)
-    laws["action_join_scalar"] = first_violation(
-        lambda a: act[jq[a]] != jx[act[a][None, :], act], rows, join_scalar)
-    laws["action_bottom_scalar"] = bottom_scalar
-    laws["action_join_element"] = first_violation(
-        lambda a: act[a][jx] != jx[np.ix_(act[a], act[a])], rows, join_element)
-    laws["action_bottom_element"] = bottom_element
+    laws = {"action_product": first_violation(lambda a: act[Q.mul[a]] != act[a][act],
+                                              range(Q.n), product)}
+    laws.update(linearity)
 
     if Q.unit is not None:
         laws["action_unit"] = first_bad(act[Q.unit] != np.arange(X.n, dtype=np.intp))
@@ -180,29 +170,21 @@ def validate_module(M: QModule) -> ValidationReport:
 
 
 @dataclass
-class PreHilbertReport:
+class PreHilbertReport(ValidationReport):
     """Axiom table for a pre-Hilbert module; non-degeneracy kept separate.
 
     `ok` covers the pre-Hilbert axioms only: a degenerate inner product is
     still a valid pre-Hilbert module, just not a Hilbert one.
     """
 
-    laws: dict
     non_degenerate: bool
     degeneracy_witness: tuple | None
-
-    @property
-    def ok(self) -> bool:
-        return all(w is None for w in self.laws.values())
-
-    def failures(self) -> dict:
-        return {law: w for law, w in self.laws.items() if w is not None}
 
 
 def validate_prehilbert(X: PreHilbertModule) -> PreHilbertReport:
     """Check the module laws and the inner-product laws exactly.
 
-    <x OR x', y> = <x,y> OR <x',y> is decided on join-irreducible x'.  Once
+    <x OR x', y> = <x,y> OR <x',y> is PreHilbertModule.left_linearity.  Once
     the module and product laws and the left join and bottom laws of the
     inner product hold, <ax, y> = a<x,y> preserves finite joins in a and x
     and is checked on join-irreducible a and x.  The right-hand law
@@ -211,23 +193,19 @@ def validate_prehilbert(X: PreHilbertModule) -> PreHilbertReport:
     that fails its reduced check is scanned exhaustively for its witness.
     """
     Q, lat, act, ip = X.quantale, X.carrier, X.action, X.ip
-    mul, inv, jq = Q.mul, Q.inv, Q.lattice.join_table
+    mul, inv = Q.mul, Q.inv
     JQ = np.asarray(Q.lattice.join_irreducibles, dtype=np.intp)
-    JX = lat.join_irreducibles
-    laws = dict(validate_module(X.module).laws)
+    laws = validate_module(X.module).laws
     module_linear = Q.bilinear and all(
         laws[k] is None for k in ("action_join_scalar", "action_bottom_scalar",
                                   "action_join_element", "action_bottom_element"))
 
-    join_left = X.left_linearity["ip_join_left"]
-    bottom_left = first_bad(ip[lat.bottom] != Q.bottom)
-    scalar_left = (module_linear and join_left and bottom_left is None
-                   and holds_on(lambda x: ip[act[JQ, x]] != mul[np.ix_(JQ, ip[x])], JX))
+    left_linear = all(w is None for w in X.left_linearity.values())
+    scalar_left = (module_linear and left_linear and holds_on(
+        lambda x: ip[act[JQ, x]] != mul[np.ix_(JQ, ip[x])], lat.join_irreducibles))
     laws["ip_scalar_left"] = first_violation(lambda a: ip[act[a]] != mul[a][ip],
                                              range(Q.n), scalar_left)
-    laws["ip_join_left"] = first_violation(
-        lambda x: ip[lat.join_table[x]] != jq[ip[x][None, :], ip], range(X.n), join_left)
-    laws["ip_bottom_left"] = bottom_left
+    laws.update(X.left_linearity)
     laws["ip_symmetry"] = first_bad(ip != inv[ip].T)
 
     scalar_right = (laws["ip_scalar_left"] is None and laws["ip_symmetry"] is None
@@ -306,21 +284,13 @@ def hom_compose(psi: ModuleHom, phi: ModuleHom) -> ModuleHom:
     return ModuleHom(phi.source, psi.target, psi.map[phi.map])
 
 
-def _preserves_joins(phi: ModuleHom) -> bool:
-    """phi(x OR j) = phi(x) OR phi(j) for every x and join-irreducible j."""
-    f, js, jt = phi.map, phi.source.carrier.join_table, phi.target.carrier.join_table
-    return holds_on(lambda j: f[js[:, j]] != jt[f, f[j]], phi.source.carrier.join_irreducibles)
-
-
 def is_module_hom(phi: ModuleHom):
     """(ok, witness) for join/bottom/action preservation.
 
-    Join preservation is decided on join-irreducible second arguments
-    (qlab.laws); the full pair table is compared only to find a witness.
+    Join preservation is SupLattice.join_witness.
     """
     Xs, Xt, f = phi.source, phi.target, phi.map
-    js, jt = Xs.carrier.join_table, Xt.carrier.join_table
-    w = None if _preserves_joins(phi) else first_bad(f[js] != jt[np.ix_(f, f)])
+    w = Xs.carrier.join_witness(f, Xt.carrier)
     if w is not None:
         return False, ("join",) + w
     if f[Xs.carrier.bottom] != Xt.carrier.bottom:
@@ -357,8 +327,10 @@ def adjoint(phi: ModuleHom, sigma=None) -> ModuleHom:
     def bad(x):                   # [y]: <phi(x), y> != <x, adj(y)>
         return Xt.ip[f[x]] != Xs.ip[x, out]
 
-    proved = (all(Xs.left_linearity.values()) and all(Xt.left_linearity.values())
-              and f[Xs.carrier.bottom] == Xt.carrier.bottom and _preserves_joins(phi)
+    premises = [*Xs.left_linearity.values(), *Xt.left_linearity.values()]
+    proved = (all(w is None for w in premises)
+              and f[Xs.carrier.bottom] == Xt.carrier.bottom
+              and Xs.carrier.join_witness(f, Xt.carrier) is None
               and holds_on(bad, Xs.carrier.join_irreducibles))
     w = first_violation(bad, range(Xs.n), proved)
     if w is not None:
@@ -409,6 +381,9 @@ def module_from_qset(Q: Quantale, X: QSet, cap: int = 1 << 12) -> MatrixModule:
     and the entry identity <row_a, row_b> = a_ab are asserted, as is the
     fact that the rows form a Hilbert basis.
     """
+    ok, w = is_qset(X)
+    if not ok:
+        raise NotAQSet(w)
     A = X.A.data
     k = A.shape[0]
     jt, mul, inv = Q.lattice.join_table, Q.mul, Q.inv
@@ -516,8 +491,7 @@ def canonical_map_checks(X: PreHilbertModule, N: PreHilbertModule, psi: np.ndarr
     nq = np.arange(X.quantale.n, dtype=np.intp)
     return {
         "bijective": X.n == N.n and len(set(psi.tolist())) == X.n,
-        "join": bool((psi[X.carrier.join_table]
-                      == N.carrier.join_table[np.ix_(psi, psi)]).all()),
+        "join": X.carrier.join_witness(psi, N.carrier) is None,
         "action": bool((psi[X.action] == N.action[nq[:, None], psi[None, :]]).all()),
         "unitary": bool((N.ip[np.ix_(psi, psi)] == X.ip).all()),
     }
@@ -604,7 +578,7 @@ def module_support(X: PreHilbertModule) -> SupportedModule:
         raise ValueError("module_support requires a stably supported quantale")
     lat, act, ip = X.carrier, X.action, X.ip
     e = Q.unit
-    mt, jq = Q.lattice.meet_table, Q.lattice.join_table
+    mt = Q.lattice.meet_table
     ar = np.arange(X.n, dtype=np.intp)
     diag = ip[ar, ar]
     supv = mt[diag, e]

@@ -151,10 +151,6 @@ class SupLattice:
             if (nxt == leq).all():
                 break
             leq = nxt
-        anti = leq & leq.T & ~np.eye(n, dtype=bool)
-        if anti.any():
-            i, j = map(int, np.argwhere(anti)[0])
-            raise NotAPoset("antisymmetry", (i, j))
         return cls(leq, labels)
 
     def join(self, items: Iterable[int]) -> int:
@@ -170,19 +166,15 @@ class SupLattice:
 
         For a finite lattice this is equivalent to the full frame law.
         Returns (ok, witness); the witness is the lex-first failing triple.
-        The law says each a AND - preserves binary joins, so it is decided
-        on join-irreducible c (see qlab.laws); the exhaustive scan runs only
-        to find the witness.  The result is computed once per lattice.
+        The law says each a AND - preserves binary joins, so it is
+        join_witness of the meet table along axis 1.  The result is computed
+        once per lattice.
         """
         return self._frame_law
 
     @cached_property
     def _frame_law(self) -> tuple[bool, tuple[int, int, int] | None]:
-        jt, mt = self.join_table, self.meet_table
-        proved = holds_on(lambda j: mt[:, jt[:, j]] != jt[mt, mt[:, j, None]],
-                          self.join_irreducibles)
-        w = first_violation(lambda a: mt[a][jt] != jt[np.ix_(mt[a], mt[a])],
-                            range(self.n), proved)
+        w = self.join_witness(self.meet_table, self, axis=1)
         return w is None, w
 
     @cached_property
@@ -196,6 +188,27 @@ class SupLattice:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
         below = strict & (down[:, None] == down[None, :] - 1)
         return [int(x) for x in np.flatnonzero(below.any(axis=0))]
+
+    def join_witness(self, table, target: "SupLattice", axis: int = 0):
+        """Lex-first witness that `table` does not preserve binary joins, or None.
+
+        The joins are those of this lattice along `axis`, and the values lie
+        in `target`.  Axis 0 is the law table[x OR x', ...] = table[x, ...]
+        OR table[x', ...], witnessed by (x, x', ...); table may be 1-D.
+        Axis 1 is the law table[p, x OR x'] = table[p, x] OR table[p, x'] of
+        a 2-D table, witnessed by (p, x, x').  This is the one place where
+        the law is decided on join-irreducible x' (qlab.laws); the row scan
+        runs only to find the witness.
+        """
+        table = np.asarray(table)
+        js, jt, J = self.join_table, target.join_table, self.join_irreducibles
+        if axis == 1:
+            proved = holds_on(lambda j: table[:, js[:, j]] != jt[table, table[:, j, None]], J)
+            return first_violation(lambda p: table[p][js] != jt[np.ix_(table[p], table[p])],
+                                   range(len(table)), proved)
+        proved = holds_on(lambda j: table[js[:, j]] != jt[table, table[j:j + 1]], J)
+        return first_violation(lambda x: table[js[x]] != jt[table[x:x + 1], table],
+                               range(self.n), proved)
 
     def join_extend(self, values, target: "SupLattice") -> np.ndarray:
         """The join-extension of values on the join-irreducibles into `target`.

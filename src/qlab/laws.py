@@ -20,9 +20,11 @@ two exact reductions that the callers state next to each use:
   multilinear law needs checking only on generators once its premises,
   the join and bottom laws that make it multilinear, have been checked.
 
-A caller passes proved=True to first_violation only when the premises and
-the reduced check both passed; any other outcome runs the exhaustive scan,
-so every witness is the one the exhaustive scan alone would report.
+The first reduction runs in one place, SupLattice.join_witness, which
+every binary-join law calls.  A caller passes proved=True to
+first_violation only when the premises and the reduced check both passed;
+any other outcome runs the exhaustive scan, so every witness is the one
+the exhaustive scan alone would report.
 
 lex_solutions is the one enumerator behind singleton columns, lattice
 order isomorphisms, equivariant maps and module homs: it lists every tuple

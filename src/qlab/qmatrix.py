@@ -33,6 +33,14 @@ class NotStablyGelfand(ValueError):
         self.witness = witness
 
 
+class NotAQSet(ValueError):
+    """The matrix must be self-adjoint and idempotent; witness = is_qset's."""
+
+    def __init__(self, witness: tuple):
+        super().__init__("not a Q-set: {} fails at ({}, {})".format(*witness))
+        self.witness = witness
+
+
 class QMatrix:
     """Matrix with entries in a fixed quantale, shape (rows, cols)."""
 
@@ -307,6 +315,9 @@ class Completion:
 
 
 def completion(X: QSet) -> Completion:
+    ok, w = is_qset(X)
+    if not ok:
+        raise NotAQSet(w)
     Q, A = X.Q, X.A.data
     k = X.size
     sings = singletons(X)

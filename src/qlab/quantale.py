@@ -79,27 +79,24 @@ class Quantale:
 
     @cached_property
     def linearity(self) -> dict:
-        """Which of the four laws that make the product bilinear hold.
+        """Witnesses of the four laws that make the product bilinear, None = holds.
 
-        Join distribution in each argument is decided on join-irreducible
-        generators (qlab.laws).  Computed once per quantale: the laws are
-        premises of the reduced associativity, modularity and module checks.
+        Join distribution in each argument is SupLattice.join_witness.
+        Computed once per quantale: the laws are premises of the reduced
+        associativity, modularity and module checks.
         """
-        mul, jt, bot = self.mul, self.lattice.join_table, self.bottom
-        J = self.lattice.join_irreducibles
+        lat, mul, bot = self.lattice, self.mul, self.bottom
         return {
-            "join_distribution_left": holds_on(
-                lambda j: mul[jt[:, j]] != jt[mul, mul[j][None, :]], J),
-            "join_distribution_right": holds_on(
-                lambda j: mul[:, jt[:, j]] != jt[mul, mul[:, j, None]], J),
-            "bottom_left": bool((mul[bot] == bot).all()),
-            "bottom_right": bool((mul[:, bot] == bot).all()),
+            "join_distribution_left": lat.join_witness(mul, lat),
+            "join_distribution_right": lat.join_witness(mul, lat, axis=1),
+            "bottom_left": first_bad(mul[bot] != bot),
+            "bottom_right": first_bad(mul[:, bot] != bot),
         }
 
     @property
     def bilinear(self) -> bool:
         """The product preserves all finite joins in each argument."""
-        return all(self.linearity.values())
+        return all(w is None for w in self.linearity.values())
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -129,26 +126,19 @@ def validate_quantale(Q: Quantale) -> ValidationReport:
     join-irreducibles.
     """
     lat, mul, inv = Q.lattice, Q.mul, Q.inv
-    n, jt = lat.n, lat.join_table
-    ar = np.arange(n, dtype=np.intp)
+    ar = np.arange(lat.n, dtype=np.intp)
     bot = lat.bottom
     J = np.asarray(lat.join_irreducibles, dtype=np.intp)
-    lin = Q.linearity
-    rows = range(n)
     laws: dict = {}
 
     mJJ = mul[np.ix_(J, J)]
     assoc = Q.bilinear and holds_on(lambda c: mul[mJJ, c] != mul[np.ix_(J, mul[J, c])], J)
-    laws["associativity"] = first_violation(lambda a: mul[mul[a]] != mul[a][mul], rows, assoc)
-    laws["join_distribution_left"] = first_violation(
-        lambda a: mul[jt[a]] != jt[mul[a][None, :], mul], rows, lin["join_distribution_left"])
-    laws["join_distribution_right"] = first_violation(
-        lambda a: mul[a][jt] != jt[np.ix_(mul[a], mul[a])], rows, lin["join_distribution_right"])
-    laws["bottom_left"] = first_bad(mul[bot] != bot)
-    laws["bottom_right"] = first_bad(mul[:, bot] != bot)
+    laws["associativity"] = first_violation(lambda a: mul[mul[a]] != mul[a][mul],
+                                            range(lat.n), assoc)
+    laws.update(Q.linearity)
     laws["involution_involutive"] = first_bad(inv[inv] != ar)
     laws["involution_antihom"] = first_bad(inv[mul] != mul[np.ix_(inv, inv)].T)
-    laws["involution_join"] = first_bad(inv[jt] != jt[np.ix_(inv, inv)])
+    laws["involution_join"] = lat.join_witness(inv, lat)
     laws["involution_bottom"] = None if inv[bot] == bot else (bot,)
 
     if Q.unit is not None:
@@ -194,15 +184,14 @@ def support(Q: Quantale) -> SupportReport:
     if Q.unit is None:
         raise NotUnital("support requires a unital quantale")
     lat, mul, inv, e = Q.lattice, Q.mul, Q.inv, Q.unit
-    n, jt, mt = lat.n, lat.join_table, lat.meet_table
-    ar = np.arange(n, dtype=np.intp)
+    mt = lat.meet_table
+    ar = np.arange(lat.n, dtype=np.intp)
     top, bot = lat.top, lat.bottom
 
     a1 = mul[:, top]
     sup = mt[a1, e]
     laws: dict = {}
-    joins = holds_on(lambda j: sup[jt[:, j]] != jt[sup, sup[j]], lat.join_irreducibles)
-    laws["join_preserving"] = None if joins else first_bad(sup[jt] != jt[np.ix_(sup, sup)])
+    laws["join_preserving"] = lat.join_witness(sup, lat)
     laws["bottom"] = None if sup[bot] == bot else (bot,)
     laws["below_self_star"] = first_bad(~Q.leq[sup, mul[ar, inv]])
     laws["restores"] = first_bad(~Q.leq[ar, mul[sup, ar]])

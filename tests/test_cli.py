@@ -393,3 +393,36 @@ def test_complete_rejects_a_quantale_that_is_not_stably_gelfand(tmp_path, capsys
     code, out, err = run(capsys, "complete", path)
     assert (code, err) == (1, "")
     assert out.startswith("invalid: not stably Gelfand") and out.rstrip().endswith("a = 1")
+
+
+@pytest.mark.parametrize("command", ["complete", "sections", "basis-check"])
+def test_a_matrix_that_is_not_a_q_set_is_rejected(tmp_path, command):
+    # [[2]] over relq2 is not self-adjoint; before the check these commands
+    # died with an AssertionError, and under -O `sections` answered true
+    path = write(tmp_path, "bad.json", QSet(relq(2), [[2]]))
+    plain, optimized = plain_and_optimized(command, path)
+    assert plain == optimized
+    assert plain == (1, "invalid: not a Q-set: self_adjoint fails at (0, 0)\n", "")
+
+
+def test_sheafify_over_a_quantale_without_unit_is_rejected(tmp_path, capsys):
+    _, Q = objio.resolve("catalog:chain2")
+    path = write(tmp_path, "m.json",
+                 module_over_self(Quantale(Q.lattice, Q.mul, Q.inv, None, Q.name)))
+    assert run(capsys, "sheafify", path) == (
+        1, "invalid: local sections need a unital quantale\n", "")
+
+
+@pytest.mark.parametrize("value", ["-1", "inf", "nan", "many"])
+def test_all_hom_cap_rejects_negative_infinite_and_non_numbers(capsys, value):
+    code, out, err = run(capsys, "verify-equivalence", "catalog:z2", "catalog:z2_regular",
+                         f"--all-hom-cap={value}")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: --all-hom-cap "), err
+
+
+def test_all_hom_cap_is_a_count_like_the_other_caps(capsys):
+    code, out, err = run(capsys, "verify-equivalence", "catalog:z2", "catalog:z2_regular",
+                         "--all-hom-cap", "1e3")
+    assert (code, err) == (0, "")
+    assert "sheaf homs 2: match (module homs: 4)\n" in out

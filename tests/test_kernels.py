@@ -15,6 +15,7 @@ reconstruct and parseval_check), and the hand-written searches that
 laws.lex_solutions replaced (the blockwise product walk and the pruned
 backtracking walk over singleton columns, the recursive order-isomorphism
 search, and the recursive walks over equivariant maps and module homs).
+SupLattice.join_witness is compared with the whole cubic violation array.
 Each kernel must give the same tables, the same order of results and the
 same lex-first witnesses.
 """
@@ -628,6 +629,69 @@ def test_catalog_action_modules_match_the_replaced_loops(name):
     assert np.array_equal(am.module.action, action)
     assert np.array_equal(am.module.ip, ip)
     assert np.array_equal(am.supported.sup, sup)
+
+
+# ------------------------------------------------------------ join law
+
+def join_witness_cubic(lat, table, target, axis):
+    """The whole violation array, read by first_bad in the index order of each axis."""
+    js, jt = lat.join_table, target.join_table
+    if axis == 1:       # bad[p, x, x']: table[p, x OR x'] != table[p, x] OR table[p, x']
+        return first_bad(table[:, js] != jt[table[:, :, None], table[:, None, :]])
+    # bad[x, x', ...]: table[x OR x', ...] != table[x, ...] OR table[x', ...]
+    return first_bad(table[js] != jt[table[:, None], table[None, :]])
+
+
+def join_preserving_map(src, dst, rng, terms):
+    """x |-> the join of t_i over the i with x not below c_i.
+
+    Each term preserves joins, since x OR y <= c iff x <= c and y <= c, and
+    so does their join.
+    """
+    out = np.full(src.n, dst.bottom, dtype=np.intp)
+    for c, t in zip(rng.integers(0, src.n, terms), rng.integers(0, dst.n, terms)):
+        out = dst.join_table[out, np.where(src.leq[:, c], dst.bottom, t)]
+    return out
+
+
+@st.composite
+def moore_lattices(draw):
+    """The intersection-closed families of subsets of 4 points, relabelled at random."""
+    family = {15}
+    for m in draw(st.lists(st.integers(0, 15), max_size=6)):
+        family |= {m & f for f in family} | {m}
+    sets = np.array(sorted(family))
+    sets = sets[np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).permutation(len(sets))]
+    return SupLattice((sets[:, None] & ~sets[None, :]) == 0)
+
+
+@SETTINGS
+@given(moore_lattices(), moore_lattices(), st.booleans(), st.sampled_from(["1-D", 0, 1]),
+       st.sampled_from(["random", "extended", "extended, one cell overwritten"]),
+       st.integers(1, 3), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_join_witness_matches_the_cubic_oracle(src, dst, same, axis, kind, m, terms, seed):
+    dst = src if same else dst
+    rng = np.random.default_rng(seed)
+    cols = 1 if axis == "1-D" else m
+    if kind == "random":
+        table = rng.integers(0, dst.n, size=(src.n, cols))
+    else:
+        maps = np.stack([join_preserving_map(src, dst, rng, terms) for _ in range(cols)], axis=1)
+        table = src.join_extend(maps[src.join_irreducibles], dst)
+        assert np.array_equal(table, maps)
+        if kind != "extended":
+            cell = tuple(int(rng.integers(0, s)) for s in table.shape)
+            table[cell] = rng.integers(0, dst.n)
+    table = table[:, 0] if axis == "1-D" else table.T if axis == 1 else table
+    axis = 0 if axis == "1-D" else axis
+    expected = join_witness_cubic(src, table, dst, axis)
+    assert kind != "extended" or expected is None
+    got = src.join_witness(table, dst, axis)
+    with pytest.MonkeyPatch.context() as mp:            # every law goes to the row scan
+        mp.setattr(lattice, "holds_on", lambda bad_row, generators: False)
+        scanned = src.join_witness(table, dst, axis)
+    assert got == scanned == expected
+    assert got is None or all(type(v) is int for v in got)
 
 
 # ------------------------------------------------------ join of products

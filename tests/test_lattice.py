@@ -103,6 +103,7 @@ def test_antisymmetry_failure_from_cover_cycle():
     with pytest.raises(NotAPoset) as ei:
         build_lattice(3, [(0, 1), (1, 2), (2, 0)])
     assert ei.value.law == "antisymmetry"
+    assert ei.value.witness == (0, 1)
 
 
 def test_transitivity_failure():
