@@ -2,8 +2,10 @@
 
 Inputs are JSON object files or catalog: URIs.  Exit codes: 0 when the
 command's property holds (or the requested objects were produced), 1 when a
-checked property is false (the report carries a witness), 2 for unreadable
-or malformed input and exhausted budgets.
+checked property is false (the report carries a witness, or a
+laws.Violation names the failed law), 2 for unreadable or malformed input
+and exhausted budgets, 3 when a theorem that qlab re-checks fails
+(laws.TheoremViolation: a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -17,20 +19,16 @@ import numpy as np
 
 from . import objio
 from .catalog import catalog_entries
-from .groupoid import (FiniteGroupoid, GroupoidAction, InvalidAction,
-                       NotAGroupoid, NotEtale, module_from_action, quantale_of,
-                       sheafify, verify_equivalence)
-from .hilbert import (CarrierTooLarge, PreHilbertModule, has_enough_sections,
+from .groupoid import (FiniteGroupoid, NotEtale, module_from_action, quantale_of, sheafify,
+                       verify_equivalence)
+from .hilbert import (CARRIER_CAP, CarrierTooLarge, PreHilbertModule, has_enough_sections,
                       hilbert_sections, is_hilbert_basis, module_from_qset,
                       parseval_check, validate_prehilbert)
-from .lattice import NotALattice, NotAPoset
+from .laws import TheoremViolation, Violation
 from .objio import InputError, canonical_dumps, write_canonical
-from .qmatrix import NotAQSet, NotStablyGelfand, QSet, completion, is_qset, is_strict
-from .quantale import BNotLocale, NotUnital, Quantale, classify, validate_quantale
+from .qmatrix import completion, is_qset, is_strict
+from .quantale import classify, validate_quantale
 from .search import BudgetExceeded, SearchSpec, search
-
-_MATH_ERRORS = (NotAPoset, NotALattice, NotAGroupoid, InvalidAction, NotEtale,
-                NotUnital, BNotLocale, NotStablyGelfand, NotAQSet)
 
 
 def _count(name: str, raw) -> int:
@@ -49,11 +47,12 @@ def _env_budget() -> int | None:
     return _count("QLAB_BUDGET", raw) if raw else None
 
 
-def _cap(args, fallback: int) -> int:
+def _cap(args) -> int:
+    """The carrier-closure cap: --cap, else QLAB_BUDGET, else hilbert.CARRIER_CAP."""
     if args.cap is not None:
         return _count("--cap", args.cap)
     env = _env_budget()
-    return env if env is not None else fallback
+    return env if env is not None else CARRIER_CAP
 
 
 def _out(args, lines: list[str], doc: dict) -> None:
@@ -100,7 +99,7 @@ def cmd_check(args) -> int:
     for ref in args.ref:
         try:
             kind, obj = objio.resolve(ref)
-        except _MATH_ERRORS as exc:
+        except Violation as exc:
             results.append({"ref": ref, "kind": None, "ok": False, "detail": str(exc)})
             continue
         ok, detail = True, ""
@@ -177,7 +176,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_sections(args) -> int:
-    X = _as_module(args.ref, _cap(args, 1 << 13))
+    X = _as_module(args.ref, _cap(args))
     ok, secs, wit = has_enough_sections(X)
     lines = [f"module with {X.n} elements over {X.quantale.name or 'quantale'}",
              f"hilbert sections: {len(secs)}"]
@@ -195,7 +194,7 @@ def cmd_sections(args) -> int:
 
 
 def cmd_basis_check(args) -> int:
-    X = _as_module(args.ref, _cap(args, 1 << 13))
+    X = _as_module(args.ref, _cap(args))
     if args.sigma:
         try:
             sigma = [int(s) for s in args.sigma.split(",")]
@@ -221,7 +220,7 @@ def cmd_basis_check(args) -> int:
 
 
 def cmd_sheafify(args) -> int:
-    cap = _cap(args, 1 << 13)
+    cap = _cap(args)
     kind, obj = objio.resolve(args.ref, expect=("module", "action"))
     X = module_from_action(obj).module if kind == "action" else obj
     try:
@@ -446,9 +445,12 @@ def main(argv=None) -> int:
     except (BudgetExceeded, CarrierTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _MATH_ERRORS as exc:
+    except Violation as exc:
         print(f"invalid: {exc}")
         return 1
+    except TheoremViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

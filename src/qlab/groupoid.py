@@ -24,31 +24,27 @@ import numpy as np
 from . import hilbert as hb
 from .catalog import cyclic_table, powerset_quantale
 from .lattice import powerset_lattice
-from .laws import lex_solutions
-from .qmatrix import QMatrix, QSet, is_qset, is_relation, mat_mul
+from .laws import TheoremViolation, Violation, first_bad, lex_solutions
+from .qmatrix import QSet, is_qset
 from .quantale import NotUnital, Quantale, classify, partial_units, support
 
 
-class NotAGroupoid(ValueError):
-    def __init__(self, law: str, witness: tuple):
-        super().__init__(f"groupoid law {law} fails at {witness}")
-        self.law = law
-        self.witness = witness
+class NotAGroupoid(Violation):
+    """The tables break a groupoid law."""
+
+    message = "groupoid law {law} fails at {witness}"
 
 
-class InvalidAction(ValueError):
-    def __init__(self, law: str, witness: tuple):
-        super().__init__(f"action law {law} fails at {witness}")
-        self.law = law
-        self.witness = witness
+class InvalidAction(Violation):
+    """The tables break an action law."""
+
+    message = "action law {law} fails at {witness}"
 
 
-class NotEtale(ValueError):
+class NotEtale(Violation):
     """The base-locale restriction lacks enough sections."""
 
-    def __init__(self, witness: int):
-        super().__init__(f"element {witness} is not a join of local section parts")
-        self.witness = witness
+    message = "element {witness} is not a join of local section parts"
 
 
 class FiniteGroupoid:
@@ -99,10 +95,7 @@ class FiniteGroupoid:
 
         composable = r[:, None] == d[None, :]
         defined = m >= 0
-        bad = composable != defined
-        if bad.any():
-            g, h = map(int, np.argwhere(bad)[0])
-            raise NotAGroupoid("composability", (g, h))
+        NotAGroupoid.check("composability", first_bad(composable != defined))
         if defined.any() and m[defined].max() >= na:
             raise NotAGroupoid("range", ("compose",))
 
@@ -139,8 +132,10 @@ class FiniteGroupoid:
         Q = powerset_quantale(atom_mul, self.inv, unit_mask, self.arrows,
                               name=f"O({self.name})" if self.name else None)
         flags = classify(Q)
-        assert flags.stably_gelfand is True
-        assert flags.inverse_quantal_frame is True, flags.flags()
+        TheoremViolation.check("groupoid_quantale_stably_gelfand",
+                               flags.witnesses.get("stably_gelfand"))
+        TheoremViolation.check("groupoid_quantale_inverse_quantal_frame",
+                               None if flags.inverse_quantal_frame else flags.flags())
         return Q
 
     def __repr__(self) -> str:
@@ -192,11 +187,8 @@ class GroupoidAction:
             raise InvalidAction("anchor", ("p",))
         if self.act.shape != (na, ne):
             raise InvalidAction("shape", ("act",))
-        defined = self.act >= 0
         expected = G.d[:, None] == self.p[None, :]
-        bad = defined != expected
-        if bad.any():
-            raise InvalidAction("definedness", tuple(map(int, np.argwhere(bad)[0])))
+        InvalidAction.check("definedness", first_bad((self.act >= 0) != expected))
         for g in range(na):
             fiber = np.flatnonzero(expected[g])
             imgs = self.act[g, fiber]
@@ -230,18 +222,16 @@ class ActionModule:
     atoms: np.ndarray            # carrier index of each single point {x}
 
 
-def module_from_action(A: GroupoidAction, verify: bool = True) -> ActionModule:
+def module_from_action(A: GroupoidAction) -> ActionModule:
     G = A.groupoid
     Q = G.quantale
     ne = A.n_points
     masks = np.arange(1 << ne)
     carrier = powerset_lattice(A.points)
 
-    # pullback point maps lam_g = act(i(g), -): fiber r(g) -> fiber d(g)
-    lam = np.full((G.n_arrows, ne), -1, dtype=np.intp)
-    for g in range(G.n_arrows):
-        for y in np.flatnonzero(A.p == G.r[g]):
-            lam[g, y] = A.act[G.inv[g], y]
+    # pullback point maps lam_g = act(i(g), -): fiber r(g) -> fiber d(g), and
+    # act(i(g), y) is defined exactly when p(y) = d(i(g)) = r(g)
+    lam = A.act[G.inv]
 
     # {g}.{y} = {lam_g(y)}, or empty off the fiber; both arguments extend by joins
     single = np.where(lam >= 0, 1 << np.maximum(lam, 0), 0)
@@ -257,14 +247,12 @@ def module_from_action(A: GroupoidAction, verify: bool = True) -> ActionModule:
     # B-valued cross-check: <S,T> AND e must be u(p(S cap T))
     pobj = carrier.join_extend(1 << G.units[A.p], Q.lattice)
     expected = pobj[masks[:, None] & masks[None, :]]
-    assert np.array_equal(Q.lattice.meet_table[module.ip, Q.unit], expected)
+    TheoremViolation.check("local_inner_product",
+                           first_bad(Q.lattice.meet_table[module.ip, Q.unit] != expected))
 
-    if verify:
-        report = hb.validate_prehilbert(module)
-        assert report.ok, report.failures()
-        assert report.non_degenerate
+    hb.check_prehilbert(module)
     sm = hb.module_support(module)
-    assert np.array_equal(sm.sup, pobj)   # sup(S) = u(p(S))
+    TheoremViolation.check("support_is_anchor", first_bad(sm.sup != pobj))   # sup(S) = u(p(S))
 
     atoms = 1 << np.arange(ne, dtype=np.intp)
     return ActionModule(A, module, sm, atoms)
@@ -306,7 +294,7 @@ def local_section_indices(X: hb.PreHilbertModule):
     return hb.hilbert_sections(base), np.diagonal(base.ip).copy(), base
 
 
-def sheafify(X: hb.PreHilbertModule, cap: int = 1 << 13) -> SheafifyReport:
+def sheafify(X: hb.PreHilbertModule, cap: int = hb.CARRIER_CAP) -> SheafifyReport:
     """Build the Q-set of local sections and verify X ~ Q^I M.
 
     The matrix follows the transporter recipe: m_st joins every partial
@@ -318,9 +306,7 @@ def sheafify(X: hb.PreHilbertModule, cap: int = 1 << 13) -> SheafifyReport:
     e = Q.unit
     jt, mt = Q.lattice.join_table, Q.lattice.meet_table
     secs, sup, base = local_section_indices(X)
-    etale, witness = hb.is_hilbert_basis(base, secs)
-    if not etale:
-        raise NotEtale(witness)
+    NotEtale.check("etale", hb.is_hilbert_basis(base, secs)[1])
 
     srep = support(Q)
     punits = partial_units(Q).elements
@@ -479,17 +465,21 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
             keyed = {t.tobytes(): pos for pos, t in enumerate(sheaf_tables)}
 
             # every sheaf hom is a direct image hom
-            for t in sheaf_tables:
+            for pos, t in enumerate(sheaf_tables):
                 phi = hb.ModuleHom(am1.module, am2.module, t)
-                assert hb.is_direct_image(phi, hb.adjoint(phi, basis))
+                TheoremViolation.check("sheaf_hom_is_direct_image",
+                                       None if hb.is_direct_image(phi, hb.adjoint(phi, basis))
+                                       else (i, j, pos))
 
             bij = []
             for f in equiv:
                 key = am1.module.carrier.join_extend(am2.atoms[list(f)],
                                                      am2.module.carrier).tobytes()
-                assert key in keyed, "direct image of an equivariant map must be a sheaf hom"
+                TheoremViolation.check("direct_image_is_sheaf_hom",
+                                       None if key in keyed else (i, j, f))
                 bij.append(keyed[key])
-            assert len(set(bij)) == len(bij)
+            TheoremViolation.check("direct_image_injective",
+                                   None if len(set(bij)) == len(bij) else (i, j))
 
             total = None
             space = am2.module.n ** am1.action.n_points
@@ -504,7 +494,8 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
                     phi = hb.ModuleHom(am1.module, am2.module, t)
                     if hb.is_direct_image(phi, hb.adjoint(phi, basis)):
                         galois.add(t.tobytes())
-                assert subset == set(keyed) == galois
+                TheoremViolation.check("sheaf_hom_characterizations_agree",
+                                       None if subset == set(keyed) == galois else (i, j))
             pairs.append(PairReport(i, j, equiv,
                                     [tuple(map(int, t)) for t in sheaf_tables],
                                     bij, total))

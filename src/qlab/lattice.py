@@ -13,25 +13,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .laws import first_bad, first_violation, holds_on
+from .laws import Violation, first_bad, first_violation, holds_on
 
 
-class NotAPoset(ValueError):
+class NotAPoset(Violation):
     """Raised when the input order relation is not a partial order."""
 
-    def __init__(self, law: str, witness: tuple):
-        self.law = law
-        self.witness = witness
-        super().__init__(f"not a poset: {law} fails at {witness}")
+    message = "not a poset: {law} fails at {witness}"
 
 
-class NotALattice(ValueError):
+class NotALattice(Violation):
     """Raised when some pair of elements has no least upper / greatest lower bound."""
 
-    def __init__(self, kind: str, witness: tuple):
-        self.kind = kind
-        self.witness = witness
-        super().__init__(f"not a lattice: no {kind} for pair {witness}")
+    message = "not a lattice: no {law} for pair {witness}"
+
+    @property
+    def kind(self) -> str:
+        """The missing bound: join, meet or bound."""
+        return self.law
 
 
 _BLOCK_WORDS = 1 << 16   # uint64 words of pair up-sets held at once
@@ -119,20 +118,12 @@ class SupLattice:
 
     def _validate_order(self) -> None:
         leq = self.leq
-        n = self.n
-        diag = leq[np.arange(n), np.arange(n)]
-        if not diag.all():
-            i = int(np.argmin(diag))
-            raise NotAPoset("reflexivity", (i,))
-        anti = leq & leq.T & ~np.eye(n, dtype=bool)
-        if anti.any():
-            i, j = map(int, np.argwhere(anti)[0])
-            raise NotAPoset("antisymmetry", (i, j))
-        gaps = relation_product(leq, leq) & ~leq
-        if gaps.any():
-            i, k = map(int, np.argwhere(gaps)[0])
-            j = int(np.argmax(leq[i] & leq[:, k]))
-            raise NotAPoset("transitivity", (i, j, k))
+        NotAPoset.check("reflexivity", first_bad(~np.diagonal(leq)))
+        NotAPoset.check("antisymmetry", first_bad(leq & leq.T & ~np.eye(self.n, dtype=bool)))
+        gap = first_bad(relation_product(leq, leq) & ~leq)
+        if gap is not None:
+            i, k = gap
+            raise NotAPoset("transitivity", (i, int(np.argmax(leq[i] & leq[:, k])), k))
 
     @classmethod
     def from_covers(cls, n: int, covers: Iterable[Sequence[int]],

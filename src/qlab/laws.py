@@ -29,6 +29,13 @@ the exhaustive scan alone would report.
 lex_solutions is the one enumerator behind singleton columns, lattice
 order isomorphisms, equivariant maps and module homs: it lists every tuple
 that a per-position test allows, in lexicographic order.
+
+A witness becomes an error in one place.  Violation.check raises when a law
+of the input fails: that is a verdict, exit 1 in the CLI, and every law
+error of qlab (NotAPoset, NotAQSet, NotEtale, ...) is a Violation.
+TheoremViolation.check raises when a theorem that qlab re-checks on its
+input fails: that is a bug, never a verdict (exit 3), and unlike an assert
+it still runs under python -O.
 """
 
 from __future__ import annotations
@@ -45,6 +52,36 @@ def first_bad(bad: np.ndarray):
     if not bad.any():
         return None
     return tuple(int(v) for v in np.argwhere(bad)[0])
+
+
+class _Failure:
+    """A named law or theorem with the witness of its failure."""
+
+    message = "{law} fails at {witness}"    # a str.format template over law and witness
+
+    def __init__(self, law: str, witness=()):
+        self.law = law
+        self.witness = witness
+        super().__init__(self.message.format(law=law, witness=witness))
+
+    @classmethod
+    def check(cls, law: str, witness) -> None:
+        """Raise cls(law, witness) unless witness is None."""
+        if witness is not None:
+            raise cls(law, witness)
+
+
+class Violation(_Failure, ValueError):
+    """A law of the input fails: the checked property is false."""
+
+
+class TheoremViolation(_Failure, AssertionError):
+    """A theorem that qlab re-checks fails on its input: a bug, never a verdict.
+
+    It is not a Violation, so no `except Violation` reports it as one.
+    """
+
+    message = "theorem check {law} fails at {witness}"
 
 
 def first_violation(bad_row: BadRow, rows: Iterable[int], proved: bool = False):

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .laws import lex_solutions
+from .laws import TheoremViolation, Violation, first_bad, lex_solutions
 from .quantale import Quantale, _gelfand_flags, projections
 
 
@@ -25,20 +25,16 @@ class QuantaleMismatch(ValueError):
     pass
 
 
-class NotStablyGelfand(ValueError):
+class NotStablyGelfand(Violation):
     """Singletons need a stably Gelfand quantale: aa*a <= a must force aa*a = a."""
 
-    def __init__(self, witness: tuple):
-        super().__init__(f"not stably Gelfand: aa*a <= a but aa*a != a at a = {witness[0]}")
-        self.witness = witness
+    message = "not stably Gelfand: aa*a <= a but aa*a != a at a = {witness[0]}"
 
 
-class NotAQSet(ValueError):
+class NotAQSet(Violation):
     """The matrix must be self-adjoint and idempotent; witness = is_qset's."""
 
-    def __init__(self, witness: tuple):
-        super().__init__("not a Q-set: {} fails at ({}, {})".format(*witness))
-        self.witness = witness
+    message = "not a Q-set: {witness[0]} fails at ({witness[1]}, {witness[2]})"
 
 
 class QMatrix:
@@ -114,14 +110,13 @@ class QSet:
 
 def is_qset(X: QSet):
     """(ok, witness); witness = (law, alpha, beta) for the lex-first failure."""
-    adj = mat_adjoint(X.A)
-    if X.A != adj:
-        a, b = map(int, np.argwhere(X.A.data != adj.data)[0])
-        return False, ("self_adjoint", a, b)
-    sq = mat_mul(X.A, X.A)
-    if sq != X.A:
-        a, b = map(int, np.argwhere(sq.data != X.A.data)[0])
-        return False, ("idempotent", a, b)
+    A = X.A.data
+    w = first_bad(A != mat_adjoint(X.A).data)
+    if w is not None:
+        return False, ("self_adjoint",) + w
+    w = first_bad(mat_mul(X.A, X.A).data != A)
+    if w is not None:
+        return False, ("idempotent",) + w
     return True, None
 
 
@@ -130,11 +125,8 @@ def is_strict(X: QSet):
     A, mul = X.A.data, X.Q.mul
     k = X.size
     diag = A[np.arange(k), np.arange(k)]
-    bad = mul[diag[:, None], A] != A
-    if bad.any():
-        a, b = map(int, np.argwhere(bad)[0])
-        return False, (a, b)
-    return True, None
+    w = first_bad(mul[diag[:, None], A] != A)
+    return w is None, w
 
 
 def quantal_set_conditions(X: QSet):
@@ -290,15 +282,12 @@ def singletons(X: QSet) -> list[Singleton]:
     q = S*S always witnesses the column.
     """
     Q, A = X.Q, X.A.data
-    witness = _gelfand_flags(Q)[3].get("stably_gelfand")
-    if witness is not None:
-        raise NotStablyGelfand(witness)
+    NotStablyGelfand.check("stably_gelfand", _gelfand_flags(Q)[3].get("stably_gelfand"))
     out = []
     for col in _columns(Q, A).tolist():
         item = _attach_witnesses(Q, A, tuple(col))
-        if item is None:
-            raise AssertionError("column passed the stably Gelfand conditions "
-                                 "but has no witnessing projection")
+        TheoremViolation.check("singleton_has_projection",
+                               None if item is not None else tuple(col))
         out.append(item)
     return out
 
@@ -315,9 +304,7 @@ class Completion:
 
 
 def completion(X: QSet) -> Completion:
-    ok, w = is_qset(X)
-    if not ok:
-        raise NotAQSet(w)
+    NotAQSet.check("qset", is_qset(X)[1])
     Q, A = X.Q, X.A.data
     k = X.size
     sings = singletons(X)
@@ -325,8 +312,7 @@ def completion(X: QSet) -> Completion:
     column_map = []
     for a in range(k):
         col = tuple(int(v) for v in A[:, a])
-        if col not in index:
-            raise AssertionError("a column of the matrix is not a singleton")
+        TheoremViolation.check("column_is_singleton", None if col in index else (a,))
         column_map.append(index[col])
     complete = len(column_map) == len(set(column_map)) == len(sings)
 
@@ -334,9 +320,7 @@ def completion(X: QSet) -> Completion:
     cols = np.array([s.column for s in sings], dtype=np.intp).reshape(m, k)
     hat = Q.lattice.join_products(Q.mul, Q.inv[cols], cols.T)
     hat_qset = QSet(Q, hat, labels=[f"s{i}" for i in range(m)])
-    ok, w = is_qset(hat_qset)
-    if not ok:
-        raise AssertionError(f"completion failed to be a Q-set: {w}")
+    TheoremViolation.check("completion_is_qset", is_qset(hat_qset)[1])
     return Completion(hat_qset, sings, column_map, complete, QMatrix(Q, Q.inv[cols]))
 
 
@@ -346,7 +330,7 @@ def random_qset(Q: Quantale, size: int, rng: np.random.Generator,
 
     Draws a random matrix, symmetrizes it, and closes it under A v AA until
     the matrix is a fixpoint; over a stably Gelfand quantale the fixpoint is
-    exactly idempotent, which is asserted.
+    exactly idempotent, which is checked.
     """
     hi = Q.n if max_entry is None else min(Q.n, max_entry)
     data = rng.integers(0, hi, size=(size, size))
@@ -358,7 +342,5 @@ def random_qset(Q: Quantale, size: int, rng: np.random.Generator,
             break
         M = nxt
     X = QSet(Q, M.data)
-    ok, w = is_qset(X)
-    if not ok:
-        raise AssertionError(f"fixpoint closure did not produce a Q-set: {w}")
+    TheoremViolation.check("fixpoint_is_qset", is_qset(X)[1])
     return X

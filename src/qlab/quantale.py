@@ -13,23 +13,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .laws import first_bad, first_violation, holds_on, lex_solutions
+from .laws import TheoremViolation, Violation, first_bad, first_violation, holds_on, lex_solutions
 from .lattice import SupLattice
 
 
-class NotUnital(ValueError):
-    pass
+class NotUnital(Violation):
+    """A construction needs a unit; law is the sentence that says which."""
+
+    message = "{law}"
 
 
-class BNotLocale(ValueError):
-    def __init__(self, law: str, witness: tuple):
-        self.law = law
-        self.witness = witness
-        super().__init__(f"downset of the unit is not a locale: {law} fails at {witness}")
+class BNotLocale(Violation):
+    """The downset of the unit is not a locale."""
+
+    message = "downset of the unit is not a locale: {law} fails at {witness}"
 
 
 class Quantale:
@@ -252,17 +252,12 @@ def base_locale(Q: Quantale) -> BaseLocale:
     elems = Q.lattice.downset(Q.unit)
     sub = np.array(elems, dtype=np.intp)
     lat = SupLattice(Q.leq[np.ix_(sub, sub)], [Q.label(b) for b in elems])
-    ok, w = lat.is_frame()
-    if not ok:
-        raise BNotLocale("frame_distributivity", tuple(elems[i] for i in w))
-    bad = Q.lattice.meet_table[np.ix_(sub, sub)] != Q.mul[np.ix_(sub, sub)]
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise BNotLocale("meet_is_product", (elems[int(i)], elems[int(j)]))
-    bad = Q.inv[sub] != sub
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise BNotLocale("self_adjoint", (elems[i],))
+    laws = {"frame_distributivity": lat.is_frame()[1],
+            "meet_is_product": first_bad(Q.lattice.meet_table[np.ix_(sub, sub)]
+                                         != Q.mul[np.ix_(sub, sub)]),
+            "self_adjoint": first_bad(Q.inv[sub] != sub)}
+    for law, w in laws.items():     # witnesses in positions of sub, reported in Q
+        BNotLocale.check(law, None if w is None else tuple(elems[i] for i in w))
     return BaseLocale(lat, elems)
 
 
@@ -304,32 +299,20 @@ class PropertyReport:
 
 def _gelfand_flags(Q: Quantale):
     mul, inv, leq = Q.mul, Q.inv, Q.leq
-    n = Q.n
-    ar = np.arange(n, dtype=np.intp)
+    ar = np.arange(Q.n, dtype=np.intp)
     reg = mul[mul[ar, inv], ar]  # a a* a
-    witnesses = {}
-
-    right_sided = leq[mul[:, Q.top], ar]
-    bad = right_sided & (reg != ar)
-    gelfand = not bad.any()
-    if not gelfand:
-        witnesses["gelfand"] = (int(np.argmax(bad)),)
-
+    irregular = reg != ar
     projs = np.flatnonzero((inv == ar) & (mul[ar, ar] == ar))
-    local = leq[:, projs] & leq[mul[:, projs], ar[:, None]]
-    bad = local.any(axis=1) & (reg != ar)
-    locally_gelfand = not bad.any()
-    if not locally_gelfand:
-        a = int(np.argmax(bad))
-        p = int(projs[np.argmax(local[a])])
-        witnesses["locally_gelfand"] = (a, p)
-
-    bad = leq[reg, ar] & (reg != ar)
-    stably_gelfand = not bad.any()
-    if not stably_gelfand:
-        witnesses["stably_gelfand"] = (int(np.argmax(bad)),)
-
-    return gelfand, locally_gelfand, stably_gelfand, witnesses
+    local = leq[:, projs] & leq[mul[:, projs], ar[:, None]]     # [a, p]: a <= p and ap <= a
+    lw = first_bad(local & irregular[:, None])
+    found = {
+        "gelfand": first_bad(leq[mul[:, Q.top], ar] & irregular),
+        "locally_gelfand": None if lw is None else (lw[0], int(projs[lw[1]])),
+        "stably_gelfand": first_bad(leq[reg, ar] & irregular),
+    }
+    witnesses = {flag: w for flag, w in found.items() if w is not None}
+    return (found["gelfand"] is None, found["locally_gelfand"] is None,
+            found["stably_gelfand"] is None, witnesses)
 
 
 def modular_law(Q: Quantale):
@@ -353,7 +336,7 @@ def modular_law(Q: Quantale):
 
 
 def classify(Q: Quantale) -> PropertyReport:
-    """Full property ladder with witnesses; asserts the known implications."""
+    """Full property ladder with witnesses; re-checks the known implications."""
     witnesses: dict = {}
     unital = Q.unit is not None
 
@@ -385,8 +368,7 @@ def classify(Q: Quantale) -> PropertyReport:
             witnesses["stably_supported"] = witnesses["supported"]
         if supported:
             bad_cc = {k: v for k, v in srep.cross_checks.items() if v is not None}
-            if bad_cc:
-                raise AssertionError(f"support cross-checks failed: {bad_cc}")
+            TheoremViolation.check("support_cross_checks", bad_cc or None)
         stable_quantal_frame = stably_supported and quantal_frame
         if not stable_quantal_frame:
             witnesses["stable_quantal_frame"] = witnesses.get("stably_supported",
@@ -405,25 +387,24 @@ def classify(Q: Quantale) -> PropertyReport:
     report = PropertyReport(unital, gelfand, locally_gelfand, stably_gelfand, modular,
                             quantal_frame, supported, stably_supported,
                             stable_quantal_frame, inverse_quantal_frame, witnesses)
-    _assert_ladder(report)
+    _check_ladder(report)
     return report
 
 
-def _assert_ladder(r: PropertyReport) -> None:
+def _check_ladder(r: PropertyReport) -> None:
     chain = [
-        (r.stably_gelfand, r.locally_gelfand, "stably_gelfand -> locally_gelfand"),
-        (r.unital and r.locally_gelfand, r.gelfand, "locally_gelfand -> gelfand"),
+        (r.stably_gelfand, r.locally_gelfand, "stably_gelfand_implies_locally_gelfand"),
+        (r.unital and r.locally_gelfand, r.gelfand, "locally_gelfand_implies_gelfand"),
         (r.inverse_quantal_frame, r.stable_quantal_frame,
-         "inverse_quantal_frame -> stable_quantal_frame"),
+         "inverse_quantal_frame_implies_stable_quantal_frame"),
         (r.stable_quantal_frame, r.stably_supported,
-         "stable_quantal_frame -> stably_supported"),
-        (r.stably_supported, r.supported, "stably_supported -> supported"),
-        (r.unital and r.modular, r.stably_supported, "modular -> stably_supported"),
-        (r.inverse_quantal_frame, r.modular, "inverse_quantal_frame -> modular"),
+         "stable_quantal_frame_implies_stably_supported"),
+        (r.stably_supported, r.supported, "stably_supported_implies_supported"),
+        (r.unital and r.modular, r.stably_supported, "modular_implies_stably_supported"),
+        (r.inverse_quantal_frame, r.modular, "inverse_quantal_frame_implies_modular"),
     ]
     for pre, post, name in chain:
-        if pre and not post:
-            raise AssertionError(f"classification ladder broken: {name}")
+        TheoremViolation.check(name, r.flags() if pre and not post else None)
 
 
 def lattice_order_isos(src: SupLattice, dst: SupLattice) -> list[np.ndarray]:

@@ -6,11 +6,12 @@ import sys
 import pytest
 
 import qlab
-from qlab import objio
+from qlab import hilbert, objio
 from qlab.catalog import egger8, quantale_r4, relq
 from qlab.cli import main
 from qlab.hilbert import module_over_self
 from qlab.lattice import chain_lattice
+from qlab.laws import TheoremViolation
 from qlab.qmatrix import QSet
 from qlab.quantale import Quantale
 
@@ -426,3 +427,49 @@ def test_all_hom_cap_is_a_count_like_the_other_caps(capsys):
                          "--all-hom-cap", "1e3")
     assert (code, err) == (0, "")
     assert "sheaf homs 2: match (module homs: 4)\n" in out
+
+
+def fail_prehilbert_recheck(monkeypatch):
+    """Make the re-check that a constructed module is pre-Hilbert report a failure."""
+    validate = hilbert.validate_prehilbert
+
+    def broken(X):
+        report = validate(X)
+        report.laws["ip_symmetry"] = (0, 1)
+        return report
+
+    monkeypatch.setattr(hilbert, "validate_prehilbert", broken)
+
+
+def test_a_failed_theorem_check_exits_3_with_one_line(monkeypatch, capsys):
+    # module_from_action re-checks that the module of an action is pre-Hilbert
+    fail_prehilbert_recheck(monkeypatch)
+    for flags in ([], ["--json"]):
+        code, out, err = run(capsys, "sheafify", *flags, "catalog:z2_regular")
+        assert (code, out) == (3, "")
+        assert err == ("error: theorem check prehilbert_laws fails at "
+                       "{'ip_symmetry': (0, 1)}\n")
+    code, out, _ = run(capsys, "check", "catalog:z2_regular")
+    assert code != 1 and "invalid" not in out
+
+
+def test_check_never_reports_a_failed_theorem_check_as_invalid(monkeypatch, capsys):
+    def resolve(ref, expect=None):
+        TheoremViolation.check("forced", (0,))
+
+    monkeypatch.setattr(objio, "resolve", resolve)
+    assert run(capsys, "check", "catalog:relq2") == (
+        3, "", "error: theorem check forced fails at (0,)\n")
+
+
+def test_theorem_checks_run_under_python_O():
+    src = os.path.dirname(os.path.dirname(qlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys, pytest, tests.test_cli as t\n"
+              "from qlab.cli import main\n"
+              "t.fail_prehilbert_recheck(pytest.MonkeyPatch())\n"
+              "sys.exit(main(['sheafify', 'catalog:z2_regular']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, cwd=os.path.dirname(os.path.dirname(__file__)))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: theorem check prehilbert_laws fails at ")

@@ -624,7 +624,7 @@ def test_catalog_quantales_match_the_replaced_loops(name):
 
 @pytest.mark.parametrize("name", catalog_names("action"))
 def test_catalog_action_modules_match_the_replaced_loops(name):
-    am = module_from_action(catalog_get(name)[1], verify=False)
+    am = module_from_action(catalog_get(name)[1])
     action, ip, sup = action_module_bits(am.action)
     assert np.array_equal(am.module.action, action)
     assert np.array_equal(am.module.ip, ip)
@@ -753,7 +753,7 @@ def test_hom_from_relation_on_larger_carriers(name, seed):
 
 @pytest.mark.parametrize("name", catalog_names("action"))
 def test_catalog_basis_sums_match_the_replaced_loops(name):
-    X = module_from_action(catalog_get(name)[1], verify=False).module
+    X = module_from_action(catalog_get(name)[1]).module
     secs = hilbert_sections(X)
     for sigma in (secs, secs[::2], secs[:0], np.arange(0, X.n, 3)):
         r = reconstruct(X, sigma)                                    # 1-D vectors
@@ -852,7 +852,7 @@ ACTION_PAIRS = [(a, b) for a in catalog_names("action") for b in catalog_names("
 def test_catalog_homs_match_the_recursive_walks(pair):
     A1, A2 = (catalog_get(name)[1] for name in pair)
     assert _equivariant_maps(A1, A2) == equivariant_maps_recursive(A1, A2)
-    am1, am2 = module_from_action(A1, verify=False), module_from_action(A2, verify=False)
+    am1, am2 = module_from_action(A1), module_from_action(A2)
     loc2 = hb.local_sections(am2.supported).local
     runs = [(loc2, True)]
     if am2.module.n ** A1.n_points <= 4096:           # verify_equivalence's all_hom_cap

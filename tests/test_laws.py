@@ -9,15 +9,17 @@ included.  Every input is copied afresh for each side (the catalog caches
 its groupoids), so no cached premise crosses over.
 """
 
+import ast
 import contextlib
 import itertools
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qlab import hilbert, lattice, objio, quantale
+from qlab import groupoid, hilbert, lattice, laws, objio, qmatrix, quantale
 from qlab.catalog import relq
 from qlab.groupoid import _enumerate_homs, module_from_action, quantale_of
 from qlab.hilbert import (AdjointIdentityFails, ModuleHom, NotEnoughSections,
@@ -370,3 +372,84 @@ def test_right_scalar_law_needs_symmetry():
     laws = fast[1]
     assert laws["ip_scalar_left"] is None and laws["ip_join_left"] is None
     assert laws["ip_symmetry"] is not None and laws["ip_scalar_right"] is not None
+
+
+# ------------------------------------------------------------- failures
+
+# class, sample law and witness, and the message the class had before it
+# became a Violation
+VIOLATIONS = [
+    (lattice.NotAPoset, "antisymmetry", (0, 1), "not a poset: antisymmetry fails at (0, 1)"),
+    (lattice.NotALattice, "join", (0, 1), "not a lattice: no join for pair (0, 1)"),
+    (quantale.NotUnital, "support requires a unital quantale", (),
+     "support requires a unital quantale"),
+    (quantale.BNotLocale, "meet_is_product", (1, 2),
+     "downset of the unit is not a locale: meet_is_product fails at (1, 2)"),
+    (qmatrix.NotStablyGelfand, "stably_gelfand", (1,),
+     "not stably Gelfand: aa*a <= a but aa*a != a at a = 1"),
+    (qmatrix.NotAQSet, "qset", ("self_adjoint", 0, 2),
+     "not a Q-set: self_adjoint fails at (0, 2)"),
+    (hilbert.AdjointIdentityFails, "adjoint_identity", (2, 3), "adjoint identity fails at (2, 3)"),
+    (hilbert.NotEnoughSections, "hilbert_basis", 1,
+     "element 1 is not a join of its section parts"),
+    (hilbert.NotARelation, "relation", "left_absorption",
+     "H is not a relation into M(Y): left_absorption"),
+    (hilbert.SupportAxiomFails, "restores", (1,), "support axiom restores fails at (1,)"),
+    (groupoid.NotAGroupoid, "unit_endpoints", (1,), "groupoid law unit_endpoints fails at (1,)"),
+    (groupoid.InvalidAction, "definedness", (0, 0), "action law definedness fails at (0, 0)"),
+    (groupoid.NotEtale, "etale", 2, "element 2 is not a join of local section parts"),
+]
+
+
+@pytest.mark.parametrize("cls,law,witness,message", VIOLATIONS,
+                         ids=[v[0].__name__ for v in VIOLATIONS])
+def test_law_errors_keep_their_messages(cls, law, witness, message):
+    exc = cls(law, witness)
+    assert str(exc) == message
+    assert (exc.law, exc.witness) == (law, witness)
+    assert isinstance(exc, laws.Violation) and isinstance(exc, ValueError)
+    assert not isinstance(exc, laws.TheoremViolation)
+    with pytest.raises(cls) as ei:
+        cls.check(law, witness)
+    assert str(ei.value) == message
+
+
+def test_not_a_lattice_names_the_missing_bound_as_its_kind():
+    assert lattice.NotALattice("meet", (2, 3)).kind == "meet"
+
+
+@pytest.mark.parametrize("cls", [laws.Violation, laws.TheoremViolation])
+@pytest.mark.parametrize("witness", [None, (), 0, (0,), "", "self_adjoint", {}])
+def test_check_raises_iff_the_witness_is_not_none(cls, witness):
+    if witness is None:
+        assert cls.check("law", witness) is None
+        return
+    with pytest.raises(cls) as ei:
+        cls.check("law", witness)
+    assert (ei.value.law, ei.value.witness) == ("law", witness)
+
+
+def test_a_theorem_violation_is_never_a_verdict():
+    exc = laws.TheoremViolation("row_entries", (0, 1))
+    assert str(exc) == "theorem check row_entries fails at (0, 1)"
+    assert isinstance(exc, AssertionError)
+    assert not isinstance(exc, (laws.Violation, ValueError))
+
+
+def test_no_theorem_check_is_an_assert():
+    """python -O strips assert statements; theorem checks use TheoremViolation."""
+    src = os.path.dirname(laws.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            raised = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(raised, ast.Call):
+                raised = raised.func
+            if isinstance(node, ast.Assert) or (isinstance(raised, ast.Name)
+                                                and raised.id == "AssertionError"):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
