@@ -93,13 +93,21 @@ def frame_quantale(lat: SupLattice, name: str | None = None) -> Quantale:
     return Quantale(lat, lat.meet_table, np.arange(lat.n), unit=lat.top, name=name)
 
 
+def group_identity_and_inverses(table) -> tuple[int, np.ndarray]:
+    """The identity of a finite group's multiplication table and each element's inverse."""
+    t = np.asarray(table, dtype=np.intp)
+    ar = np.arange(t.shape[0])
+    ident = next(g for g in ar if (t[g] == ar).all() and (t[:, g] == ar).all())
+    return int(ident), np.array([next(h for h in ar if t[g, h] == ident) for g in ar],
+                                dtype=np.intp)
+
+
 def group_quantale(table: Sequence[Sequence[int]], labels: Sequence[str] | None = None,
                    name: str | None = None) -> Quantale:
     """Powerset quantale of a finite group given by its multiplication table."""
     t = np.asarray(table, dtype=np.intp)
     k = t.shape[0]
-    ident = next(g for g in range(k) if (t[g] == np.arange(k)).all() and (t[:, g] == np.arange(k)).all())
-    atom_inv = np.array([next(h for h in range(k) if t[g, h] == ident) for g in range(k)])
+    ident, atom_inv = group_identity_and_inverses(t)
     atom_mul = (np.int64(1) << t.astype(np.int64))
     atoms = list(labels) if labels is not None else [f"g{i}" for i in range(k)]
     return powerset_quantale(atom_mul, atom_inv, 1 << ident, atoms, name=name)

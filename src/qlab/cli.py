@@ -139,19 +139,13 @@ def cmd_classify(args) -> int:
               "valid": False, "law": law, "witness": wit})
         return 1
     rep = classify(Q)
-    name = Q.name or args.ref
-    lines = [f"quantale {name}: {Q.n} elements"]
-    flags = {}
-    witnesses = {}
-    for fname in rep.FLAG_NAMES:
-        val = rep.flag(fname)
-        flags[fname] = val
-        text = "n/a" if val is None else str(val).lower()
-        line = f"  {fname}: {text}"
-        if val is False and fname in rep.witnesses:
-            wit = _labels(Q, rep.witnesses[fname])
-            witnesses[fname] = wit
-            line += f"  witness: {', '.join(map(str, wit))}"
+    flags = rep.flags()
+    witnesses = {fname: _labels(Q, wit) for fname, wit in rep.witnesses.items()}
+    lines = [f"quantale {Q.name or args.ref}: {Q.n} elements"]
+    for fname, val in flags.items():
+        line = f"  {fname}: {'n/a' if val is None else str(val).lower()}"
+        if fname in witnesses:
+            line += f"  witness: {', '.join(map(str, witnesses[fname]))}"
         lines.append(line)
     _out(args, lines, {"command": "classify", "ref": args.ref, "n": Q.n,
                        "name": Q.name, "flags": flags, "witnesses": witnesses})

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import hilbert as hb
-from .catalog import cyclic_table, powerset_quantale
+from .catalog import cyclic_table, group_identity_and_inverses, powerset_quantale
 from .lattice import powerset_lattice
 from .laws import TheoremViolation, Violation, first_bad, lex_solutions
 from .qmatrix import QSet, is_qset
@@ -135,7 +135,7 @@ class FiniteGroupoid:
         TheoremViolation.check("groupoid_quantale_stably_gelfand",
                                flags.witnesses.get("stably_gelfand"))
         TheoremViolation.check("groupoid_quantale_inverse_quantal_frame",
-                               None if flags.inverse_quantal_frame else flags.flags())
+                               None if flags.flag("inverse_quantal_frame") else flags.flags())
         return Q
 
     def __repr__(self) -> str:
@@ -506,10 +506,7 @@ def group_groupoid(table, labels, name: str | None = None) -> FiniteGroupoid:
     """A finite group as a one-object groupoid."""
     table = np.asarray(table, dtype=np.intp)
     na = table.shape[0]
-    ident = next(g for g in range(na)
-                 if all(table[g, h] == h and table[h, g] == h for h in range(na)))
-    inv = np.array([next(h for h in range(na) if table[g, h] == ident)
-                    for g in range(na)], dtype=np.intp)
+    ident, inv = group_identity_and_inverses(table)
     return FiniteGroupoid(["*"], labels, [0] * na, [0] * na, table, inv, [ident],
                           name=name)
 

@@ -21,7 +21,7 @@ from .groupoid import FiniteGroupoid, GroupoidAction
 from .hilbert import PreHilbertModule, QModule
 from .lattice import SupLattice, build_lattice
 from .qmatrix import QSet
-from .quantale import Quantale
+from .quantale import NotAQuantale, Quantale, validate_quantale
 
 KINDS = ("lattice", "quantale", "qset", "module", "groupoid", "action")
 
@@ -87,22 +87,21 @@ def quantale_from_payload(p: dict) -> Quantale:
     mul = _table(_need(p, "mul", "quantale"), "quantale", "mul")
     inv = _table(_need(p, "inv", "quantale"), "quantale", "inv")
     unit = p.get("unit")
-    if mul.shape != (lat.n, lat.n) or inv.shape != (lat.n,):
-        raise InputError("quantale table shapes do not match the lattice")
-    if mul.size and (mul.min() < 0 or mul.max() >= lat.n or inv.min() < 0 or inv.max() >= lat.n):
-        raise InputError("quantale table entries out of range")
-    if unit is not None and not 0 <= int(unit) < lat.n:
-        raise InputError("quantale unit out of range")
     return Quantale(lat, mul, inv, None if unit is None else int(unit),
                     name=p.get("name"))
 
 
 def _quantale_ref(ref, context: str) -> Quantale:
+    """A catalog quantale, or an inline payload that must pass validate_quantale."""
     if isinstance(ref, str):
         kind, obj = resolve(ref, expect="quantale")
         return obj
     if isinstance(ref, dict):
-        return quantale_from_payload(ref)
+        Q = quantale_from_payload(ref)
+        failures = validate_quantale(Q).failures()
+        if failures:
+            raise NotAQuantale(*next(iter(failures.items())))
+        return Q
     raise InputError(f"{context}.quantale must be a payload or a catalog: reference")
 
 
@@ -112,8 +111,6 @@ def qset_from_payload(p: dict) -> QSet:
     matrix = _table(_need(p, "matrix", "qset"), "qset", "matrix")
     if matrix.shape != (len(index), len(index)):
         raise InputError("qset matrix shape does not match the index set")
-    if matrix.size and (matrix.min() < 0 or matrix.max() >= Q.n):
-        raise InputError("qset matrix entries out of range")
     return QSet(Q, matrix, index)
 
 
@@ -122,11 +119,6 @@ def module_from_payload(p: dict) -> PreHilbertModule:
     carrier = lattice_from_payload(_need(p, "carrier", "module"))
     action = _table(_need(p, "action", "module"), "module", "action")
     ip = _table(_need(p, "ip", "module"), "module", "ip")
-    if action.shape != (Q.n, carrier.n) or ip.shape != (carrier.n, carrier.n):
-        raise InputError("module table shapes do not match quantale and carrier")
-    if (action.size and (action.min() < 0 or action.max() >= carrier.n)) \
-            or (ip.size and (ip.min() < 0 or ip.max() >= Q.n)):
-        raise InputError("module table entries out of range")
     return PreHilbertModule(QModule(Q, carrier, action), ip)
 
 

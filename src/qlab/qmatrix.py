@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .laws import TheoremViolation, Violation, first_bad, lex_solutions
-from .quantale import Quantale, _gelfand_flags, projections
+from .quantale import Quantale, _gelfand_witnesses, projections
 
 
 class ShapeMismatch(ValueError):
@@ -282,7 +282,7 @@ def singletons(X: QSet) -> list[Singleton]:
     q = S*S always witnesses the column.
     """
     Q, A = X.Q, X.A.data
-    NotStablyGelfand.check("stably_gelfand", _gelfand_flags(Q)[3].get("stably_gelfand"))
+    NotStablyGelfand.check("stably_gelfand", _gelfand_witnesses(Q)["stably_gelfand"])
     out = []
     for col in _columns(Q, A).tolist():
         item = _attach_witnesses(Q, A, tuple(col))

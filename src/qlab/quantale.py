@@ -32,6 +32,12 @@ class BNotLocale(Violation):
     message = "downset of the unit is not a locale: {law} fails at {witness}"
 
 
+class NotAQuantale(Violation):
+    """A quantale law fails on an input quantale."""
+
+    message = "not a quantale: {law} fails at {witness}"
+
+
 class Quantale:
     """Multiplication and involution tables over a SupLattice."""
 
@@ -155,6 +161,9 @@ def projections(Q: Quantale) -> list[int]:
     return [int(p) for p in np.flatnonzero(mask)]
 
 
+SUPPORT_AXIOMS = ("join_preserving", "bottom", "below_self_star", "restores")
+
+
 @dataclass
 class SupportReport:
     """Candidate support a |-> a1 AND e and the status of each axiom."""
@@ -165,8 +174,7 @@ class SupportReport:
 
     @property
     def supported(self) -> bool:
-        return all(self.laws[k] is None
-                   for k in ("join_preserving", "bottom", "below_self_star", "restores"))
+        return all(self.laws[k] is None for k in SUPPORT_AXIOMS)
 
     @property
     def stable(self) -> bool:
@@ -264,26 +272,27 @@ def base_locale(Q: Quantale) -> BaseLocale:
 _FLAG_NAMES = ("unital", "gelfand", "locally_gelfand", "stably_gelfand", "modular",
                "supported", "stably_supported", "quantal_frame", "stable_quantal_frame",
                "inverse_quantal_frame")
+_UNIT_RUNGS = ("supported", "stably_supported", "stable_quantal_frame", "inverse_quantal_frame")
+
+# The rungs each flag builds on, in order: a flag fails with the witness of
+# the first of them that fails, or else with its own.  Every rung comes after
+# the rungs it builds on in _FLAG_NAMES.
+BUILDS_ON = {
+    "stably_supported": ("supported",),
+    "stable_quantal_frame": ("stably_supported", "quantal_frame"),
+    "inverse_quantal_frame": ("stable_quantal_frame",),
+}
 
 
 @dataclass
 class PropertyReport:
-    """Classification flags; None means not applicable (needs a unit).
+    """Classification flags, derived from witnesses.
 
-    Every False flag has an entry in witnesses with the lex-first violating
+    A flag is False exactly when witnesses holds its lex-first violating
     tuple (element indices, possibly tagged with the failing axiom name).
+    The four rungs that need a unit are None (not applicable) without one.
     """
 
-    unital: bool
-    gelfand: bool
-    locally_gelfand: bool
-    stably_gelfand: bool
-    modular: bool
-    quantal_frame: bool
-    supported: bool | None
-    stably_supported: bool | None
-    stable_quantal_frame: bool | None
-    inverse_quantal_frame: bool | None
     witnesses: dict
 
     FLAG_NAMES = _FLAG_NAMES
@@ -291,28 +300,28 @@ class PropertyReport:
     def flag(self, name: str):
         if name not in _FLAG_NAMES:
             raise KeyError(f"unknown flag {name!r}")
-        return getattr(self, name)
+        if name in _UNIT_RUNGS and "unital" in self.witnesses:
+            return None
+        return name not in self.witnesses
 
     def flags(self) -> dict:
-        return {name: getattr(self, name) for name in _FLAG_NAMES}
+        return {name: self.flag(name) for name in _FLAG_NAMES}
 
 
-def _gelfand_flags(Q: Quantale):
+def _gelfand_witnesses(Q: Quantale) -> dict:
+    """Lex-first witnesses of the three Gelfand conditions, None = holds."""
     mul, inv, leq = Q.mul, Q.inv, Q.leq
     ar = np.arange(Q.n, dtype=np.intp)
     reg = mul[mul[ar, inv], ar]  # a a* a
     irregular = reg != ar
-    projs = np.flatnonzero((inv == ar) & (mul[ar, ar] == ar))
+    projs = np.asarray(projections(Q), dtype=np.intp)
     local = leq[:, projs] & leq[mul[:, projs], ar[:, None]]     # [a, p]: a <= p and ap <= a
     lw = first_bad(local & irregular[:, None])
-    found = {
+    return {
         "gelfand": first_bad(leq[mul[:, Q.top], ar] & irregular),
         "locally_gelfand": None if lw is None else (lw[0], int(projs[lw[1]])),
         "stably_gelfand": first_bad(leq[reg, ar] & irregular),
     }
-    witnesses = {flag: w for flag, w in found.items() if w is not None}
-    return (found["gelfand"] is None, found["locally_gelfand"] is None,
-            found["stably_gelfand"] is None, witnesses)
 
 
 def modular_law(Q: Quantale):
@@ -336,75 +345,55 @@ def modular_law(Q: Quantale):
 
 
 def classify(Q: Quantale) -> PropertyReport:
-    """Full property ladder with witnesses; re-checks the known implications."""
-    witnesses: dict = {}
-    unital = Q.unit is not None
+    """Full property ladder with witnesses; re-checks the known implications.
 
-    gelfand, locally_gelfand, stably_gelfand, w = _gelfand_flags(Q)
-    witnesses.update(w)
-
-    mod_w = modular_law(Q)
-    modular = mod_w is None
-    if not modular:
-        witnesses["modular"] = mod_w
-
-    frame_ok, frame_w = Q.lattice.is_frame()
-    quantal_frame = frame_ok
-    if not frame_ok:
-        witnesses["quantal_frame"] = frame_w
-
-    supported = stably_supported = stable_quantal_frame = inverse_quantal_frame = None
-    if unital:
+    Each rung's own condition is checked first; then each flag takes the
+    witness that BUILDS_ON gives it.
+    """
+    own = _gelfand_witnesses(Q)
+    own["modular"] = modular_law(Q)
+    own["quantal_frame"] = Q.lattice.is_frame()[1]
+    if Q.unit is None:
+        own["unital"] = ()
+    else:
         srep = support(Q)
-        supported = srep.supported
-        if not supported:
-            law = next(k for k in ("join_preserving", "bottom", "below_self_star", "restores")
-                       if srep.laws[k] is not None)
-            witnesses["supported"] = (law,) + srep.laws[law]
-        stably_supported = supported and srep.stable
-        if not stably_supported and supported:
-            witnesses["stably_supported"] = ("stability",) + srep.laws["stability"]
-        elif not supported:
-            witnesses["stably_supported"] = witnesses["supported"]
-        if supported:
+        law = next((k for k in SUPPORT_AXIOMS if srep.laws[k] is not None), None)
+        pu = partial_units(Q)
+        own["supported"] = None if law is None else (law,) + srep.laws[law]
+        own["stably_supported"] = None if srep.stable else ("stability",) + srep.laws["stability"]
+        own["stable_quantal_frame"] = None      # nothing beyond the rungs it builds on
+        own["inverse_quantal_frame"] = None if pu.cover else ("cover", pu.cover_join)
+        if srep.supported:
             bad_cc = {k: v for k, v in srep.cross_checks.items() if v is not None}
             TheoremViolation.check("support_cross_checks", bad_cc or None)
-        stable_quantal_frame = stably_supported and quantal_frame
-        if not stable_quantal_frame:
-            witnesses["stable_quantal_frame"] = witnesses.get("stably_supported",
-                                                              witnesses.get("quantal_frame"))
-        if stable_quantal_frame:
-            pu = partial_units(Q)
-            inverse_quantal_frame = pu.cover
-            if not pu.cover:
-                witnesses["inverse_quantal_frame"] = ("cover", pu.cover_join)
-        else:
-            inverse_quantal_frame = False
-            witnesses["inverse_quantal_frame"] = witnesses["stable_quantal_frame"]
-    else:
-        witnesses["unital"] = ()
 
-    report = PropertyReport(unital, gelfand, locally_gelfand, stably_gelfand, modular,
-                            quantal_frame, supported, stably_supported,
-                            stable_quantal_frame, inverse_quantal_frame, witnesses)
+    witnesses: dict = {}
+    for name in _FLAG_NAMES:
+        if name in own:
+            w = next((witnesses[b] for b in BUILDS_ON.get(name, ()) if b in witnesses),
+                     own[name])
+            if w is not None:
+                witnesses[name] = w
+    report = PropertyReport(witnesses)
     _check_ladder(report)
     return report
 
 
 def _check_ladder(r: PropertyReport) -> None:
+    f = r.flags()
     chain = [
-        (r.stably_gelfand, r.locally_gelfand, "stably_gelfand_implies_locally_gelfand"),
-        (r.unital and r.locally_gelfand, r.gelfand, "locally_gelfand_implies_gelfand"),
-        (r.inverse_quantal_frame, r.stable_quantal_frame,
+        (f["stably_gelfand"], f["locally_gelfand"], "stably_gelfand_implies_locally_gelfand"),
+        (f["unital"] and f["locally_gelfand"], f["gelfand"], "locally_gelfand_implies_gelfand"),
+        (f["inverse_quantal_frame"], f["stable_quantal_frame"],
          "inverse_quantal_frame_implies_stable_quantal_frame"),
-        (r.stable_quantal_frame, r.stably_supported,
+        (f["stable_quantal_frame"], f["stably_supported"],
          "stable_quantal_frame_implies_stably_supported"),
-        (r.stably_supported, r.supported, "stably_supported_implies_supported"),
-        (r.unital and r.modular, r.stably_supported, "modular_implies_stably_supported"),
-        (r.inverse_quantal_frame, r.modular, "inverse_quantal_frame_implies_modular"),
+        (f["stably_supported"], f["supported"], "stably_supported_implies_supported"),
+        (f["unital"] and f["modular"], f["stably_supported"], "modular_implies_stably_supported"),
+        (f["inverse_quantal_frame"], f["modular"], "inverse_quantal_frame_implies_modular"),
     ]
     for pre, post, name in chain:
-        TheoremViolation.check(name, r.flags() if pre and not post else None)
+        TheoremViolation.check(name, f if pre and not post else None)
 
 
 def lattice_order_isos(src: SupLattice, dst: SupLattice) -> list[np.ndarray]:

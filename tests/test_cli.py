@@ -268,6 +268,14 @@ MALFORMED = {   # name -> (object to dump, in-place edit of its payload)
     "unit-as-a-string": ("r4", lambda p: p.update(unit="x")),
     "unit-as-a-list": ("r4", lambda p: p.update(unit=[1])),
     "index-as-a-number": ("qset", lambda p: p.update(index=5)),
+    # range and shape checks of the constructors, reported like every other
+    "mul-of-the-wrong-shape": ("r4", lambda p: p["mul"].pop()),
+    "inv-out-of-range": ("r4", lambda p: p["inv"].__setitem__(0, 9)),
+    "unit-out-of-range": ("r4", lambda p: p.update(unit=9)),
+    "inline-mul-of-the-wrong-shape": ("module", lambda p: p["quantale"]["mul"].pop()),
+    "qset-entry-out-of-range": ("qset", lambda p: p["matrix"][0].__setitem__(0, 99)),
+    "action-of-the-wrong-shape": ("module", lambda p: p["action"].pop()),
+    "ip-out-of-range": ("module", lambda p: p["ip"][0].__setitem__(0, 99)),
 }
 
 
@@ -275,7 +283,9 @@ MALFORMED = {   # name -> (object to dump, in-place edit of its payload)
 def test_malformed_payloads_exit_2(tmp_path, capsys, name):
     base, edit = MALFORMED[name]
     obj = {"lattice": quantale_r4().lattice,
-           "qset": QSet(relq(2), [[relq(2).unit]])}.get(base) or objio.resolve(f"catalog:{base}")[1]
+           "qset": QSet(relq(2), [[relq(2).unit]]),
+           "module": module_over_self(quantale_r4())}.get(base) \
+        or objio.resolve(f"catalog:{base}")[1]
     doc = json.loads(objio.dump_object(obj))
     edit(doc["payload"])
     p = tmp_path / "bad.json"
@@ -283,6 +293,30 @@ def test_malformed_payloads_exit_2(tmp_path, capsys, name):
     code, out, err = run(capsys, "check", str(p))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: malformed {doc['kind']} payload: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind,command", [
+    ("qset", "check"), ("qset", "complete"), ("qset", "sections"),
+    ("module", "check"), ("module", "sections"), ("module", "sheafify")])
+def test_an_inline_quantale_that_breaks_a_law_is_invalid_input(tmp_path, capsys, kind, command):
+    # relq2 with one product cell overwritten, inline in the payload: before
+    # inline quantales were validated, complete and sections over the Q-set
+    # exited 3 (a failed theorem check), and check called the Q-set ok
+    obj = QSet(relq(2), [[relq(2).unit]]) if kind == "qset" else module_over_self(relq(2))
+    doc = json.loads(objio.dump_object(obj))
+    doc["payload"]["quantale"]["mul"][3][5] = 15
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    line = "invalid: not a quantale: associativity fails at (1, 3, 5)\n"
+    for flags in ([], ["--json"]):
+        code, out, err = run(capsys, command, *flags, str(path))
+        if command == "check" and flags:
+            assert json.loads(out)["results"] == [{
+                "ref": str(path), "kind": None, "ok": False,
+                "detail": "not a quantale: associativity fails at (1, 3, 5)"}]
+        else:
+            assert out == (f"{path}: " if command == "check" else "") + line
+        assert (code, err) == (1, "")
 
 
 @pytest.mark.parametrize("limit", ["0", "-2"])

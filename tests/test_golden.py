@@ -8,10 +8,12 @@ digests from the hand-written join-extension loops that
 SupLattice.join_extend replaced, and the basis-check digests from the
 basis-sum loops that SupLattice.join_products replaced, and the qset3
 completion from the pruned backtracking walk over singleton columns that
-laws.lex_solutions replaced, so a kernel that changes one byte of a report
-fails here.
-Every command reads only catalog entries and two fixed Q-set files, named
-by relative paths so that the echoed ref is the same on every run.
+laws.lex_solutions replaced, and the non-unital classify digest from the
+hand-written cascade that classify's table of rungs replaced, so a kernel
+that changes one byte of a report fails here.
+Every command reads only catalog entries, two fixed Q-set files and one
+fixed quantale file, named by relative paths so that the echoed ref is the
+same on every run.
 """
 
 import hashlib
@@ -30,6 +32,10 @@ QSET = {"kind": "qset", "payload": {
 QSET3 = {"kind": "qset", "payload": {
     "quantale": "catalog:relq3", "index": ["x0", "x1", "x2"],
     "matrix": [[16, 8, 0], [2, 433, 0], [0, 0, 273]]}}
+# the zero product on the diamond: no unit, so the four unit rungs are n/a
+ZERO4 = {"kind": "quantale", "payload": {
+    "lattice": {"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]], "labels": ["0", "e", "a", "1"]},
+    "mul": [[0] * 4] * 4, "inv": [0, 1, 2, 3], "unit": None}}
 
 GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
     "classify": (("classify", "catalog:relq3"),
@@ -38,6 +44,8 @@ GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
                        0, "8ca1c80233e191ace3c9982207ec3d4cb3786853aadc909c1487861bfb989723"),
     "classify-egger8": (("classify", "catalog:egger8"),
                         1, "078848bb9ba62c00eef406c93347154690f668fde93a8bc0535f0cc9cc9799ad"),
+    "classify-nonunital": (("classify", "zero4.json"),
+                           1, "078cf08cb58776e5bd285463a80abf25578fd7800fa22ad65eb2c148a1d776df"),
     "complete": (("complete", "qset.json"),
                  1, "436f5fc1187fbe9ecb553c04cc99d107ca738f350d8d3d5007aa03f618f0bffd"),
     "complete-qset3": (("complete", "qset3.json"),
@@ -78,6 +86,7 @@ def test_json_report_matches_its_golden_digest(name, tmp_path, monkeypatch, caps
     argv, code, digest = GOLDEN[name]
     (tmp_path / "qset.json").write_text(json.dumps(QSET))
     (tmp_path / "qset3.json").write_text(json.dumps(QSET3))
+    (tmp_path / "zero4.json").write_text(json.dumps(ZERO4))
     monkeypatch.chdir(tmp_path)
     got = main([argv[0], "--json", *argv[1:]])
     assert (got, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == (code, digest)

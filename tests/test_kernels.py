@@ -15,7 +15,9 @@ reconstruct and parseval_check), and the hand-written searches that
 laws.lex_solutions replaced (the blockwise product walk and the pruned
 backtracking walk over singleton columns, the recursive order-isomorphism
 search, and the recursive walks over equivariant maps and module homs).
-SupLattice.join_witness is compared with the whole cubic violation array.
+SupLattice.join_witness is compared with the whole cubic violation array,
+and classify's table of rungs (quantale.BUILDS_ON) with the hand-written
+cascade it replaced.
 Each kernel must give the same tables, the same order of results and the
 same lex-first witnesses.
 """
@@ -41,7 +43,8 @@ from qlab.hilbert import (hilbert_sections, hom_from_relation, module_from_qset,
 from qlab.laws import first_bad, lex_solutions
 from qlab.qmatrix import (QMatrix, QSet, _columns, completion, mat_mul, random_qset,
                           singletons)
-from qlab.quantale import lattice_order_isos
+from qlab.quantale import (_gelfand_witnesses, classify, lattice_order_isos, modular_law,
+                           partial_units, support)
 
 search_mod = importlib.import_module("qlab.search")    # qlab.search is also a function
 
@@ -388,6 +391,54 @@ def parseval_loop(X, sigma):
         acc = X.quantale.lattice.join_table[acc, X.quantale.mul[X.ip[:, s][:, None],
                                                                 X.ip[s][None, :]]]
     return acc
+
+
+def classify_by_cascade(Q):
+    """The ladder as classify computed it before BUILDS_ON: (flags, witnesses)."""
+    witnesses = {k: w for k, w in _gelfand_witnesses(Q).items() if w is not None}
+    gelfand, locally_gelfand, stably_gelfand = (
+        k not in witnesses for k in ("gelfand", "locally_gelfand", "stably_gelfand"))
+    unital = Q.unit is not None
+    mod_w = modular_law(Q)
+    modular = mod_w is None
+    if not modular:
+        witnesses["modular"] = mod_w
+    quantal_frame, frame_w = Q.lattice.is_frame()
+    if not quantal_frame:
+        witnesses["quantal_frame"] = frame_w
+    supported = stably_supported = stable_quantal_frame = inverse_quantal_frame = None
+    if unital:
+        srep = support(Q)
+        supported = srep.supported
+        if not supported:
+            law = next(k for k in ("join_preserving", "bottom", "below_self_star", "restores")
+                       if srep.laws[k] is not None)
+            witnesses["supported"] = (law,) + srep.laws[law]
+        stably_supported = supported and srep.stable
+        if not stably_supported and supported:
+            witnesses["stably_supported"] = ("stability",) + srep.laws["stability"]
+        elif not supported:
+            witnesses["stably_supported"] = witnesses["supported"]
+        stable_quantal_frame = stably_supported and quantal_frame
+        if not stable_quantal_frame:
+            witnesses["stable_quantal_frame"] = witnesses.get("stably_supported",
+                                                              witnesses.get("quantal_frame"))
+        if stable_quantal_frame:
+            pu = partial_units(Q)
+            inverse_quantal_frame = pu.cover
+            if not pu.cover:
+                witnesses["inverse_quantal_frame"] = ("cover", pu.cover_join)
+        else:
+            inverse_quantal_frame = False
+            witnesses["inverse_quantal_frame"] = witnesses["stable_quantal_frame"]
+    else:
+        witnesses["unital"] = ()
+    flags = dict(unital=unital, gelfand=gelfand, locally_gelfand=locally_gelfand,
+                 stably_gelfand=stably_gelfand, modular=modular, supported=supported,
+                 stably_supported=stably_supported, quantal_frame=quantal_frame,
+                 stable_quantal_frame=stable_quantal_frame,
+                 inverse_quantal_frame=inverse_quantal_frame)
+    return flags, witnesses
 
 
 def outcome(build):
@@ -763,6 +814,39 @@ def test_catalog_basis_sums_match_the_replaced_loops(name):
         assert parseval_check(X, sigma) == first_bad(ps != X.ip)
         if not len(sigma):                                           # the empty sum
             assert (r == X.carrier.bottom).all() and (ps == X.quantale.bottom).all()
+
+
+# ------------------------------------------------- classification ladder
+
+def assert_ladder_matches_the_cascade(Q):
+    rep = classify(Q)
+    flags, witnesses = classify_by_cascade(Q)
+    assert rep.flags() == flags
+    assert rep.witnesses == witnesses
+    assert set(witnesses) == {f for f, v in flags.items() if v is False}
+    return flags
+
+
+@pytest.mark.parametrize("name", catalog_names("quantale", "groupoid"))
+def test_catalog_ladders_match_the_cascade(name):
+    kind, obj = catalog_get(name)
+    assert_ladder_matches_the_cascade(obj.quantale if kind == "groupoid" else obj)
+
+
+LADDER_LATTICES = {"chain2": lambda: chain_lattice(2), "chain3": lambda: chain_lattice(3),
+                   "chain4": lambda: chain_lattice(4),
+                   "diamond": lambda: powerset_lattice(["u", "v"]),
+                   "pentagon": pentagon, "m3": m3}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_LATTICES))
+def test_search_model_ladders_match_the_cascade(name):
+    lat = LADDER_LATTICES[name]()
+    models = search_mod.search(search_mod.SearchSpec(lat)).models
+    assert {Q.unit is None for Q in models} == {True, False}
+    flags = [assert_ladder_matches_the_cascade(Q) for Q in models]
+    if not lat.is_frame()[0]:   # quantal_frame alone fails a stably supported model
+        assert any(f["stably_supported"] for f in flags)
 
 
 # ------------------------------------------------------ lex-order search

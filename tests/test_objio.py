@@ -86,7 +86,8 @@ def test_parse_document_errors():
 def test_builder_errors():
     with pytest.raises(objio.InputError, match="missing 'covers'"):
         objio.build_object("lattice", {"n": 2})
-    with pytest.raises(objio.InputError, match="shapes"):
+    with pytest.raises(objio.InputError,
+                       match="malformed quantale payload: mul table must be n x n"):
         objio.build_object("quantale", {
             "lattice": {"n": 2, "covers": [[0, 1]]},
             "mul": [[0, 0]], "inv": [0, 1]})
