@@ -23,7 +23,7 @@ from .groupoid import (FiniteGroupoid, NotEtale, module_from_action, quantale_of
                        verify_equivalence)
 from .hilbert import (CARRIER_CAP, CarrierTooLarge, PreHilbertModule, has_enough_sections,
                       hilbert_sections, is_hilbert_basis, module_from_qset,
-                      parseval_check, validate_prehilbert)
+                      parseval_check)
 from .laws import TheoremViolation, Violation
 from .objio import InputError, canonical_dumps, write_canonical
 from .qmatrix import completion, is_qset, is_strict
@@ -116,11 +116,6 @@ def cmd_check(args) -> int:
             else:
                 strict, _ = is_strict(obj)
                 detail = f"strict: {str(strict).lower()}"
-        elif kind == "module":
-            rep = validate_prehilbert(obj)
-            ok = rep.ok
-            if not ok:
-                detail = _failure(obj, rep)[2]
         results.append({"ref": ref, "kind": kind, "ok": ok, "detail": detail})
     lines = [f"{r['ref']}: " + (f"{r['kind']} ok" + (f" ({r['detail']})" if r["detail"] else "")
              if r["ok"] else f"invalid: {r['detail']}") for r in results]

@@ -59,6 +59,17 @@ class SupportAxiomFails(Violation):
     message = "support axiom {law} fails at {witness}"
 
 
+class NotAPreHilbert(Violation):
+    """A law of a pre-Hilbert module fails on an input module.
+
+    The message lists the witness bare, as `check` has always reported a
+    module's first failed law.
+    """
+
+    def __str__(self) -> str:
+        return f"{self.law} fails at {', '.join(map(str, self.witness))}"
+
+
 class QModule:
     """A left module over a quantale: action[a, x] = a.x on a sup-lattice."""
 

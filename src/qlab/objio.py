@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import catalog_entries, catalog_get
 from .groupoid import FiniteGroupoid, GroupoidAction
-from .hilbert import PreHilbertModule, QModule
+from .hilbert import NotAPreHilbert, PreHilbertModule, QModule, validate_prehilbert
 from .lattice import SupLattice, build_lattice
 from .qmatrix import QSet
 from .quantale import NotAQuantale, Quantale, validate_quantale
@@ -91,6 +91,14 @@ def quantale_from_payload(p: dict) -> Quantale:
                     name=p.get("name"))
 
 
+def _checked(obj, report, error):
+    """obj, unless its validation report has a failed law: then error(law, witness)."""
+    failures = report.failures()
+    if failures:
+        raise error(*next(iter(failures.items())))
+    return obj
+
+
 def _quantale_ref(ref, context: str) -> Quantale:
     """A catalog quantale, or an inline payload that must pass validate_quantale."""
     if isinstance(ref, str):
@@ -98,10 +106,7 @@ def _quantale_ref(ref, context: str) -> Quantale:
         return obj
     if isinstance(ref, dict):
         Q = quantale_from_payload(ref)
-        failures = validate_quantale(Q).failures()
-        if failures:
-            raise NotAQuantale(*next(iter(failures.items())))
-        return Q
+        return _checked(Q, validate_quantale(Q), NotAQuantale)
     raise InputError(f"{context}.quantale must be a payload or a catalog: reference")
 
 
@@ -115,11 +120,13 @@ def qset_from_payload(p: dict) -> QSet:
 
 
 def module_from_payload(p: dict) -> PreHilbertModule:
+    """A module file's module, which must pass validate_prehilbert."""
     Q = _quantale_ref(_need(p, "quantale", "module"), "module")
     carrier = lattice_from_payload(_need(p, "carrier", "module"))
     action = _table(_need(p, "action", "module"), "module", "action")
     ip = _table(_need(p, "ip", "module"), "module", "ip")
-    return PreHilbertModule(QModule(Q, carrier, action), ip)
+    X = PreHilbertModule(QModule(Q, carrier, action), ip)
+    return _checked(X, validate_prehilbert(X), NotAPreHilbert)
 
 
 def _index_of(labels: list[str], key: str, what: str) -> dict:

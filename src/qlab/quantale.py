@@ -284,6 +284,22 @@ BUILDS_ON = {
 }
 
 
+# The implications between flags that classify re-checks: when every flag
+# of the premise holds, the conclusion holds.  A unit rung is None without
+# a unit, so it never completes a premise.
+LADDER = (
+    (("stably_gelfand",), "locally_gelfand", "stably_gelfand_implies_locally_gelfand"),
+    (("unital", "locally_gelfand"), "gelfand", "locally_gelfand_implies_gelfand"),
+    (("inverse_quantal_frame",), "stable_quantal_frame",
+     "inverse_quantal_frame_implies_stable_quantal_frame"),
+    (("stable_quantal_frame",), "stably_supported",
+     "stable_quantal_frame_implies_stably_supported"),
+    (("stably_supported",), "supported", "stably_supported_implies_supported"),
+    (("unital", "modular"), "stably_supported", "modular_implies_stably_supported"),
+    (("inverse_quantal_frame",), "modular", "inverse_quantal_frame_implies_modular"),
+)
+
+
 @dataclass
 class PropertyReport:
     """Classification flags, derived from witnesses.
@@ -381,19 +397,8 @@ def classify(Q: Quantale) -> PropertyReport:
 
 def _check_ladder(r: PropertyReport) -> None:
     f = r.flags()
-    chain = [
-        (f["stably_gelfand"], f["locally_gelfand"], "stably_gelfand_implies_locally_gelfand"),
-        (f["unital"] and f["locally_gelfand"], f["gelfand"], "locally_gelfand_implies_gelfand"),
-        (f["inverse_quantal_frame"], f["stable_quantal_frame"],
-         "inverse_quantal_frame_implies_stable_quantal_frame"),
-        (f["stable_quantal_frame"], f["stably_supported"],
-         "stable_quantal_frame_implies_stably_supported"),
-        (f["stably_supported"], f["supported"], "stably_supported_implies_supported"),
-        (f["unital"] and f["modular"], f["stably_supported"], "modular_implies_stably_supported"),
-        (f["inverse_quantal_frame"], f["modular"], "inverse_quantal_frame_implies_modular"),
-    ]
-    for pre, post, name in chain:
-        TheoremViolation.check(name, f if pre and not post else None)
+    for pre, post, name in LADDER:
+        TheoremViolation.check(name, f if all(f[p] for p in pre) and not f[post] else None)
 
 
 def lattice_order_isos(src: SupLattice, dst: SupLattice) -> list[np.ndarray]:

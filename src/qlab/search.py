@@ -10,13 +10,17 @@ free cells run over all their values inside one numpy block, and the block
 is tested for associativity on irreducible triples all at once.  Every leaf
 is still reached and tested, and the statistics, the order of the models
 and the budget and limit stops are exactly those of a walk that takes one
-leaf at a time.  Every associative leaf is extended to a full table by
-joins, re-validated from scratch by the quantale module, and classified;
-only models matching the requested flags are emitted.
+leaf at a time.  The associative leaves of a block are extended to full
+tables by joins, and one whole-array kernel (_leaf_verdicts) decides, for
+all of them at once, whether each is a quantale and which of the ten
+classifier flags it has.  Only leaves matching the requested flags go on.
 
-The searcher never trusts its own pruning: validate_quantale and classify
-are independent code paths, so an unsound prune can only lose models, never
-emit a bad one, and the leaf-level checks are exhaustive.
+The searcher never trusts its own pruning or its kernel: every leaf that
+matches the requested flags is re-validated from scratch by
+validate_quantale and re-classified by classify, independent code paths,
+and any disagreement with the kernel is a failed theorem check.  So an
+unsound prune can only lose models, never emit a bad one, and the kernel
+decides every law from its definition, on every cell.
 """
 
 from __future__ import annotations
@@ -27,11 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import SupLattice
-from .quantale import (Quantale, _FLAG_NAMES, classify, lattice_order_isos,
-                       validate_quantale)
+from .laws import TheoremViolation, first_bad
+from .quantale import (BUILDS_ON, LADDER, Quantale, _FLAG_NAMES, _UNIT_RUNGS, classify,
+                       lattice_order_isos, validate_quantale)
 
 # Leaves per block: the last d free cells vary inside a block, n**d <= _BLOCK.
 _BLOCK = 1 << 14
+# Associative leaves per _leaf_verdicts call, which holds n**3 cells per leaf.
+_LEAF_CHUNK = 1 << 8
 
 
 class BudgetExceeded(RuntimeError):
@@ -108,16 +115,128 @@ def _involution_candidates(lat: SupLattice, fixed) -> list[np.ndarray]:
 
 
 def _full_table(lat: SupLattice, m: np.ndarray) -> np.ndarray:
-    """Join-extension of an irreducible-pair table m[i, j] = J[i].J[j] to the whole lattice."""
-    return lat.join_extend(lat.join_extend(m.T, lat).T, lat)
+    """Join-extension of irreducible-pair tables m[..., i, j] = J[i].J[j] to the whole lattice.
+
+    Leading axes index a stack of tables; the result keeps m's dtype.
+    """
+    right = lat.join_extend(np.moveaxis(m, (-1, -2), (0, 1)), lat)     # [y, i, ...] = J[i].y
+    full = lat.join_extend(right.swapaxes(0, 1), lat)                    # [x, y, ...] = x.y
+    return np.moveaxis(full, (0, 1), (-2, -1))
 
 
-def _detect_unit(lat: SupLattice, mul: np.ndarray) -> int | None:
-    ar = np.arange(lat.n, dtype=np.intp)
-    for e in range(lat.n):
-        if (mul[e] == ar).all() and (mul[:, e] == ar).all():
-            return e
-    return None
+def _detect_unit(lat: SupLattice, mul: np.ndarray):
+    """The two-sided unit of a table, or None; of a stack of tables, their units, -1 for none."""
+    ar = np.arange(lat.n)
+    is_unit = (mul == ar).all(axis=-1) & (mul.swapaxes(-1, -2) == ar).all(axis=-1)
+    units = np.where(is_unit.any(axis=-1), is_unit.argmax(axis=-1), -1)
+    if mul.ndim == 2:
+        return None if units < 0 else int(units)
+    return units
+
+
+def _fixed_verdicts(lat: SupLattice, inv: np.ndarray) -> tuple[bool, bool]:
+    """(the involution laws hold, the lattice is a frame): the facts no product changes."""
+    ar = np.arange(lat.n)
+    jt, mt = lat.join_table, lat.meet_table
+    involution = bool((inv[inv] == ar).all() and (inv[jt] == jt[np.ix_(inv, inv)]).all()
+                      and inv[lat.bottom] == lat.bottom)
+    frame = bool((mt[ar[:, None, None], jt] == jt[mt[:, :, None], mt[:, None, :]]).all())
+    return involution, frame
+
+
+def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
+                   units: np.ndarray, fixed: tuple[bool, bool]) -> tuple[np.ndarray, dict]:
+    """Validity and the ten classifier flags of a stack of full tables.
+
+    muls[t] is a multiplication table with unit units[t] (-1 for none), and
+    fixed is _fixed_verdicts(lat, inv).  Returns (valid, flags) with
+    flags[name][t] true when the flag holds; a unit rung is false without
+    a unit.  Every law of validate_quantale and every rung of classify is
+    decided on every cell from its definition, with no generator
+    reductions and no witnesses, and each flag then builds on its rungs
+    through BUILDS_ON.  On every valid table the implications of LADDER
+    and the support cross-checks are re-checked; a failure raises
+    TheoremViolation with the table's index in the stack.
+    """
+    M, A, n = muls, len(muls), lat.n
+    leq, jt, mt = lat.leq, lat.join_table.astype(M.dtype), lat.meet_table.astype(M.dtype)
+    ar = np.arange(n)
+    t1 = np.arange(A)
+    t2 = t1[:, None]
+    t3 = t2[..., None]
+    t4 = t3[..., None]
+    bot, top = lat.bottom, lat.top
+    involution, frame = fixed
+
+    def each(ok):                       # [t, ...] -> the law holds on every cell of t
+        return ok.reshape(A, -1).all(axis=1)
+
+    has = units >= 0
+    e = np.where(has, units, 0)
+    u_rows, u_cols = M[t1, e], M[t1, :, e]
+    valid = (involution
+             & each(M[t4, M[..., None], ar] == M[t4, ar[:, None, None], M[:, None]])
+             & each(M[:, jt] == jt[M[:, :, None], M[:, None]])
+             & each(M[:, :, jt] == jt[M[..., None], M[:, :, None]])
+             & (M[:, bot] == bot).all(axis=1) & (M[:, :, bot] == bot).all(axis=1)
+             & each(inv[M] == M[:, inv[None, :], inv[:, None]])
+             & (~has | ((u_rows == ar).all(axis=1) & (u_cols == ar).all(axis=1))))
+
+    aa = M[t2, ar, inv]                                  # a a*
+    reg = M[t2, aa, ar]                                  # a a* a
+    regular = reg == ar
+    proj = (inv == ar) & (M[:, ar, ar] == ar)
+    local = proj[:, None, :] & leq & leq[M, ar[:, None]]     # [t, a, p]: a <= p, ap <= a
+    inner = mt[ar[:, None], M[:, inv][:, :, None, :]]        # [t, a, b, c] = b AND a*c
+    a1 = M[:, :, top]
+    sup = mt[a1, e[:, None]]
+    supported = (each(sup[:, jt] == jt[sup[..., None], sup[:, None]])
+                 & (sup[:, bot] == bot) & each(leq[sup, aa])
+                 & each(leq[ar, M[t2, sup, ar]]))
+    stable = each(leq[np.take_along_axis(sup, a1, axis=1), sup])
+    partial = leq[jt[aa, M[t2, inv, ar]], e[:, None]]        # ss* OR s*s <= e
+    bounds = ~(partial[:, :, None] & ~leq).any(axis=1)       # upper bounds of the partial units
+    own = {
+        "unital": has,
+        "gelfand": each(~leq[a1, ar] | regular),
+        "locally_gelfand": each(~local | regular[..., None]),
+        "stably_gelfand": each(~leq[reg, ar] | regular),
+        "modular": each(leq[mt[M[..., None], ar], M[t4, ar[:, None, None], inner]]),
+        "supported": has & supported,
+        "stably_supported": has & stable,
+        "quantal_frame": np.full(A, frame),
+        "stable_quantal_frame": has,
+        "inverse_quantal_frame": has & (bounds.sum(axis=1) == 1),   # their join is the top
+    }
+    flags: dict = {}
+    for name in _FLAG_NAMES:
+        flags[name] = own[name]
+        for rung in BUILDS_ON.get(name, ()):
+            flags[name] = flags[name] & flags[rung]
+
+    for pre, post, name in LADDER:
+        bad = valid & ~flags[post]
+        for p in pre:
+            bad = bad & flags[p]
+        TheoremViolation.check(name, first_bad(bad))
+    # the cross-checks of quantale.support on supported tables: sup_times_top
+    # and the b_* identities below the unit, then under stability the
+    # composed, self-star, product, meet-unit and equivariance identities
+    below_e = leq[ar, e[:, None]]                        # [t, b]: b <= e
+    b_rows = below_e[..., None]
+    sup_m = sup[t3, M]                                   # sup(ab)
+    m_sup = M[t3, ar[:, None], sup[:, None, :]]          # a sup(b)
+    cross = (each(M[t2, sup, top] == a1)
+             & each(~(b_rows & below_e[:, None]) | (mt == M))
+             & each(~below_e | ((inv == ar) & (sup == ar)))
+             & (~stable
+                | (each(sup_m == sup[t3, m_sup])
+                   & each(sup == mt[aa, e[:, None]])
+                   & each(~b_rows | ((M == mt[a1[..., None], ar])
+                                     & (mt[M, e[:, None, None]] == mt)
+                                     & (sup_m == m_sup))))))
+    TheoremViolation.check("support_cross_checks", first_bad(valid & has & supported & ~cross))
+    return valid, flags
 
 
 def _canonical_key(Q: Quantale, autos: list[np.ndarray]) -> bytes:
@@ -195,19 +314,13 @@ def search(spec: SearchSpec) -> SearchResult:
     class _Stop(Exception):
         pass
 
-    def accept(m: np.ndarray, inv: np.ndarray) -> None:
-        """Validate, classify, filter and dedup one associative leaf."""
-        mul = _full_table(lat, m)
-        unit = spec.fix_unit if spec.fix_unit is not None else _detect_unit(lat, mul)
-        Q = Quantale(lat, mul, inv, unit)
-        if not validate_quantale(Q).ok:
-            stats.rejected_quantale += 1
-            return
-        flags = classify(Q)
-        for name, want in spec.require.items():
-            if flags.flag(name) is not want:
-                stats.rejected_require += 1
-                return
+    def accept(mul: np.ndarray, inv: np.ndarray, unit: int, verdicts: dict) -> None:
+        """Re-check, dedup and emit one leaf whose kernel verdicts match `require`."""
+        Q = Quantale(lat, mul, inv, None if unit < 0 else unit)
+        valid = validate_quantale(Q).ok
+        rechecked = {"valid": valid, **(classify(Q).flags() if valid else {})}
+        TheoremViolation.check("leaf_verdicts", {k: v for k, v in rechecked.items()
+                                                 if verdicts[k] is not v} or None)
         if autos is not None:
             key = _canonical_key(Q, autos)
             if key in keys:
@@ -220,6 +333,35 @@ def search(spec: SearchSpec) -> SearchResult:
             stats.truncated = True
             stats.exhausted = False
             raise _Stop
+
+    def visit(block: np.ndarray, inv: np.ndarray, fixed: tuple) -> None:
+        """Decide the associative leaves of one block, in order, as a leaf walk would."""
+        first, seen = stats.candidates, 0
+        rows = _associative_rows(lat, J, jt_t, block)
+        for c in range(0, len(rows), _LEAF_CHUNK):
+            chunk = rows[c:c + _LEAF_CHUNK]
+            muls = np.ascontiguousarray(_full_table(lat, block[chunk]))
+            units = (np.full(len(chunk), spec.fix_unit) if spec.fix_unit is not None
+                     else _detect_unit(lat, muls))
+            valid, flags = _leaf_verdicts(lat, muls, inv, units, fixed)
+            wanted = valid.copy()
+            for name, want in spec.require.items():
+                wanted &= (flags[name] == want) & ((units >= 0) | (name not in _UNIT_RUNGS))
+            for t, b in enumerate(chunk.tolist()):
+                stats.candidates = first + b + 1
+                stats.pruned_assoc += b - seen
+                seen = b + 1
+                if not valid[t]:
+                    stats.rejected_quantale += 1
+                elif not wanted[t]:
+                    stats.rejected_require += 1
+                else:
+                    verdicts = {"valid": True, **{
+                        name: None if units[t] < 0 and name in _UNIT_RUNGS
+                        else bool(flags[name][t]) for name in _FLAG_NAMES}}
+                    accept(muls[t], inv, int(units[t]), verdicts)
+        stats.candidates = first + len(block)
+        stats.pruned_assoc += len(block) - seen
 
     def run_involution(inv: np.ndarray) -> None:
         # the involution permutes the irreducibles; map cell (p,q) -> (q*,p*)
@@ -259,6 +401,7 @@ def search(spec: SearchSpec) -> SearchResult:
         # The block template: the last `tail` free cells over all n**tail
         # values in lexicographic order; pinned cells from m.
         inv_t = inv.astype(dtype)
+        fixed = _fixed_verdicts(lat, inv)
         grid = np.array(list(itertools.product(range(n), repeat=tail)), dtype=dtype)
         template = np.repeat(np.where(m < 0, 0, m).astype(dtype).reshape(1, k * k),
                              len(grid), axis=0)
@@ -276,15 +419,7 @@ def search(spec: SearchSpec) -> SearchResult:
             for (cell, partner), v in zip(flat, prefix):
                 block[:, partner] = inv_t[v]
                 block[:, cell] = v
-            block = block.reshape(len(block), k, k)
-            first, seen = stats.candidates, 0
-            for b in _associative_rows(lat, J, jt_t, block).tolist():
-                stats.candidates = first + b + 1
-                stats.pruned_assoc += b - seen
-                seen = b + 1
-                accept(block[b].astype(np.intp), inv)
-            stats.candidates = first + len(block)
-            stats.pruned_assoc += len(block) - seen
+            visit(block.reshape(len(block), k, k), inv, fixed)
             if len(block) < len(template):
                 stats.candidates += 1
                 stats.exhausted = False

@@ -319,6 +319,26 @@ def test_an_inline_quantale_that_breaks_a_law_is_invalid_input(tmp_path, capsys,
         assert (code, err) == (1, "")
 
 
+@pytest.mark.parametrize("table, value, law, witness", [
+    ("ip", 15, "ip_scalar_left", (1, 3, 5)), ("action", 0, "action_product", (1, 7, 5))])
+def test_a_module_file_that_breaks_a_law_is_invalid_input(tmp_path, capsys, table, value,
+                                                          law, witness):
+    # relq2 over itself with one cell overwritten: before module files were
+    # validated when read, `sections` answered true on both, `basis-check`
+    # on the second, and `sheafify` gave a verdict on both
+    doc = json.loads(objio.dump_object(module_over_self(relq(2))))
+    doc["payload"][table][3][5] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(hilbert.NotAPreHilbert) as ei:
+        objio.resolve(str(path))
+    assert (ei.value.law, ei.value.witness) == (law, witness)
+    line = f"invalid: {law} fails at {', '.join(map(str, witness))}\n"
+    assert run(capsys, "check", str(path)) == (1, f"{path}: {line}", "")
+    for command in ("sections", "basis-check", "sheafify"):
+        assert run(capsys, command, str(path)) == (1, line, "")
+
+
 @pytest.mark.parametrize("limit", ["0", "-2"])
 def test_search_rejects_a_limit_below_one(tmp_path, capsys, limit):
     lat = write(tmp_path, "d.json", quantale_r4().lattice)

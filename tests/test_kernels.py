@@ -644,6 +644,24 @@ def test_full_table_matches_the_two_loops(lat, seed):
     assert np.array_equal(search_mod._full_table(lat, m), full_table_loops(lat, J, m))
 
 
+@settings(SETTINGS, max_examples=20)
+@given(small_lattices(), st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+def test_stacked_full_tables_and_units_match_one_table_at_a_time(lat, seed, count):
+    # the search extends a stack of uint8 tables and finds their units at once
+    J = lat.join_irreducibles
+    rng = np.random.default_rng(seed)
+    ms = rng.integers(0, lat.n, size=(count, len(J), len(J)))
+    meet = lat.meet_table[np.ix_(J, J)]                     # unital: the top, on a frame
+    ms = np.concatenate([ms, meet[None]]).astype(np.uint8)
+    full = search_mod._full_table(lat, ms)
+    assert full.dtype == np.uint8 and full.shape == (count + 1, lat.n, lat.n)
+    units = search_mod._detect_unit(lat, full)
+    for m, table, unit in zip(ms, full, units.tolist()):
+        one = search_mod._full_table(lat, m.astype(np.intp))
+        assert np.array_equal(table, full_table_loops(lat, J, m)) and np.array_equal(table, one)
+        assert search_mod._detect_unit(lat, one) == (None if unit < 0 else unit)
+
+
 @SETTINGS
 @given(st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
 def test_powerset_quantale_matches_the_bit_loops(k, seed):

@@ -5,10 +5,15 @@ assigns one free cell at a time, and every leaf runs `assoc_ok`, the
 Python triple loop over irreducibles.  The block search must give the same
 models in the same order and an equal SearchStats, also when it stops on
 `limit` or raises BudgetExceeded, and for every block size.
+
+The leaf kernel, which validates and classifies a stack of associative
+leaves at once, is compared leaf by leaf with validate_quantale and
+classify, at one leaf per kernel call and at the default chunk.
 """
 
 import contextlib
 import importlib
+import os
 import tracemalloc
 from unittest import mock
 
@@ -17,8 +22,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from qlab import cli, objio
 from qlab.lattice import (NotALattice, NotAPoset, SupLattice, build_lattice,
                           chain_lattice, powerset_lattice)
+from qlab.laws import TheoremViolation
 from qlab.quantale import (_FLAG_NAMES, Quantale, classify, lattice_order_isos,
                            validate_quantale)
 from qlab.search import (BudgetExceeded, SearchResult, SearchSpec, SearchStats,
@@ -172,8 +179,9 @@ def outcome(run, spec: SearchSpec):
     return raised, keys, stats
 
 
-def assert_same(spec_args: dict, block: int) -> tuple:
-    with mock.patch.object(search_mod, "_BLOCK", block):
+def assert_same(spec_args: dict, block: int, chunk: int = search_mod._LEAF_CHUNK) -> tuple:
+    with mock.patch.object(search_mod, "_BLOCK", block), \
+            mock.patch.object(search_mod, "_LEAF_CHUNK", chunk):
         fast = outcome(search_mod.search, SearchSpec(**spec_args))
     slow = outcome(search_one_leaf_at_a_time, SearchSpec(**spec_args))
     assert fast == slow
@@ -194,6 +202,7 @@ NAMED = {"chain1": chain_lattice(1), "chain2": chain_lattice(2),
          "chain3": chain_lattice(3), "chain4": chain_lattice(4), "diamond": DIAMOND,
          "pentagon": pentagon(), "m3": m3(), "cube": CUBE}
 BLOCKS = (1, 7, search_mod._BLOCK)
+CHUNKS = (1, search_mod._LEAF_CHUNK)
 
 
 @st.composite
@@ -236,9 +245,9 @@ def specs(draw):
 # ---------------------------------------------------------------- tests
 
 @SETTINGS
-@given(specs(), st.sampled_from(BLOCKS))
-def test_block_search_matches_the_one_leaf_walk(spec_args, block):
-    assert_same(spec_args, block)
+@given(specs(), st.sampled_from(BLOCKS), st.sampled_from(CHUNKS))
+def test_block_search_matches_the_one_leaf_walk(spec_args, block, chunk):
+    assert_same(spec_args, block, chunk)
 
 
 EXHAUSTIVE = {
@@ -339,3 +348,111 @@ def test_blocks_hold_the_leaf_tables_in_walk_order(spec_args, block):
         with contextlib.suppress(BudgetExceeded):
             search_mod.search(SearchSpec(**spec_args))
     assert tested == walked
+
+
+# ---------------------------------------------------------------- leaf kernel
+
+# (order, mul, inv, unit) -> (validate_quantale ok, classify flags or None),
+# shared by the runs below, which meet the same leaves at every chunk size
+_VERDICTS: dict = {}
+
+
+def from_scratch(Q: Quantale) -> tuple:
+    key = (Q.leq.tobytes(), Q.mul.tobytes(), Q.inv.tobytes(), Q.unit)
+    if key not in _VERDICTS:
+        ok = validate_quantale(Q).ok
+        _VERDICTS[key] = (ok, classify(Q).flags() if ok else None)
+    return _VERDICTS[key]
+
+
+def kernel_against_scratch(spec_args: dict, chunk: int) -> tuple:
+    """Run a search whose kernel verdicts are each compared, leaf by leaf, with
+    validate_quantale and classify; returns (leaves compared, stats)."""
+    real = search_mod._leaf_verdicts
+    compared = 0
+
+    def spy(lat, muls, inv, units, fixed):
+        nonlocal compared
+        valid, flags = real(lat, muls, inv, units, fixed)
+        for t, unit in enumerate(units.tolist()):
+            Q = Quantale(lat, muls[t], inv, None if unit < 0 else unit)
+            ok, want = from_scratch(Q)
+            assert bool(valid[t]) is ok
+            if ok:
+                got = {name: bool(flags[name][t]) for name in _FLAG_NAMES}
+                assert got == {name: bool(v) for name, v in want.items()}
+        compared += len(muls)
+        return valid, flags
+
+    with mock.patch.object(search_mod, "_LEAF_CHUNK", chunk), \
+            mock.patch.object(search_mod, "_leaf_verdicts", spy):
+        raised, _, stats = outcome(search_mod.search, SearchSpec(**spec_args))
+    # every associative leaf went through the kernel, except the one that
+    # tripped the budget
+    assert compared == stats.candidates - stats.pruned_assoc - raised
+    return compared, stats
+
+
+CUBE_SEARCH = {"lattice": CUBE, "cap": 8, "dedup_iso": True,       # as the benchmark's
+               "require": {"stably_supported": True, "modular": False}}
+R4_SEARCH = {"lattice": DIAMOND, "fix_involution": np.arange(4), "fix_unit": 1,
+             "require": {"stably_supported": True, "inverse_quantal_frame": False}}
+# (name, spec, chunk).  The egger8 search is the identity-involution part
+# of the cube search, with the same blocks.  Both run at the default chunk
+# only: at chunk 1 they make 7,028 and 4,067 kernel calls, several seconds
+# each, and chunk 1 is covered by the r4 search and the hypothesis test.
+KERNEL_SEARCHES = [
+    ("cube", CUBE_SEARCH, search_mod._LEAF_CHUNK),
+    ("egger8", {**CUBE_SEARCH, "fix_involution": np.arange(8)}, search_mod._LEAF_CHUNK),
+    ("r4", R4_SEARCH, 1),
+    ("r4", R4_SEARCH, search_mod._LEAF_CHUNK),
+]
+
+
+@pytest.mark.parametrize("name, spec_args, chunk", KERNEL_SEARCHES,
+                         ids=[f"{name}-{chunk}" for name, _, chunk in KERNEL_SEARCHES])
+def test_leaf_verdicts_match_validate_and_classify(name, spec_args, chunk):
+    compared, stats = kernel_against_scratch(spec_args, chunk)
+    assert (compared, stats.rejected_quantale, stats.emitted) == {
+        "cube": (7028, 1710, 12), "egger8": (4067, 0, 9), "r4": (4, 0, 1)}[name]
+
+
+@settings(SETTINGS, max_examples=25)
+@given(lattices(), st.data(), st.sampled_from(CHUNKS))
+def test_leaf_verdicts_match_on_leaves_without_a_unit(lat, data, chunk):
+    # no fixed unit, so most leaves have none and the unit rungs are n/a;
+    # or a fixed element that is usually not a unit, so its leaves are invalid
+    args = {"lattice": lat, "cap": 8, "budget": 1500}
+    if data.draw(st.booleans()):
+        args["fix_unit"] = data.draw(st.integers(0, lat.n - 1))
+    kernel_against_scratch(args, chunk)
+
+
+def test_a_kernel_verdict_that_disagrees_with_classify_is_a_failed_theorem_check(
+        tmp_path, capsys):
+    # flip `gelfand`, which the search does not require, on every valid leaf
+    real = search_mod._leaf_verdicts
+
+    def flipped(lat, muls, inv, units, fixed):
+        valid, flags = real(lat, muls, inv, units, fixed)
+        flags["gelfand"] = flags["gelfand"] ^ valid
+        return valid, flags
+
+    lat = tmp_path / "diamond.json"
+    lat.write_text(objio.dump_object(DIAMOND))
+    argv = ["search", "--lattice", str(lat), "--trivial-involution", "--fix-unit", "1",
+            "--require", "stably_supported,!inverse_quantal_frame",
+            "--out", str(tmp_path / "models")]
+    assert cli.main(argv) == 0 and os.listdir(tmp_path / "models")
+    capsys.readouterr()
+    with mock.patch.object(search_mod, "_leaf_verdicts", flipped):
+        with pytest.raises(TheoremViolation) as ei:
+            search_mod.search(SearchSpec(**R4_SEARCH))
+        assert ei.value.law == "leaf_verdicts" and ei.value.witness == {"gelfand": True}
+        for flags in ([], ["--json"]):
+            out_dir = tmp_path / f"flipped{len(flags)}"
+            code = cli.main(argv[:-1] + [str(out_dir)] + flags)
+            out, err = capsys.readouterr()
+            assert (code, out) == (3, "") and not out_dir.exists()
+            assert err == ("error: theorem check leaf_verdicts fails at "
+                           "{'gelfand': True}\n")
