@@ -27,7 +27,7 @@ from .hilbert import (CARRIER_CAP, CarrierTooLarge, PreHilbertModule, has_enough
 from .laws import TheoremViolation, Violation
 from .objio import InputError, canonical_dumps, write_canonical
 from .qmatrix import completion, is_qset, is_strict
-from .quantale import classify, validate_quantale
+from .quantale import NotAQuantale, classify, validate_quantale
 from .search import BudgetExceeded, SearchSpec, search
 
 
@@ -290,7 +290,8 @@ def cmd_search(args) -> int:
     kind, obj = objio.resolve(args.lattice, expect=("lattice", "quantale", "groupoid"))
     if kind == "lattice":
         lat = obj
-    elif kind == "quantale":
+    elif kind == "quantale":          # only the lattice is searched, but of a quantale
+        validate_quantale(obj).require(NotAQuantale)
         lat = obj.lattice
     else:
         lat = quantale_of(obj).lattice

@@ -6,7 +6,8 @@ decided exactly, the cubic ones on join-irreducible generators (qlab.laws).
 The central construction is module_from_qset, which materializes the module
 of "row combinations" of a Q-valued matrix together with its row basis;
 everything else (adjoints, the matrix functor M, supports, local sections)
-is built on top of it.
+is built on top of it.  Its carrier is an array of vectors in closure order (zero,
+scaled rows, joins of vector i with 0..i); _RowIndex tells rows apart by searchsorted.
 """
 
 from __future__ import annotations
@@ -68,6 +69,39 @@ class NotAPreHilbert(Violation):
 
     def __str__(self) -> str:
         return f"{self.law} fails at {', '.join(map(str, self.witness))}"
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per row of a contiguous 2-D intp array; equal keys are equal rows."""
+    if not rows.shape[1]:                     # every empty row is the same row
+        return np.zeros(len(rows), dtype="V1")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
+class _RowIndex:
+    """Where each row of a 2-D intp table first occurs: rows are keyed by a void
+    view of their bytes, sorted once (stably, so equal rows keep their first
+    position) and found by one searchsorted."""
+
+    def __init__(self, table):
+        self.table = np.ascontiguousarray(table, dtype=np.intp)
+        self.order = np.argsort(_row_keys(self.table), kind="stable")
+        self.sorted = self.table[self.order]
+        self.keys = _row_keys(self.sorted)
+
+    def find(self, rows) -> np.ndarray:
+        """The first position of each row of rows in the table, -1 where it is absent."""
+        rows = np.ascontiguousarray(rows, dtype=np.intp)
+        pos = np.minimum(np.searchsorted(self.keys, _row_keys(rows)), len(self.keys) - 1)
+        return np.where((self.sorted[pos] == rows).all(axis=1), self.order[pos], -1)
+
+    def extended(self, rows) -> "_RowIndex":
+        """The index of the table with the rows it lacks appended where they first occur."""
+        rows = rows[self.find(rows) < 0]
+        if not len(rows):
+            return self
+        rows = rows[_RowIndex(rows).find(rows) == np.arange(len(rows))]
+        return _RowIndex(np.concatenate([self.table, rows]))
 
 
 class QModule:
@@ -134,6 +168,11 @@ class PreHilbertModule:
             "ip_join_left": lat.join_witness(ip, Q.lattice),
             "ip_bottom_left": first_bad(ip[lat.bottom] != Q.bottom),
         }
+
+    @cached_property
+    def prehilbert_report(self) -> "PreHilbertReport":
+        """validate_prehilbert(self), computed once per module; every validation reads it."""
+        return validate_prehilbert(self)
 
     def basis_witness(self, sigma: np.ndarray) -> int | None:
         """is_hilbert_basis(self, sigma)'s witness, computed once per module and basis."""
@@ -225,23 +264,16 @@ def validate_prehilbert(X: PreHilbertModule) -> PreHilbertReport:
     laws["ip_scalar_right"] = first_violation(lambda a: ip[:, act[a]] != mul[ip, inv[a]],
                                               range(Q.n), scalar_right)
 
-    seen: dict = {}
-    degen = None
-    for x in range(X.n):
-        key = ip[x].tobytes()
-        if key in seen:
-            degen = (seen[key], x)
-            break
-        seen[key] = x
+    first = _RowIndex(ip).find(ip)            # x's row first occurs at first[x]
+    w = first_bad(first != np.arange(X.n))
+    degen = None if w is None else (int(first[w[0]]), w[0])
     return PreHilbertReport(laws, degen is None, degen)
 
 
 def hilbert_sections(X: PreHilbertModule) -> np.ndarray:
     """All s with <x,s>s <= x for every x, in carrier order."""
-    lat, act, ip = X.carrier, X.action, X.ip
     ar = np.arange(X.n, dtype=np.intp)
-    out = [s for s in range(X.n) if lat.leq[act[ip[:, s], s], ar].all()]
-    return np.asarray(out, dtype=np.intp)
+    return np.flatnonzero(X.carrier.leq[X.action[X.ip, ar], ar[:, None]].all(axis=0))
 
 
 def reconstruct(X: PreHilbertModule, sigma) -> np.ndarray:
@@ -363,13 +395,13 @@ class MatrixModule:
     qset: QSet
     vectors: np.ndarray          # (m, |I|) carrier elements as coordinate vectors
     rows: np.ndarray             # (|I|,) carrier index of each matrix row
-    index: dict                  # vector bytes -> carrier index
 
-    def vector_index(self, vec) -> int:
-        key = np.ascontiguousarray(np.asarray(vec, dtype=np.intp)).tobytes()
-        if key not in self.index:
+    def vector_index(self, vecs):
+        """The carrier index of a (|I|,) vector, or the indices of an (N, |I|) stack."""
+        found = _RowIndex(self.vectors).find(np.atleast_2d(vecs))
+        if np.min(found, initial=0) < 0:
             raise KeyError("vector is not in the carrier")
-        return self.index[key]
+        return int(found[0]) if np.ndim(vecs) == 1 else found
 
 
 def _vector_labels(Q: Quantale, vectors: np.ndarray) -> list[str]:
@@ -381,83 +413,57 @@ def _vector_labels(Q: Quantale, vectors: np.ndarray) -> list[str]:
 def module_from_qset(Q: Quantale, X: QSet, cap: int = CARRIER_CAP) -> MatrixModule:
     """Materialize Q^I A = {vA} as a pre-Hilbert module with its row basis.
 
-    The carrier is the closure of the scaled rows {q . row_a} under binary
-    joins (plus the zero vector); the inner product is the dot product
-    <v, w> = join_a v_a w_a*.  The row-projection identity <v, row_b> = v_b
-    and the entry identity <row_a, row_b> = a_ab are re-checked, as is the
-    fact that the rows form a Hilbert basis.
+    The carrier closes the scaled rows under binary joins, in this order:
+    the zero vector; the new q . row_a, q ascending, one row a at a time
+    (CarrierTooLarge(size, cap) past the cap); then for i = 0, 1, ... the
+    new joins of vector i with vectors 0..i, each where it first occurs
+    (CarrierTooLarge(cap + 1, cap)).  Membership, the action table and the
+    rows are _RowIndex lookups.  The inner product is <v, w> = join_a v_a
+    w_a*.  <v, row_b> = v_b, <row_a, row_b> = a_ab and the rows being a
+    Hilbert basis are re-checked.
     """
     NotAQSet.check("qset", is_qset(X)[1])
     A = X.A.data
-    k = A.shape[0]
     jt, mul, inv = Q.lattice.join_table, Q.mul, Q.inv
 
-    vecs: list[np.ndarray] = []
-    index: dict = {}
-
-    def add(vec: np.ndarray) -> int:
-        key = vec.tobytes()
-        got = index.get(key)
-        if got is None:
-            got = len(vecs)
-            index[key] = got
-            vecs.append(vec)
-        return got
-
-    add(np.ascontiguousarray(np.full(k, Q.bottom, dtype=np.intp)))
-    for alpha in range(k):
-        scaled = mul[:, A[alpha]]          # all q . row_alpha at once
-        for q in range(Q.n):
-            add(np.ascontiguousarray(scaled[q]))
-    if len(vecs) > cap:
-        raise CarrierTooLarge(len(vecs), cap)
-
-    # worklist closure under binary joins: pair every unprocessed vector
-    # with everything known so far (new arrivals join the queue)
+    index = _RowIndex(np.full((1, X.size), Q.bottom))
+    for alpha in range(X.size):
+        index = index.extended(mul[:, A[alpha]])
+    if len(index.table) > cap:
+        raise CarrierTooLarge(len(index.table), cap)
     i = 0
-    while i < len(vecs):
-        vi = vecs[i]
-        for j in range(i + 1):
-            add(np.ascontiguousarray(jt[vi, vecs[j]]))
-            if len(vecs) > cap:
-                raise CarrierTooLarge(len(vecs), cap)
+    while i < len(arr := index.table):
+        index = index.extended(jt[arr[i], arr[:i + 1]])
+        if len(index.table) > cap:
+            raise CarrierTooLarge(cap + 1, cap)
         i += 1
-
-    arr = np.ascontiguousarray(np.array(vecs, dtype=np.intp))
-    m = arr.shape[0]
-    leq = Q.leq[arr[:, None, :], arr[None, :, :]].all(axis=2)
-    carrier = SupLattice(leq, _vector_labels(Q, arr))
-
-    act = np.empty((Q.n, m), dtype=np.intp)
-    for a in range(Q.n):
-        moved = mul[a][arr]
-        row = act[a]
-        for i in range(m):
-            row[i] = index[np.ascontiguousarray(moved[i]).tobytes()]
+    carrier = SupLattice(Q.leq[arr[:, None], arr[None]].all(axis=2), _vector_labels(Q, arr))
+    act = np.stack([index.find(mul[a][arr]) for a in range(Q.n)])
+    rows = index.find(A)
+    TheoremViolation.check("carrier_closed_under_action", first_bad(act < 0))
+    TheoremViolation.check("rows_in_carrier", first_bad(rows < 0))
 
     ip = Q.lattice.join_products(mul, arr, inv[arr].T)
     mod = PreHilbertModule(QModule(Q, carrier, act), ip)
-    rows = np.array([index[np.ascontiguousarray(A[a]).tobytes()] for a in range(k)],
-                    dtype=np.intp)
 
     check_prehilbert(mod)
     TheoremViolation.check("row_projection", first_bad(ip[:, rows] != arr))  # <v, row_b> = v_b
     TheoremViolation.check("row_entries", first_bad(ip[np.ix_(rows, rows)] != A))  # = a_ab
     TheoremViolation.check("rows_are_a_basis", is_hilbert_basis(mod, rows)[1])
-    return MatrixModule(mod, X, arr, rows, index)
+    return MatrixModule(mod, X, arr, rows)
 
 
 def check_prehilbert(X: PreHilbertModule) -> None:
     """Re-check that a constructed module is a non-degenerate pre-Hilbert module."""
-    report = validate_prehilbert(X)
-    TheoremViolation.check("prehilbert_laws", report.failures() or None)
-    TheoremViolation.check("non_degenerate", report.degeneracy_witness)
+    TheoremViolation.check("prehilbert_laws", X.prehilbert_report.failures() or None)
+    TheoremViolation.check("non_degenerate", X.prehilbert_report.degeneracy_witness)
 
 
 def qset_from_basis(X: PreHilbertModule, sigma) -> QSet:
-    """The Q-set (sigma, <s, t>) induced by a Hilbert basis."""
+    """The Q-set (sigma, <s, t>) induced by a Hilbert basis of a pre-Hilbert module."""
     sigma = np.asarray(sigma, dtype=np.intp)
     NotEnoughSections.check("hilbert_basis", is_hilbert_basis(X, sigma)[1])
+    X.prehilbert_report.require(NotAPreHilbert)      # the premise of basis_qset
     labels = [X.carrier.labels[int(s)] for s in sigma]
     qs = QSet(X.quantale, X.ip[np.ix_(sigma, sigma)], labels)
     TheoremViolation.check("basis_qset", is_qset(qs)[1])
@@ -481,10 +487,8 @@ def representation_report(X: PreHilbertModule, sigma) -> RepresentationReport:
     """Check X ~ Q^Sigma A_Sigma via x |-> (<x,s>)_s for a verified basis."""
     sigma = np.asarray(sigma, dtype=np.intp)
     mm = module_from_qset(X.quantale, qset_from_basis(X, sigma))
-    N = mm.module
-    psi = np.array([mm.vector_index(X.ip[x, sigma]) for x in range(X.n)],
-                   dtype=np.intp)
-    return RepresentationReport(mm, psi, canonical_map_checks(X, N, psi))
+    psi = mm.vector_index(X.ip[:, sigma])
+    return RepresentationReport(mm, psi, canonical_map_checks(X, mm.module, psi))
 
 
 def canonical_map_checks(X: PreHilbertModule, N: PreHilbertModule, psi: np.ndarray) -> dict:
@@ -518,9 +522,8 @@ def section_relation(mm: MatrixModule) -> QMatrix:
 
 def functor_M_object(X: PreHilbertModule) -> tuple[QSet, np.ndarray]:
     """M(X) = (Sigma_X, <s,t>) for a module with enough sections."""
-    ok, secs, witness = has_enough_sections(X)
-    NotEnoughSections.check("hilbert_basis", witness)
-    return qset_from_basis(X, secs), secs
+    secs = hilbert_sections(X)
+    return qset_from_basis(X, secs), secs      # NotEnoughSections unless secs is a basis
 
 
 def functor_M(phi: ModuleHom) -> QMatrix:
@@ -570,10 +573,12 @@ def module_support(X: PreHilbertModule) -> SupportedModule:
     """Verify sup(x) = <x,x> AND e as a (stable) support on X.
 
     Raises SupportAxiomFails when an axiom breaks (possible for modules
-    without enough sections); the downstream identities (agreement of the
-    four stability conditions, the uniqueness formulas through <x,1>, the
+    without enough sections), then NotAPreHilbert when X fails a
+    pre-Hilbert law; the downstream identities (agreement of the four
+    stability conditions, the uniqueness formulas through <x,1>, the
     pointwise characterization of sup(x), and the a.1_X collapse chain)
-    are theorems, so a failure there raises TheoremViolation.
+    are theorems about pre-Hilbert modules, so a failure there raises
+    TheoremViolation.
     """
     Q = X.quantale
     srep = support(Q)
@@ -590,6 +595,7 @@ def module_support(X: PreHilbertModule) -> SupportedModule:
     SupportAxiomFails.check("monotone",
                             first_bad(X.carrier.leq & ~Q.leq[supv[:, None], supv[None, :]]))
     SupportAxiomFails.check("restores", first_bad(~lat.leq[ar, act[supv, ar]]))
+    X.prehilbert_report.require(NotAPreHilbert)      # the premise of the theorems below
 
     b_elems = np.flatnonzero(Q.leq[:, e])
     aq = np.arange(Q.n, dtype=np.intp)
@@ -648,12 +654,9 @@ def local_sections(sm: SupportedModule) -> LocalSectionReport:
     X, supv = sm.module, sm.sup
     lat, act = X.carrier, X.action
     ar = np.arange(X.n, dtype=np.intp)
-    in_local = np.array([lat.leq[act[supv[lat.meet_table[:, s]], s], ar].all() for s in ar],
-                        dtype=bool)
-    pointwise = np.zeros(X.n, dtype=bool)
-    for s in ar:
-        below = np.flatnonzero(lat.leq[:, s])
-        pointwise[s] = (act[supv[below], s] == below).all()
+    # over [x, s]: sup(x AND s) s <= x; and sup(x) s = x wherever x <= s
+    in_local = lat.leq[act[supv[lat.meet_table], ar], ar[:, None]].all(axis=0)
+    pointwise = ~(lat.leq & (act[supv] != ar[:, None])).any(axis=0)
     TheoremViolation.check("local_sections_pointwise", first_bad(in_local != pointwise))
     # [s, t]: t <= s leaves the local sections
     TheoremViolation.check("local_sections_downward_closed",
@@ -694,16 +697,12 @@ def singleton_section_bridge(X: QSet) -> BridgeReport:
     sings = comp.singleton_list
     mm = module_from_qset(Q, X)
     secs = hilbert_sections(mm.module)
-    sec_set = set(int(s) for s in secs)
 
-    pairing = []
-    for pos, s in enumerate(sings):
-        idx = mm.vector_index(Q.inv[np.asarray(s.column, dtype=np.intp)])
-        TheoremViolation.check("adjoint_singleton_is_section",
-                               None if idx in sec_set else (pos, idx))
-        pairing.append((pos, idx))
-    idxs = [idx for _, idx in pairing]
-    TheoremViolation.check("pairing_bijective", None if sorted(idxs) == sorted(sec_set)
+    idxs = mm.vector_index(comp.unitary.data).tolist()     # the adjoint singleton columns
+    w = first_bad(~np.isin(idxs, secs))
+    TheoremViolation.check("adjoint_singleton_is_section",
+                           None if w is None else (w[0], idxs[w[0]]))
+    TheoremViolation.check("pairing_bijective", None if sorted(idxs) == secs.tolist()
                            else (len(set(idxs)), len(idxs), len(secs)))
     TheoremViolation.check("completion_is_section_gram",
                            first_bad(comp.qset.A.data != mm.module.ip[np.ix_(idxs, idxs)]))
@@ -711,4 +710,4 @@ def singleton_section_bridge(X: QSet) -> BridgeReport:
     zero = mm.vector_index(np.full(X.size, Q.bottom, dtype=np.intp))
     TheoremViolation.check("zero_is_bottom",
                            None if zero == mm.module.carrier.bottom else (zero,))
-    return BridgeReport(X, mm, [s.column for s in sings], secs, pairing)
+    return BridgeReport(X, mm, [s.column for s in sings], secs, list(enumerate(idxs)))

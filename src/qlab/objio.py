@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import catalog_entries, catalog_get
 from .groupoid import FiniteGroupoid, GroupoidAction
-from .hilbert import NotAPreHilbert, PreHilbertModule, QModule, validate_prehilbert
+from .hilbert import NotAPreHilbert, PreHilbertModule, QModule
 from .lattice import SupLattice, build_lattice
 from .qmatrix import QSet
 from .quantale import NotAQuantale, Quantale, validate_quantale
@@ -91,14 +91,6 @@ def quantale_from_payload(p: dict) -> Quantale:
                     name=p.get("name"))
 
 
-def _checked(obj, report, error):
-    """obj, unless its validation report has a failed law: then error(law, witness)."""
-    failures = report.failures()
-    if failures:
-        raise error(*next(iter(failures.items())))
-    return obj
-
-
 def _quantale_ref(ref, context: str) -> Quantale:
     """A catalog quantale, or an inline payload that must pass validate_quantale."""
     if isinstance(ref, str):
@@ -106,7 +98,8 @@ def _quantale_ref(ref, context: str) -> Quantale:
         return obj
     if isinstance(ref, dict):
         Q = quantale_from_payload(ref)
-        return _checked(Q, validate_quantale(Q), NotAQuantale)
+        validate_quantale(Q).require(NotAQuantale)
+        return Q
     raise InputError(f"{context}.quantale must be a payload or a catalog: reference")
 
 
@@ -126,7 +119,8 @@ def module_from_payload(p: dict) -> PreHilbertModule:
     action = _table(_need(p, "action", "module"), "module", "action")
     ip = _table(_need(p, "ip", "module"), "module", "ip")
     X = PreHilbertModule(QModule(Q, carrier, action), ip)
-    return _checked(X, validate_prehilbert(X), NotAPreHilbert)
+    X.prehilbert_report.require(NotAPreHilbert)
+    return X
 
 
 def _index_of(labels: list[str], key: str, what: str) -> dict:

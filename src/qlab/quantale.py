@@ -122,6 +122,11 @@ class ValidationReport:
     def failures(self) -> dict:
         return {law: w for law, w in self.laws.items() if w is not None}
 
+    def require(self, error) -> None:
+        """Raise error(law, witness) at the first failed law, if any."""
+        for law, w in self.failures().items():
+            raise error(law, w)
+
 
 def validate_quantale(Q: Quantale) -> ValidationReport:
     """Check every quantale law exactly, recording lex-first witnesses.

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qlab
 from qlab import hilbert, objio
-from qlab.catalog import egger8, quantale_r4, relq
+from qlab.catalog import catalog_get, egger8, quantale_r4, relq
 from qlab.cli import main
 from qlab.hilbert import module_over_self
 from qlab.lattice import chain_lattice
@@ -527,3 +532,65 @@ def test_theorem_checks_run_under_python_O():
                           env=env, cwd=os.path.dirname(os.path.dirname(__file__)))
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("error: theorem check prehilbert_laws fails at ")
+
+
+# ------------------------------------------------------ exit-code contract
+
+CONTRACT_PAYLOADS = {   # kind -> (document, commands that read that kind)
+    "quantale": (relq(2), [["classify"], ["search", "--lattice"]]),
+    "qset": (QSet(relq(2), [[9, 0, 8, 1], [0, 15, 5, 0], [8, 3, 9, 0], [1, 0, 0, 1]]),
+             [["complete"], ["sections"], ["basis-check"]]),
+    "module": (module_over_self(relq(2)), [["sections"], ["basis-check"], ["sheafify"]]),
+    "action": (catalog_get("z2_plus_pair2_regular")[1],
+               [["sections"], ["basis-check"], ["sheafify"],
+                ["verify-equivalence", "catalog:z2_plus_pair2"]]),
+}
+
+
+def leaves(doc, path=()):
+    """(path, value) of every int and str cell of a JSON document."""
+    if isinstance(doc, dict):
+        return [c for k, v in doc.items() for c in leaves(v, path + (k,))]
+    if isinstance(doc, list):
+        return [c for i, v in enumerate(doc) for c in leaves(v, path + (i,))]
+    return [(path, doc)] if isinstance(doc, (int, str)) else []
+
+
+def run_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(CONTRACT_PAYLOADS)), st.data())
+def test_one_changed_cell_keeps_the_exit_code_contract(kind, data):
+    """Exit 1 with one `invalid:` line wherever check calls the input invalid; never 3."""
+    obj, commands = CONTRACT_PAYLOADS[kind]
+    doc = json.loads(objio.dump_object(obj))
+    cells = leaves(doc["payload"])
+    (*parent, last), old = data.draw(st.sampled_from(cells))
+    owner = doc["payload"]
+    for key in parent:
+        owner = owner[key]
+    if isinstance(old, str):      # another label of the same payload
+        owner[last] = data.draw(st.sampled_from(sorted({v for _, v in cells
+                                                        if isinstance(v, str)})))
+    else:
+        owner[last] = data.draw(st.integers(-1, 17))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cell.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run_quietly("check", path)
+        assert code in (0, 1, 2), err
+        invalid = code == 1
+        assert invalid == (f"{path}: invalid: " in out)
+        for argv in commands:
+            code, out, err = run_quietly(*argv, path)
+            assert code in (0, 1, 2), (argv, err)
+            if invalid:
+                assert (code, out.count("\n"), err) == (1, 1, ""), (argv, out, err)
+                assert "invalid: " in out

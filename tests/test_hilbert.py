@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qlab import hilbert as hb
-from qlab.catalog import (cyclic_table, egger8, frame_quantale, group_quantale,
-                          quantale_r4, relq)
+from qlab.catalog import (catalog_entries, catalog_get, cyclic_table, egger8,
+                          frame_quantale, group_quantale, quantale_r4, relq)
+from qlab.groupoid import module_from_action
+from qlab.laws import Violation
 from qlab.lattice import chain_lattice, powerset_lattice
 from qlab.hilbert import (AdjointIdentityFails, CarrierTooLarge, ModuleHom,
                           NotEnoughSections, PreHilbertModule, QModule,
@@ -274,6 +276,35 @@ def test_module_support_failure_witness():
         module_support(PreHilbertModule(X.module, ip))
     assert ei.value.law == "restores"
     assert ei.value.witness == (1,)
+
+
+PREMISED = {   # library calls whose theorem re-checks assume a pre-Hilbert module
+    "module_support": module_support,
+    "qset_from_basis": lambda X: qset_from_basis(X, hilbert_sections(X)),
+    "local_sections": lambda X: local_sections(module_support(X)),
+    "functor_M_object": functor_M_object,
+}
+
+
+@pytest.mark.parametrize("name", [name for name, (kind, _) in catalog_entries().items()
+                                  if kind == "action" and name != "pair3_regular"])
+def test_theorem_rechecks_never_blame_a_corrupted_input_module(name):
+    # one ip cell overwritten: before module_support and qset_from_basis
+    # checked their premise, some of these calls raised TheoremViolation
+    # (stability_conditions, sup_of_diagonal, sup_via_top, basis_qset, ...)
+    X0 = module_from_action(catalog_get(name)[1]).module
+    rng = np.random.default_rng(len(name))
+    for _ in range(40):
+        x, y = rng.integers(0, X0.n, size=2)
+        ip = X0.ip.copy()
+        ip[x, y] = rng.integers(0, X0.quantale.n)
+        invalid = bool(validate_prehilbert(PreHilbertModule(X0.module, ip)).failures())
+        for call in PREMISED.values():
+            try:
+                call(PreHilbertModule(X0.module, ip))
+            except Violation:
+                continue
+            assert not invalid       # nothing is built on a module that is not pre-Hilbert
 
 
 def test_module_support_requires_stably_supported_quantale():

@@ -17,7 +17,10 @@ backtracking walk over singleton columns, the recursive order-isomorphism
 search, and the recursive walks over equivariant maps and module homs).
 SupLattice.join_witness is compared with the whole cubic violation array,
 and classify's table of rungs (quantale.BUILDS_ON) with the hand-written
-cascade it replaced.
+cascade it replaced.  module_from_qset's whole-row closure, action table
+and rows, and validate_prehilbert's degeneracy scan, are compared with the
+bytes-keyed worklist and seen-dict scan they replaced, and the whole-array
+hilbert_sections and local_sections with their per-section loops.
 Each kernel must give the same tables, the same order of results and the
 same lex-first witnesses.
 """
@@ -31,10 +34,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qlab import hilbert as hb
-from qlab import laws, lattice, qmatrix
+from qlab import laws, lattice, objio, qmatrix
 from qlab.catalog import catalog_entries, catalog_get, egger8, powerset_quantale, relq
 from qlab.groupoid import (_enumerate_homs, _equivariant_maps, module_from_action,
-                           quantale_of)
+                           quantale_of, sheafify)
 from qlab.lattice import (NotALattice, NotAPoset, SupLattice, _bound_table,
                           build_lattice, chain_lattice, powerset_lattice,
                           relation_product)
@@ -45,6 +48,8 @@ from qlab.qmatrix import (QMatrix, QSet, _columns, completion, mat_mul, random_q
                           singletons)
 from qlab.quantale import (_gelfand_witnesses, classify, lattice_order_isos, modular_law,
                            partial_units, support)
+
+from test_golden import QSET, QSET3
 
 search_mod = importlib.import_module("qlab.search")    # qlab.search is also a function
 
@@ -391,6 +396,77 @@ def parseval_loop(X, sigma):
         acc = X.quantale.lattice.join_table[acc, X.quantale.mul[X.ip[:, s][:, None],
                                                                 X.ip[s][None, :]]]
     return acc
+
+
+def module_from_qset_worklist(Q, A, cap=hb.CARRIER_CAP):
+    """(vectors, action, rows) of Q^I A by the bytes-keyed worklist.
+
+    One vector at a time: each (i, j <= i) join and each (scalar, vector)
+    cell is one dict lookup.  Raises CarrierTooLarge as module_from_qset does.
+    """
+    A = np.asarray(A, dtype=np.intp)
+    k = A.shape[0]
+    jt, mul = Q.lattice.join_table, Q.mul
+    vecs, index = [], {}
+
+    def add(vec):
+        key = vec.tobytes()
+        if key not in index:
+            index[key] = len(vecs)
+            vecs.append(vec)
+
+    add(np.ascontiguousarray(np.full(k, Q.bottom, dtype=np.intp)))
+    for alpha in range(k):
+        scaled = mul[:, A[alpha]]
+        for q in range(Q.n):
+            add(np.ascontiguousarray(scaled[q]))
+    if len(vecs) > cap:
+        raise hb.CarrierTooLarge(len(vecs), cap)
+    i = 0
+    while i < len(vecs):
+        for j in range(i + 1):
+            add(np.ascontiguousarray(jt[vecs[i], vecs[j]]))
+            if len(vecs) > cap:
+                raise hb.CarrierTooLarge(len(vecs), cap)
+        i += 1
+
+    arr = np.array(vecs, dtype=np.intp).reshape(len(vecs), k)
+    act = np.empty((Q.n, len(arr)), dtype=np.intp)
+    for a in range(Q.n):
+        moved = mul[a][arr]
+        for i in range(len(arr)):
+            act[a, i] = index[np.ascontiguousarray(moved[i]).tobytes()]
+    rows = np.array([index[np.ascontiguousarray(A[a]).tobytes()] for a in range(k)],
+                    dtype=np.intp)
+    return arr, act, rows
+
+
+def degeneracy_by_seen_dict(ip):
+    """(earlier, x) for the first row of ip equal to an earlier row, or None."""
+    seen = {}
+    for x in range(len(ip)):
+        key = ip[x].tobytes()
+        if key in seen:
+            return (seen[key], x)
+        seen[key] = x
+    return None
+
+
+def hilbert_sections_loop(X):
+    ar = np.arange(X.n)
+    return [s for s in range(X.n) if X.carrier.leq[X.action[X.ip[:, s], s], ar].all()]
+
+
+def local_sections_loops(sm):
+    """(sup(x AND s) s <= x for all x, sup(x) s = x for all x <= s), one s at a time."""
+    X, supv = sm.module, sm.sup
+    lat, act, ar = X.carrier, X.action, np.arange(X.n)
+    in_local = [bool(lat.leq[act[supv[lat.meet_table[:, s]], s], ar].all()) for s in ar]
+    pointwise = []
+    for s in ar:
+        below = np.flatnonzero(lat.leq[:, s])
+        pointwise.append(bool((act[supv[below], s] == below).all()))
+    return in_local, pointwise
 
 
 def classify_by_cascade(Q):
@@ -964,3 +1040,88 @@ def test_catalog_homs_match_the_recursive_walks(pair):
         slow = enumerate_homs_recursive(am1, am2, pinned)
         assert len(fast) == len(slow)
         assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
+
+
+# ------------------------------------------------------- module carriers
+
+def section_qset(name):
+    return sheafify(module_from_action(catalog_get(name)[1]).module).qset
+
+
+CARRIER_QSETS = {
+    "golden": lambda: objio.build_object("qset", QSET["payload"]),
+    "golden3": lambda: objio.build_object("qset", QSET3["payload"]),
+    **{f"fixed:{name}": (lambda rows=rows: QSet(R2, rows)) for name, rows in FIXED_QSETS.items()},
+    **{f"random:{seed}": (lambda seed=seed: random_qset(R2, 1 + seed % 4,
+                                                        np.random.default_rng(seed)))
+       for seed in range(8)},
+    "empty": lambda: QSet(R2, np.zeros((0, 0), dtype=np.intp)),
+    "sections:pair2_regular": lambda: section_qset("pair2_regular"),
+    "sections:z2_plus_pair2_regular": lambda: section_qset("z2_plus_pair2_regular"),
+}
+
+
+def with_repeated_row(X, seed):
+    """X with one inner-product row copied onto a later one: a degenerate table."""
+    rng = np.random.default_rng(seed)
+    src, dst = sorted(rng.choice(X.n, size=2, replace=False))
+    ip = X.ip.copy()
+    ip[dst] = ip[src]
+    return hb.PreHilbertModule(X.module, ip)
+
+
+@pytest.mark.parametrize("name", sorted(set(CARRIER_QSETS) - {"golden3"}))
+def test_module_carriers_match_the_bytes_keyed_worklist(name):
+    X = CARRIER_QSETS[name]()
+    Q = X.Q
+    mm = module_from_qset(Q, X)
+    vectors, action, rows = module_from_qset_worklist(Q, X.A.data)
+    assert np.array_equal(mm.vectors, vectors)                # the same order
+    assert np.array_equal(mm.module.action, action)
+    assert np.array_equal(mm.rows, rows)
+    assert np.array_equal(mm.module.ip, dot_products_by_row(Q, vectors))
+    assert np.array_equal(mm.vector_index(vectors), np.arange(len(vectors)))
+    assert hb.validate_prehilbert(mm.module).degeneracy_witness is None
+    for seed in range(3 if mm.module.n > 1 else 0):
+        Y = with_repeated_row(mm.module, seed)
+        witness = hb.validate_prehilbert(Y).degeneracy_witness
+        assert witness == degeneracy_by_seen_dict(Y.ip) is not None
+
+
+def carrier_outcome(build):
+    try:
+        return len(build())
+    except hb.CarrierTooLarge as exc:
+        return "too large", exc.size, exc.cap
+
+
+@pytest.mark.parametrize("name", ["golden", "golden3", "fixed:two_units"])
+def test_carrier_caps_stop_where_the_worklist_stops(name):
+    # golden3's closure passes the default cap, so its carrier is compared here only
+    X = CARRIER_QSETS[name]()
+    Q, A = X.Q, X.A.data
+    scaled = len(np.unique(np.vstack([np.full((1, X.size), Q.bottom),
+                                      *(Q.mul[:, A[a]] for a in range(X.size))]), axis=0))
+    for cap in (scaled - 1, scaled, scaled + 5, hb.CARRIER_CAP):
+        fast = carrier_outcome(lambda: module_from_qset(Q, X, cap).vectors)
+        assert fast == carrier_outcome(lambda: module_from_qset_worklist(Q, A, cap)[0])
+        if cap == scaled - 1:                                 # stops after the scaled rows
+            assert fast == ("too large", scaled, cap)
+        if cap == scaled:                                     # stops in the closure
+            assert fast == ("too large", cap + 1, cap)
+
+
+@pytest.mark.parametrize("name", catalog_names("action"))
+def test_sections_match_the_per_section_loops(name):
+    am = module_from_action(catalog_get(name)[1])
+    X = am.module
+    assert hilbert_sections(X).tolist() == hilbert_sections_loop(X)
+    rng = np.random.default_rng(len(name))
+    for _ in range(4):                       # any inner product table will do here
+        ip = X.ip.copy()
+        ip[tuple(rng.integers(0, X.n, size=2))] = rng.integers(0, X.quantale.n)
+        Y = hb.PreHilbertModule(X.module, ip)
+        assert hilbert_sections(Y).tolist() == hilbert_sections_loop(Y)
+    in_local, pointwise = local_sections_loops(am.supported)
+    assert in_local == pointwise
+    assert hb.local_sections(am.supported).local.tolist() == np.flatnonzero(in_local).tolist()
