@@ -4,16 +4,29 @@ A join-preserving multiplication is determined by its values on pairs of
 join-irreducibles, so the search branches only on those cells.  The
 involution links each cell (p, q) to (q*, p*), and a join-irreducible unit
 pins its row and column, which together cut the raw cell count roughly in
-half before any value is tried.  The complete assignments (the leaves) are
-visited in lexicographic order of the free cells, in blocks: the last few
-free cells run over all their values inside one numpy block, and the block
-is tested for associativity on irreducible triples all at once.  Every leaf
-is still reached and tested, and the statistics, the order of the models
-and the budget and limit stops are exactly those of a walk that takes one
-leaf at a time.  The associative leaves of a block are extended to full
-tables by joins, and one whole-array kernel (_leaf_verdicts) decides, for
-all of them at once, whether each is a quantale and which of the ten
-classifier flags it has.  Only leaves matching the requested flags go on.
+half before any value is tried.
+
+The free cells are placed depth first, one level per cell, in
+lexicographic order of their values.  One step extends a chunk of the
+surviving partial tables by all n values of the next free cell, and then
+tests each irreducible associativity triple that has just become
+decidable: both of its products are placed, and so is every cell their
+join-extensions read.  Which cells those are depends on the products, so a
+triple becomes decidable at a level that depends on the row; each row tests
+each triple once, at that level (propagation, as in Mace4).  A partial
+table that fails a triple is dropped with all the leaves below it.
+
+Each leaf (complete assignment) is numbered by its free values in mixed
+radix n, a Python int when n**K does not fit in int64.  The statistics
+count leaves as a walk that takes one leaf at a time would: a surviving
+leaf advances `candidates` to its number and adds the pruned leaves before
+it to `pruned_assoc` in bulk, so the counters, the order of the models and
+the budget and limit stops are exactly those of that walk.  No prefix whose
+first leaf lies at or past the budget is extended.  The surviving leaves
+are extended to full tables by joins, and one whole-array kernel
+(_leaf_verdicts) decides, for a full chunk of them at once, whether each is
+a quantale and which of the ten classifier flags it has.  Only leaves
+matching the requested flags go on.
 
 The searcher never trusts its own pruning or its kernel: every leaf that
 matches the requested flags is re-validated from scratch by
@@ -35,7 +48,7 @@ from .laws import TheoremViolation, first_bad
 from .quantale import (BUILDS_ON, LADDER, Quantale, _FLAG_NAMES, _UNIT_RUNGS, classify,
                        lattice_order_isos, validate_quantale)
 
-# Leaves per block: the last d free cells vary inside a block, n**d <= _BLOCK.
+# Rows of one step of the walk: it extends at most _BLOCK // n partial tables.
 _BLOCK = 1 << 14
 # Associative leaves per _leaf_verdicts call, which holds n**3 cells per leaf.
 _LEAF_CHUNK = 1 << 8
@@ -54,8 +67,9 @@ class BudgetExceeded(RuntimeError):
 class SearchStats:
     free_cells: int = 0
     involutions: int = 0
-    candidates: int = 0          # complete irreducible tables reached; tested in
-                                 # blocks, counted as one leaf at a time
+    candidates: int = 0          # complete irreducible tables accounted for, as one
+                                 # leaf at a time; a pruned prefix adds its leaves
+                                 # in bulk
     emitted: int = 0
     pruned_assoc: int = 0
     rejected_quantale: int = 0
@@ -150,29 +164,32 @@ def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
 
     muls[t] is a multiplication table with unit units[t] (-1 for none), and
     fixed is _fixed_verdicts(lat, inv).  Returns (valid, flags) with
-    flags[name][t] true when the flag holds; a unit rung is false without
-    a unit.  Every law of validate_quantale and every rung of classify is
-    decided on every cell from its definition, with no generator
-    reductions and no witnesses, and each flag then builds on its rungs
-    through BUILDS_ON.  On every valid table the implications of LADDER
-    and the support cross-checks are re-checked; a failure raises
+    flags[name][t] true when the flag holds.  Every law of validate_quantale
+    is decided on every table, the rungs of classify only on the valid
+    tables and the unit rungs only on the valid unital ones: every flag of
+    an invalid table, and a unit rung without a unit, is false.  Each law
+    and rung is decided on every cell from its definition, with no
+    generator reductions and no witnesses, and each flag then builds on its
+    rungs through BUILDS_ON.  On every valid table the implications of
+    LADDER and the support cross-checks are re-checked; a failure raises
     TheoremViolation with the table's index in the stack.
     """
     M, A, n = muls, len(muls), lat.n
     leq, jt, mt = lat.leq, lat.join_table.astype(M.dtype), lat.meet_table.astype(M.dtype)
     ar = np.arange(n)
-    t1 = np.arange(A)
-    t2 = t1[:, None]
-    t3 = t2[..., None]
-    t4 = t3[..., None]
     bot, top = lat.bottom, lat.top
     involution, frame = fixed
 
     def each(ok):                       # [t, ...] -> the law holds on every cell of t
-        return ok.reshape(A, -1).all(axis=1)
+        return ok.all(axis=tuple(range(1, ok.ndim)))
+
+    def stack(size):                    # the stack index, broadcast along 0 to 3 cell axes
+        t = np.arange(size)
+        return t, t[:, None], t[:, None, None], t[:, None, None, None]
 
     has = units >= 0
     e = np.where(has, units, 0)
+    t1, _, _, t4 = stack(A)
     u_rows, u_cols = M[t1, e], M[t1, :, e]
     valid = (involution
              & each(M[t4, M[..., None], ar] == M[t4, ar[:, None, None], M[:, None]])
@@ -182,6 +199,10 @@ def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
              & each(inv[M] == M[:, inv[None, :], inv[:, None]])
              & (~has | ((u_rows == ar).all(axis=1) & (u_cols == ar).all(axis=1))))
 
+    # the rungs without a unit, on the valid tables
+    v = np.flatnonzero(valid)
+    M, e, has = muls[v], e[v], has[v]
+    _, t2, t3, t4 = stack(len(v))
     aa = M[t2, ar, inv]                                  # a a*
     reg = M[t2, aa, ar]                                  # a a* a
     regular = reg == ar
@@ -189,6 +210,17 @@ def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
     local = proj[:, None, :] & leq & leq[M, ar[:, None]]     # [t, a, p]: a <= p, ap <= a
     inner = mt[ar[:, None], M[:, inv][:, :, None, :]]        # [t, a, b, c] = b AND a*c
     a1 = M[:, :, top]
+    plain = {"unital": has,
+             "gelfand": each(~leq[a1, ar] | regular),
+             "locally_gelfand": each(~local | regular[..., None]),
+             "stably_gelfand": each(~leq[reg, ar] | regular),
+             "modular": each(leq[mt[M[..., None], ar], M[t4, ar[:, None, None], inner]]),
+             "quantal_frame": np.full(len(v), frame)}
+
+    # the unit rungs, on the valid unital tables
+    u = np.flatnonzero(has)
+    M, e, aa, a1, vu = M[u], e[u], aa[u], a1[u], v[u]
+    _, t2, t3, _ = stack(len(u))
     sup = mt[a1, e[:, None]]
     supported = (each(sup[:, jt] == jt[sup[..., None], sup[:, None]])
                  & (sup[:, bot] == bot) & each(leq[sup, aa])
@@ -196,21 +228,16 @@ def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
     stable = each(leq[np.take_along_axis(sup, a1, axis=1), sup])
     partial = leq[jt[aa, M[t2, inv, ar]], e[:, None]]        # ss* OR s*s <= e
     bounds = ~(partial[:, :, None] & ~leq).any(axis=1)       # upper bounds of the partial units
-    own = {
-        "unital": has,
-        "gelfand": each(~leq[a1, ar] | regular),
-        "locally_gelfand": each(~local | regular[..., None]),
-        "stably_gelfand": each(~leq[reg, ar] | regular),
-        "modular": each(leq[mt[M[..., None], ar], M[t4, ar[:, None, None], inner]]),
-        "supported": has & supported,
-        "stably_supported": has & stable,
-        "quantal_frame": np.full(A, frame),
-        "stable_quantal_frame": has,
-        "inverse_quantal_frame": has & (bounds.sum(axis=1) == 1),   # their join is the top
-    }
-    flags: dict = {}
+    unit = {"supported": supported,
+            "stably_supported": stable,
+            "stable_quantal_frame": np.ones(len(u), bool),
+            "inverse_quantal_frame": bounds.sum(axis=1) == 1}   # their join is the top
+
+    flags = {name: np.zeros(A, bool) for name in _FLAG_NAMES}
+    for rows, own in ((v, plain), (vu, unit)):
+        for name, ok in own.items():
+            flags[name][rows] = ok
     for name in _FLAG_NAMES:
-        flags[name] = own[name]
         for rung in BUILDS_ON.get(name, ()):
             flags[name] = flags[name] & flags[rung]
 
@@ -235,7 +262,9 @@ def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
                    & each(~b_rows | ((M == mt[a1[..., None], ar])
                                      & (mt[M, e[:, None, None]] == mt)
                                      & (sup_m == m_sup))))))
-    TheoremViolation.check("support_cross_checks", first_bad(valid & has & supported & ~cross))
+    bad = np.zeros(A, bool)
+    bad[vu] = supported & ~cross
+    TheoremViolation.check("support_cross_checks", first_bad(bad))
     return valid, flags
 
 
@@ -252,39 +281,29 @@ def _canonical_key(Q: Quantale, autos: list[np.ndarray]) -> bytes:
     return best
 
 
-def _associative_rows(lat: SupLattice, J: list[int], jt: np.ndarray,
-                      block: np.ndarray) -> np.ndarray:
-    """Indices, ascending, of the irreducible tables in `block` that are associative.
+def _triple_levels(lat: SupLattice, J: list[int], level: np.ndarray) -> list[list]:
+    """The irreducible associativity triples, by the level at which a row first decides them.
 
-    block[b, i, j] = J[i].J[j].  The join-extension of each table gives
-    R[a, b, l] = a.J[l] and L[a, b, i] = J[i].a: the join, through the join
-    table `jt`, of the products with the irreducibles below a.  A table is
-    associative iff (J[i]J[j]).J[l] = J[i].(J[j]J[l]) for every irreducible
-    triple, as for the full table; each triple is tested only on the tables
-    that passed the ones before it.
+    level[i, j] is the free cell that places cell (i, j) of the irreducible
+    table, -1 for a pinned cell.  Triple (i, j, l) reads J[i]J[j] = a,
+    J[j]J[l] = b, the cells (t, l) with J[t] <= a and the cells (i, t) with
+    J[t] <= b; so a row decides it from level max(left[a], right[b]) on,
+    where left and right fold in the levels of cells (i, j) and (j, l).
+    Entry c + 1 (c = -1 for the pinned cells) lists, for each triple that
+    some row can first decide at level c: the flat cells (i, j) and (j, l),
+    left and right, and the flat cells (t, l) and (i, t) over every t.
     """
-    B, k = block.shape[:2]
-    rows = np.ascontiguousarray(block.transpose(1, 0, 2))   # rows[t, b, l] = J[t].J[l]
-    cols = np.ascontiguousarray(block.transpose(2, 0, 1))   # cols[t, b, i] = J[i].J[t]
-    R = np.empty((lat.n, B, k), dtype=block.dtype)
-    L = np.empty((lat.n, B, k), dtype=block.dtype)
-    for a in range(lat.n):
-        below = np.flatnonzero(lat.leq[J, a])
-        if not below.size:
-            R[a] = L[a] = lat.bottom
-            continue
-        r, c = rows[below[0]], cols[below[0]]
-        for t in below[1:]:
-            r, c = jt[r, rows[t]], jt[c, cols[t]]
-        R[a], L[a] = r, c
-    alive = np.arange(B)
+    k = len(J)
+    below = lat.leq[J]                                   # below[t, a]: J[t] <= a
+    out: list[list] = [[] for _ in range(int(level.max(initial=-1)) + 2)]
     for i, j, l in itertools.product(range(k), repeat=3):
-        left = R[block[alive, i, j], alive, l]
-        right = L[block[alive, j, l], alive, i]
-        alive = alive[left == right]
-        if not alive.size:
-            break
-    return alive
+        base = max(level[i, j], level[j, l])
+        left = np.maximum(np.where(below, level[:, l, None], -1).max(axis=0), base)
+        right = np.maximum(np.where(below, level[i, :, None], -1).max(axis=0), base)
+        for c in range(max(left.min(), right.min()), max(left.max(), right.max()) + 1):
+            out[c + 1].append((i * k + j, j * k + l, left, right,
+                               np.arange(k) * k + l, i * k + np.arange(k)))
+    return out
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -307,6 +326,8 @@ def search(spec: SearchSpec) -> SearchResult:
     # leaf tables hold elements in the smallest unsigned dtype (uint8 for n <= 256)
     dtype = np.min_scalar_type(n - 1)
     jt_t = lat.join_table.astype(dtype)
+    below = lat.leq[J].T                     # below[a, t]: J[t] <= a
+    bottom = dtype.type(lat.bottom)
 
     involutions = _involution_candidates(lat, spec.fix_involution)
     stats.involutions = len(involutions)
@@ -333,35 +354,6 @@ def search(spec: SearchSpec) -> SearchResult:
             stats.truncated = True
             stats.exhausted = False
             raise _Stop
-
-    def visit(block: np.ndarray, inv: np.ndarray, fixed: tuple) -> None:
-        """Decide the associative leaves of one block, in order, as a leaf walk would."""
-        first, seen = stats.candidates, 0
-        rows = _associative_rows(lat, J, jt_t, block)
-        for c in range(0, len(rows), _LEAF_CHUNK):
-            chunk = rows[c:c + _LEAF_CHUNK]
-            muls = np.ascontiguousarray(_full_table(lat, block[chunk]))
-            units = (np.full(len(chunk), spec.fix_unit) if spec.fix_unit is not None
-                     else _detect_unit(lat, muls))
-            valid, flags = _leaf_verdicts(lat, muls, inv, units, fixed)
-            wanted = valid.copy()
-            for name, want in spec.require.items():
-                wanted &= (flags[name] == want) & ((units >= 0) | (name not in _UNIT_RUNGS))
-            for t, b in enumerate(chunk.tolist()):
-                stats.candidates = first + b + 1
-                stats.pruned_assoc += b - seen
-                seen = b + 1
-                if not valid[t]:
-                    stats.rejected_quantale += 1
-                elif not wanted[t]:
-                    stats.rejected_require += 1
-                else:
-                    verdicts = {"valid": True, **{
-                        name: None if units[t] < 0 and name in _UNIT_RUNGS
-                        else bool(flags[name][t]) for name in _FLAG_NAMES}}
-                    accept(muls[t], inv, int(units[t]), verdicts)
-        stats.candidates = first + len(block)
-        stats.pruned_assoc += len(block) - seen
 
     def run_involution(inv: np.ndarray) -> None:
         # the involution permutes the irreducibles; map cell (p,q) -> (q*,p*)
@@ -392,38 +384,117 @@ def search(spec: SearchSpec) -> SearchResult:
         # Flat cells of a k*k table: each free cell and its involution
         # partner.  The partner gets inv[v] before the cell gets v, so a
         # self-linked cell keeps v.
+        K = len(free)
         flat = [(i * k + j, inv_j[j] * k + inv_j[i]) for i, j in free]
-        tail = 0
-        while tail < len(free) and n ** (tail + 1) <= _BLOCK:
-            tail += 1
-        head = len(free) - tail
-
-        # The block template: the last `tail` free cells over all n**tail
-        # values in lexicographic order; pinned cells from m.
+        level = np.full(k * k, -1, dtype=np.intp)
+        for c, (cell, partner) in enumerate(flat):
+            level[[partner, cell]] = c
+        triples = _triple_levels(lat, J, level.reshape(k, k))
         inv_t = inv.astype(dtype)
         fixed = _fixed_verdicts(lat, inv)
-        grid = np.array(list(itertools.product(range(n), repeat=tail)), dtype=dtype)
-        template = np.repeat(np.where(m < 0, 0, m).astype(dtype).reshape(1, k * k),
-                             len(grid), axis=0)
-        for c, (cell, partner) in enumerate(flat[head:]):
-            template[:, partner] = inv_t[grid[:, c]]
-            template[:, cell] = grid[:, c]
+        values = np.arange(n, dtype=dtype)
 
-        # Prefixes of the other free cells, in lexicographic order; the
-        # counters advance to their one-leaf-at-a-time values at every stop.
-        for prefix in itertools.product(range(n), repeat=head):
-            block = template
-            if spec.budget is not None and stats.candidates + len(block) > spec.budget:
-                block = block[:spec.budget - stats.candidates]
-            block = block.copy()
-            for (cell, partner), v in zip(flat, prefix):
-                block[:, partner] = inv_t[v]
-                block[:, cell] = v
-            visit(block.reshape(len(block), k, k), inv, fixed)
-            if len(block) < len(template):
-                stats.candidates += 1
-                stats.exhausted = False
-                raise BudgetExceeded(stats, models)
+        # Leaves are numbered by their free values in mixed radix n, in walk
+        # order; this involution's leaves follow the `first` before it.
+        first, total = stats.candidates, n ** K
+        index = np.int64 if total < 2 ** 63 else object
+        stop = spec.budget is not None and first + total > spec.budget
+        end = spec.budget - first if stop else total      # leaves this involution walks
+        seen = 0                                          # leaves accounted for
+        pending: list = []                                # associative leaves not yet decided
+
+        def decide(rows: np.ndarray, leaves: np.ndarray) -> None:
+            """Decide a chunk of associative leaves, in order, as a leaf walk would."""
+            nonlocal seen
+            muls = np.ascontiguousarray(_full_table(lat, rows.reshape(len(rows), k, k)))
+            units = (np.full(len(rows), spec.fix_unit) if spec.fix_unit is not None
+                     else _detect_unit(lat, muls))
+            valid, flags = _leaf_verdicts(lat, muls, inv, units, fixed)
+            wanted = valid.copy()
+            for name, want in spec.require.items():
+                wanted &= (flags[name] == want) & ((units >= 0) | (name not in _UNIT_RUNGS))
+            for t, b in enumerate(leaves.tolist()):
+                stats.candidates = first + b + 1
+                stats.pruned_assoc += b - seen
+                seen = b + 1
+                if not valid[t]:
+                    stats.rejected_quantale += 1
+                elif not wanted[t]:
+                    stats.rejected_require += 1
+                else:
+                    verdicts = {"valid": True, **{
+                        name: None if units[t] < 0 and name in _UNIT_RUNGS
+                        else bool(flags[name][t]) for name in _FLAG_NAMES}}
+                    accept(muls[t], inv, int(units[t]), verdicts)
+
+        def flush(final: bool) -> None:
+            """Decide the pending leaves in full chunks; at the end, the rest too."""
+            rows = np.concatenate([r for r, _ in pending])
+            leaves = np.concatenate([b for _, b in pending])
+            pending.clear()
+            done = len(rows) if final else len(rows) - len(rows) % _LEAF_CHUNK
+            for c in range(0, done, _LEAF_CHUNK):
+                decide(rows[c:c + _LEAF_CHUNK], leaves[c:c + _LEAF_CHUNK])
+            if done < len(rows):
+                pending.append((rows[done:], leaves[done:]))
+
+        def associative(rows: np.ndarray, c: int) -> np.ndarray:
+            """Indices of the rows that pass every triple they first decide at level c."""
+            alive = np.arange(len(rows))
+            for ij, jl, left, right, l_cells, i_cells in triples[c + 1]:
+                a, b = rows[alive, ij], rows[alive, jl]
+                now = np.flatnonzero(np.maximum(left[a], right[b]) == c)
+                if not len(now):
+                    continue
+                r = alive[now][:, None]
+                lhs = np.where(below[a[now]], rows[r, l_cells], bottom)
+                rhs = np.where(below[b[now]], rows[r, i_cells], bottom)
+                for t in range(1, k):
+                    lhs[:, 0], rhs[:, 0] = jt_t[lhs[:, 0], lhs[:, t]], jt_t[rhs[:, 0], rhs[:, t]]
+                alive = np.delete(alive, now[lhs[:, 0] != rhs[:, 0]])
+                if not len(alive):
+                    break
+            return alive
+
+        # The walk: a stack of (surviving rows with free cells 0..c-1 placed,
+        # their numbers in mixed radix n, c), in lexicographic order from the
+        # top.  One step extends at most _BLOCK // n rows by all n values of
+        # free cell c and keeps the ones whose first leaf lies before `end`
+        # and that pass the triples they first decide.
+        root = np.where(m < 0, 0, m).astype(dtype).reshape(1, k * k)
+        todo = []
+        if end > 0 and len(associative(root, -1)):
+            todo.append((root, np.zeros(1, dtype=index), 0))
+        step = max(1, _BLOCK // n)
+        while todo:
+            rows, numbers, c = todo.pop()
+            if c == K:
+                pending.append((rows, numbers))
+                if sum(len(r) for r, _ in pending) >= _LEAF_CHUNK:
+                    flush(False)
+                continue
+            if len(rows) > step:
+                todo.append((rows[step:], numbers[step:], c))
+            cell, partner = flat[c]
+            rows = np.repeat(rows[:step], n, axis=0)
+            v = np.tile(values, len(rows) // n)
+            rows[:, partner] = inv_t[v]
+            rows[:, cell] = v
+            numbers = np.repeat(numbers[:step] * n, n) + v
+            if stop:                         # whole prefixes before `end`
+                cut = np.searchsorted(numbers, min(-(-end // n ** (K - c - 1)), n ** (c + 1)))
+                rows, numbers = rows[:cut], numbers[:cut]
+            keep = associative(rows, c)
+            if len(keep):
+                todo.append((rows[keep], numbers[keep], c + 1))
+        if pending:
+            flush(True)
+        stats.pruned_assoc += end - seen
+        stats.candidates = first + end
+        if stop:
+            stats.candidates += 1
+            stats.exhausted = False
+            raise BudgetExceeded(stats, models)
 
     try:
         for inv in involutions:

@@ -9,8 +9,10 @@ SupLattice.join_extend replaced, and the basis-check digests from the
 basis-sum loops that SupLattice.join_products replaced, and the qset3
 completion from the pruned backtracking walk over singleton columns that
 laws.lex_solutions replaced, and the non-unital classify digest from the
-hand-written cascade that classify's table of rungs replaced, so a kernel
-that changes one byte of a report fails here.
+hand-written cascade that classify's table of rungs replaced, and the
+search over every involution of egger8's lattice from the block search
+that the propagation walk replaced, so a kernel that changes one byte of a
+report fails here.
 Every command reads only catalog entries, two fixed Q-set files and one
 fixed quantale file, named by relative paths so that the echoed ref is the
 same on every run.
@@ -78,6 +80,11 @@ GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
         ("search", "--lattice", "catalog:egger8", "--cap", "8", "--trivial-involution",
          "--dedup", "--require", "stably_supported,!modular"),
         0, "44ea77d22117896e10b8ef6f6dbae72d0ab9e88f5365fa096c1c20ffef72cf8d"),
+    # the benchmark's search shape: 4 involutions, self-linked cells, 1,048,576 leaves
+    "search-egger8-involutions": (
+        ("search", "--lattice", "catalog:egger8", "--cap", "8", "--dedup",
+         "--require", "stably_supported,!modular"),
+        0, "8b3cc66560759b53930e0ea0319cb8f89b5c927622fdd7429e32489a250eecea"),
 }
 
 

@@ -1,10 +1,12 @@
-"""Differential tests: the block search against the one-leaf-at-a-time walk.
+"""Differential tests: the propagating search against the one-leaf-at-a-time walk.
 
 The oracle below is the earlier recursive search, kept here only: `place`
 assigns one free cell at a time, and every leaf runs `assoc_ok`, the
-Python triple loop over irreducibles.  The block search must give the same
-models in the same order and an equal SearchStats, also when it stops on
-`limit` or raises BudgetExceeded, and for every block size.
+Python triple loop over irreducibles.  The search, which tests each triple
+as soon as a partial table decides it, must give the same models in the
+same order, hand on the same associative leaves and keep an equal
+SearchStats, also when it stops on `limit` or raises BudgetExceeded, and
+for every step size (_BLOCK).
 
 The leaf kernel, which validates and classifies a stack of associative
 leaves at once, is compared leaf by leaf with validate_quantale and
@@ -44,7 +46,7 @@ SETTINGS = settings(max_examples=40, deadline=None,
 def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
     """The recursive search: one free cell per level, `assoc_ok` per leaf.
 
-    `visit`, when given, sees the irreducible table of every tested leaf.
+    `visit`, when given, sees the irreducible table of every associative leaf.
     """
     lat = spec.lattice
     n = lat.n
@@ -111,11 +113,11 @@ def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
             if spec.budget is not None and stats.candidates > spec.budget:
                 stats.exhausted = False
                 raise BudgetExceeded(stats, models)
-            if visit is not None:
-                visit(m)
             if not assoc_ok():
                 stats.pruned_assoc += 1
                 return
+            if visit is not None:
+                visit(m)
             mul = _full_table(lat, m)
             unit = spec.fix_unit if spec.fix_unit is not None else _detect_unit(lat, mul)
             Q = Quantale(lat, mul, inv, unit)
@@ -333,21 +335,21 @@ def test_budget_stops_inside_the_second_involution_match_the_one_leaf_walk(block
     {"lattice": CUBE, "cap": 8, "fix_unit": 1},
 ], ids=("diamond", "m3", "cube"))
 def test_blocks_hold_the_leaf_tables_in_walk_order(spec_args, block):
-    walked, tested = [], []
+    walked, extended = [], []
     with contextlib.suppress(BudgetExceeded):
         search_one_leaf_at_a_time(SearchSpec(**spec_args),
                                   visit=lambda m: walked.append(m.tobytes()))
-    real = search_mod._associative_rows
+    real = search_mod._full_table
 
-    def spy(lat, J, jt, rows):
-        tested.extend(t.astype(np.intp).tobytes() for t in rows)
-        return real(lat, J, jt, rows)
+    def spy(lat, ms):
+        extended.extend(m.astype(np.intp).tobytes() for m in ms)
+        return real(lat, ms)
 
     with mock.patch.object(search_mod, "_BLOCK", block), \
-            mock.patch.object(search_mod, "_associative_rows", spy):
+            mock.patch.object(search_mod, "_full_table", spy):
         with contextlib.suppress(BudgetExceeded):
             search_mod.search(SearchSpec(**spec_args))
-    assert tested == walked
+    assert walked and extended == walked
 
 
 # ---------------------------------------------------------------- leaf kernel
@@ -415,6 +417,22 @@ def test_leaf_verdicts_match_validate_and_classify(name, spec_args, chunk):
     compared, stats = kernel_against_scratch(spec_args, chunk)
     assert (compared, stats.rejected_quantale, stats.emitted) == {
         "cube": (7028, 1710, 12), "egger8": (4067, 0, 9), "r4": (4, 0, 1)}[name]
+
+
+def test_the_kernel_gets_full_chunks_of_each_involution():
+    real = search_mod._leaf_verdicts
+    calls = []
+
+    def spy(lat, muls, inv, units, fixed):
+        calls.append((inv.tobytes(), len(muls)))
+        return real(lat, muls, inv, units, fixed)
+
+    with mock.patch.object(search_mod, "_leaf_verdicts", spy):
+        search_mod.search(SearchSpec(**CUBE_SEARCH))
+    # 4,067 + 2,961 associative leaves; only the last chunk of an involution is short
+    for here, after in zip(calls, calls[1:] + [(None, 0)]):
+        assert here[1] == search_mod._LEAF_CHUNK or here[0] != after[0]
+    assert len(calls) == 28 and sum(size for _, size in calls) == 7028
 
 
 @settings(SETTINGS, max_examples=25)
