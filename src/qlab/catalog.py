@@ -1,9 +1,11 @@
 """Named quantale instances and the constructors behind them.
 
-Powerset-style quantales (relations, groups, groupoids) are generated from
-atom-level data: products and involutes of single atoms extend to all subsets
-by joins, which makes join preservation hold by construction and keeps the
-table build linear in the number of atoms.
+Powerset-style quantales are generated from atom-level data: products and
+involutes of single atoms extend to all subsets by joins, which makes join
+preservation hold by construction and keeps the table build linear in the
+number of atoms.  Relations and groups are groupoids, so relq(n) and
+group_quantale are O(G) of the pair groupoid and of the group, built by
+groupoid.groupoid_quantale.
 """
 
 from __future__ import annotations
@@ -37,24 +39,15 @@ def powerset_quantale(atom_mul: np.ndarray, atom_inv: Sequence[int], unit_mask: 
 
 
 def relq(n: int) -> Quantale:
-    """Quantale of all binary relations on an n-element set.
+    """Quantale of all binary relations on an n-element set: O(pair_n).
 
     Atoms are ordered pairs (i, j) at bit n*i + j; composition is
     diagrammatic ((i,j);(j,k) = (i,k)), involution is the converse and the
     unit is the diagonal.
     """
-    k = n * n
-    atom_mul = np.zeros((k, k), dtype=np.int64)
-    atom_inv = np.zeros(k, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            g = n * i + j
-            atom_inv[g] = n * j + i
-            for l in range(n):
-                atom_mul[g, n * j + l] = np.int64(1) << np.int64(n * i + l)
-    unit = sum(1 << (n * i + i) for i in range(n))
-    atoms = [f"{i}{j}" for i in range(n) for j in range(n)]
-    return powerset_quantale(atom_mul, atom_inv, unit, atoms, name=f"relq{n}")
+    from .groupoid import groupoid_quantale, pair_groupoid
+
+    return groupoid_quantale(pair_groupoid(n), name=f"relq{n}")
 
 
 def egger8() -> Quantale:
@@ -104,13 +97,11 @@ def group_identity_and_inverses(table) -> tuple[int, np.ndarray]:
 
 def group_quantale(table: Sequence[Sequence[int]], labels: Sequence[str] | None = None,
                    name: str | None = None) -> Quantale:
-    """Powerset quantale of a finite group given by its multiplication table."""
-    t = np.asarray(table, dtype=np.intp)
-    k = t.shape[0]
-    ident, atom_inv = group_identity_and_inverses(t)
-    atom_mul = (np.int64(1) << t.astype(np.int64))
-    atoms = list(labels) if labels is not None else [f"g{i}" for i in range(k)]
-    return powerset_quantale(atom_mul, atom_inv, 1 << ident, atoms, name=name)
+    """Powerset quantale of a finite group given by its multiplication table: O(G)."""
+    from .groupoid import group_groupoid, groupoid_quantale
+
+    labels = list(labels) if labels is not None else [f"g{i}" for i in range(len(table))]
+    return groupoid_quantale(group_groupoid(table, labels), name=name)
 
 
 def cyclic_table(n: int) -> np.ndarray:

@@ -120,17 +120,7 @@ class FiniteGroupoid:
     @cached_property
     def quantale(self) -> Quantale:
         """O(G) on the powerset of arrows; classified inverse quantal frame."""
-        na = self.n_arrows
-        atom_mul = np.zeros((na, na), dtype=np.int64)
-        defined = self.compose >= 0
-        for g in range(na):
-            for h in np.flatnonzero(defined[g]):
-                atom_mul[g, h] = np.int64(1) << np.int64(self.compose[g, h])
-        unit_mask = 0
-        for o in range(self.n_objects):
-            unit_mask |= 1 << int(self.units[o])
-        Q = powerset_quantale(atom_mul, self.inv, unit_mask, self.arrows,
-                              name=f"O({self.name})" if self.name else None)
+        Q = groupoid_quantale(self, f"O({self.name})" if self.name else None)
         flags = classify(Q)
         TheoremViolation.check("groupoid_quantale_stably_gelfand",
                                flags.witnesses.get("stably_gelfand"))
@@ -141,6 +131,12 @@ class FiniteGroupoid:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"FiniteGroupoid(objects={self.n_objects}, arrows={self.n_arrows}{tag})"
+
+
+def groupoid_quantale(G: FiniteGroupoid, name: str | None = None) -> Quantale:
+    """O(G) on the powerset of arrows, unchecked: {g}{h} = {gh}, {g}* = {g^-1}, e = the units."""
+    atom_mul = np.where(G.compose >= 0, np.int64(1) << np.maximum(G.compose, 0), 0)
+    return powerset_quantale(atom_mul, G.inv, int((1 << G.units).sum()), G.arrows, name=name)
 
 
 def quantale_of(G: FiniteGroupoid) -> Quantale:

@@ -668,9 +668,10 @@ def local_sections(sm: SupportedModule) -> LocalSectionReport:
     local_arr = np.flatnonzero(in_local)
     equal = len(hil) == len(local_arr)
     if equal:
-        for s in local_arr:
-            joined = lat.join(t for t in hil if lat.leq[t, s])
-            TheoremViolation.check("local_sections_generated", None if joined == s else (int(s),))
+        joined = np.full(X.n, lat.bottom)          # [s]: the join of the Hilbert sections below s
+        for t in hil:
+            joined = np.where(lat.leq[t], lat.join_table[joined, t], joined)
+        TheoremViolation.check("local_sections_generated", first_bad(in_local & (joined != ar)))
     return LocalSectionReport(local_arr, hil, equal)
 
 

@@ -27,8 +27,9 @@ any other outcome runs the exhaustive scan, so every witness is the one
 the exhaustive scan alone would report.
 
 lex_solutions is the one enumerator behind singleton columns, lattice
-order isomorphisms, equivariant maps and module homs: it lists every tuple
-that a per-position test allows, in lexicographic order.
+order isomorphisms, equivariant maps, module homs and the quantale search:
+it lists every tuple that a per-position test allows, in lexicographic
+order, and lex_blocks streams the same tuples block by block.
 
 A witness becomes an error in one place.  Violation.check raises when a law
 of the input fails: that is a verdict, exit 1 in the CLI, and every law
@@ -40,7 +41,7 @@ it still runs under python -O.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -110,6 +111,30 @@ _LEX_BLOCK = 1 << 16   # (prefix, candidate) pairs tested by one consistent() ca
 Consistent = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 
 
+def lex_blocks(values: Sequence[np.ndarray], consistent: Consistent) -> Iterator[np.ndarray]:
+    """The solutions of lex_solutions as a stream of (S, K) intp blocks, in lex order.
+
+    The walk is depth-first over blocks of about _LEX_BLOCK pairs, and
+    np.nonzero reads a block row-major, which keeps the lex order; pending
+    blocks are at most one block's extensions per level.  Each block is
+    yielded as soon as its last position is tested, so a caller that stops
+    early skips the rest of the walk.
+    """
+    values = [np.asarray(v, dtype=np.intp) for v in values]
+    K = len(values)
+    stack = [np.empty((1, 0), dtype=np.intp)]   # the empty prefix
+    while stack:
+        P = stack.pop()
+        k = P.shape[1]
+        if k == K:
+            yield P
+            continue
+        rows, cols = np.nonzero(consistent(k, P, values[k]))
+        ext = np.column_stack([P[rows], values[k][cols]])
+        step = max(1, _LEX_BLOCK // max(1, len(values[k + 1])) if k + 1 < K else len(ext))
+        stack.extend(ext[i:i + step] for i in reversed(range(0, len(ext), step)))
+
+
 def lex_solutions(values: Sequence[np.ndarray], consistent: Consistent) -> np.ndarray:
     """Every tuple s with each s[k] in values[k] that consistent allows, in lex order.
 
@@ -117,22 +142,7 @@ def lex_solutions(values: Sequence[np.ndarray], consistent: Consistent) -> np.nd
     candidates of position k.  consistent(k, P, c) gets surviving prefixes P
     (F, k) in lex order and the candidates c of position k, and returns the
     (F, len(c)) boolean array of allowed extensions; it tests the constraints
-    that position k completes.  The walk is depth-first over blocks of about
-    _LEX_BLOCK pairs, and np.nonzero reads a block row-major, which keeps the
-    lex order; pending blocks are at most one block's extensions per level.
+    that position k completes.  The blocks of lex_blocks, concatenated.
     """
-    values = [np.asarray(v, dtype=np.intp) for v in values]
-    K = len(values)
-    out = []
-    stack = [np.empty((1, 0), dtype=np.intp)]   # the empty prefix
-    while stack:
-        P = stack.pop()
-        k = P.shape[1]
-        if k == K:
-            out.append(P)
-            continue
-        rows, cols = np.nonzero(consistent(k, P, values[k]))
-        ext = np.column_stack([P[rows], values[k][cols]])
-        step = max(1, _LEX_BLOCK // max(1, len(values[k + 1])) if k + 1 < K else len(ext))
-        stack.extend(ext[i:i + step] for i in reversed(range(0, len(ext), step)))
-    return np.concatenate(out) if out else np.empty((0, K), dtype=np.intp)
+    out = list(lex_blocks(values, consistent))
+    return np.concatenate(out) if out else np.empty((0, len(values)), dtype=np.intp)

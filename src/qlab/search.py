@@ -6,15 +6,18 @@ involution links each cell (p, q) to (q*, p*), and a join-irreducible unit
 pins its row and column, which together cut the raw cell count roughly in
 half before any value is tried.
 
-The free cells are placed depth first, one level per cell, in
-lexicographic order of their values.  One step extends a chunk of the
-surviving partial tables by all n values of the next free cell, and then
-tests each irreducible associativity triple that has just become
-decidable: both of its products are placed, and so is every cell their
-join-extensions read.  Which cells those are depends on the products, so a
-triple becomes decidable at a level that depends on the row; each row tests
-each triple once, at that level (propagation, as in Mace4).  A partial
-table that fails a triple is dropped with all the leaves below it.
+The free cells are placed by laws.lex_blocks, the enumerator behind every
+backtracking walk of qlab, one position per cell, in lexicographic order
+of their values.  Its consistent() writes a block of surviving value
+prefixes, each extended by all n values of the next free cell, into
+partial tables (a cell's involution partner gets inv[v] before the cell
+gets v), and then tests each irreducible associativity triple that has
+just become decidable: both of its products are placed, and so is every
+cell their join-extensions read.  Which cells those are depends on the
+products, so a triple becomes decidable at a level that depends on the
+row; each row tests each triple once, at that level (propagation, as in
+Mace4).  A partial table that fails a triple is dropped with all the
+leaves below it.
 
 Each leaf (complete assignment) is numbered by its free values in mixed
 radix n, a Python int when n**K does not fit in int64.  The statistics
@@ -22,7 +25,7 @@ count leaves as a walk that takes one leaf at a time would: a surviving
 leaf advances `candidates` to its number and adds the pruned leaves before
 it to `pruned_assoc` in bulk, so the counters, the order of the models and
 the budget and limit stops are exactly those of that walk.  No prefix whose
-first leaf lies at or past the budget is extended.  The surviving leaves
+first leaf lies at or past the budget passes consistent().  The surviving leaves
 are extended to full tables by joins, and one whole-array kernel
 (_leaf_verdicts) decides, for a full chunk of them at once, whether each is
 a quantale and which of the ten classifier flags it has.  Only leaves
@@ -44,12 +47,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import SupLattice
-from .laws import TheoremViolation, first_bad
+from .laws import TheoremViolation, first_bad, lex_blocks
 from .quantale import (BUILDS_ON, LADDER, Quantale, _FLAG_NAMES, _UNIT_RUNGS, classify,
                        lattice_order_isos, validate_quantale)
 
-# Rows of one step of the walk: it extends at most _BLOCK // n partial tables.
-_BLOCK = 1 << 14
 # Associative leaves per _leaf_verdicts call, which holds n**3 cells per leaf.
 _LEAF_CHUNK = 1 << 8
 
@@ -121,11 +122,8 @@ def _involution_candidates(lat: SupLattice, fixed) -> list[np.ndarray]:
                 and (lat.leq == lat.leq[np.ix_(perm, perm)]).all()):
             raise ValueError("fix_involution is not a self-inverse order automorphism")
         return [perm]
-    autos = lattice_order_isos(lat, lat)
     ar = np.arange(lat.n, dtype=np.intp)
-    cands = [p for p in autos if np.array_equal(p[p], ar)]
-    cands.sort(key=lambda p: tuple(p.tolist()))
-    return cands
+    return [p for p in lattice_order_isos(lat, lat) if np.array_equal(p[p], ar)]   # in lex order
 
 
 def _full_table(lat: SupLattice, m: np.ndarray) -> np.ndarray:
@@ -385,19 +383,19 @@ def search(spec: SearchSpec) -> SearchResult:
         # partner.  The partner gets inv[v] before the cell gets v, so a
         # self-linked cell keeps v.
         K = len(free)
-        flat = [(i * k + j, inv_j[j] * k + inv_j[i]) for i, j in free]
+        free_cols, partner_cols = np.array([(i * k + j, inv_j[j] * k + inv_j[i])
+                                            for i, j in free], dtype=np.intp).reshape(K, 2).T
         level = np.full(k * k, -1, dtype=np.intp)
-        for c, (cell, partner) in enumerate(flat):
-            level[[partner, cell]] = c
+        level[partner_cols] = level[free_cols] = np.arange(K)
         triples = _triple_levels(lat, J, level.reshape(k, k))
         inv_t = inv.astype(dtype)
         fixed = _fixed_verdicts(lat, inv)
-        values = np.arange(n, dtype=dtype)
 
         # Leaves are numbered by their free values in mixed radix n, in walk
         # order; this involution's leaves follow the `first` before it.
         first, total = stats.candidates, n ** K
-        index = np.int64 if total < 2 ** 63 else object
+        radix = np.array([n ** (K - 1 - c) for c in range(K)],   # leaves below a value of cell c
+                         dtype=np.int64 if total < 2 ** 63 else object)
         stop = spec.budget is not None and first + total > spec.budget
         end = spec.budget - first if stop else total      # leaves this involution walks
         seen = 0                                          # leaves accounted for
@@ -456,37 +454,30 @@ def search(spec: SearchSpec) -> SearchResult:
                     break
             return alive
 
-        # The walk: a stack of (surviving rows with free cells 0..c-1 placed,
-        # their numbers in mixed radix n, c), in lexicographic order from the
-        # top.  One step extends at most _BLOCK // n rows by all n values of
-        # free cell c and keeps the ones whose first leaf lies before `end`
-        # and that pass the triples they first decide.
+        # The walk: lex_blocks over the free values.  consistent() keeps the
+        # extensions whose first leaf lies before `end` and that pass the
+        # triples they first decide.
         root = np.where(m < 0, 0, m).astype(dtype).reshape(1, k * k)
-        todo = []
+
+        def tables(S: np.ndarray) -> np.ndarray:
+            """The partial tables of value prefixes S (R, c)."""
+            rows = np.repeat(root, len(S), axis=0)
+            rows[:, partner_cols[:S.shape[1]]] = inv_t[S]
+            rows[:, free_cols[:S.shape[1]]] = S
+            return rows
+
+        def consistent(c: int, P: np.ndarray, v: np.ndarray) -> np.ndarray:
+            ext = np.column_stack([np.repeat(P, len(v), axis=0), np.tile(v, len(P))])
+            live = np.flatnonzero(ext @ radix[:c + 1] < end) if stop else np.arange(len(ext))
+            ok = np.zeros(len(ext), dtype=bool)
+            ok[live[associative(tables(ext[live]), c)]] = True
+            return ok.reshape(len(P), len(v))
+
         if end > 0 and len(associative(root, -1)):
-            todo.append((root, np.zeros(1, dtype=index), 0))
-        step = max(1, _BLOCK // n)
-        while todo:
-            rows, numbers, c = todo.pop()
-            if c == K:
-                pending.append((rows, numbers))
+            for S in lex_blocks([np.arange(n)] * K, consistent):
+                pending.append((tables(S), S @ radix))
                 if sum(len(r) for r, _ in pending) >= _LEAF_CHUNK:
                     flush(False)
-                continue
-            if len(rows) > step:
-                todo.append((rows[step:], numbers[step:], c))
-            cell, partner = flat[c]
-            rows = np.repeat(rows[:step], n, axis=0)
-            v = np.tile(values, len(rows) // n)
-            rows[:, partner] = inv_t[v]
-            rows[:, cell] = v
-            numbers = np.repeat(numbers[:step] * n, n) + v
-            if stop:                         # whole prefixes before `end`
-                cut = np.searchsorted(numbers, min(-(-end // n ** (K - c - 1)), n ** (c + 1)))
-                rows, numbers = rows[:cut], numbers[:cut]
-            keep = associative(rows, c)
-            if len(keep):
-                todo.append((rows[keep], numbers[keep], c + 1))
         if pending:
             flush(True)
         stats.pruned_assoc += end - seen

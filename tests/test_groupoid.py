@@ -23,11 +23,13 @@ def test_pair_groupoid_quantale_is_the_relational_quantale():
 
 
 def test_group_groupoid_quantale_is_the_group_quantale():
-    Qz = gp.quantale_of(z2())
-    Gq = group_quantale(cyclic_table(2), ["e", "g"])
-    assert np.array_equal(Qz.mul, Gq.mul)
-    assert np.array_equal(Qz.inv, Gq.inv)
-    assert Qz.unit == Gq.unit
+    for quantale, groupoid in (("zmod2", "z2"), ("zmod3", "z3")):
+        Gq = catalog_get(quantale)[1]
+        Qz = gp.quantale_of(catalog_get(groupoid)[1])
+        assert np.array_equal(Qz.lattice.leq, Gq.lattice.leq)
+        assert np.array_equal(Qz.mul, Gq.mul)
+        assert np.array_equal(Qz.inv, Gq.inv)
+        assert Qz.unit == Gq.unit
 
 
 def test_disjoint_union_shapes():

@@ -20,7 +20,8 @@ and classify's table of rungs (quantale.BUILDS_ON) with the hand-written
 cascade it replaced.  module_from_qset's whole-row closure, action table
 and rows, and validate_prehilbert's degeneracy scan, are compared with the
 bytes-keyed worklist and seen-dict scan they replaced, and the whole-array
-hilbert_sections and local_sections with their per-section loops.
+hilbert_sections and local_sections with their per-section loops (the
+fold behind local_sections_generated included).
 Each kernel must give the same tables, the same order of results and the
 same lex-first witnesses.
 """
@@ -43,7 +44,7 @@ from qlab.lattice import (NotALattice, NotAPoset, SupLattice, _bound_table,
                           relation_product)
 from qlab.hilbert import (hilbert_sections, hom_from_relation, module_from_qset,
                           parseval_check, reconstruct, section_relation)
-from qlab.laws import first_bad, lex_solutions
+from qlab.laws import first_bad, lex_blocks, lex_solutions
 from qlab.qmatrix import (QMatrix, QSet, _columns, completion, mat_mul, random_qset,
                           singletons)
 from qlab.quantale import (_gelfand_witnesses, classify, lattice_order_isos, modular_law,
@@ -467,6 +468,14 @@ def local_sections_loops(sm):
         below = np.flatnonzero(lat.leq[:, s])
         pointwise.append(bool((act[supv[below], s] == below).all()))
     return in_local, pointwise
+
+
+def generated_witness_loop(lat, local, hil):
+    """The first local section that is not the join of the Hilbert sections below it."""
+    for s in local:
+        if lat.join(t for t in hil if lat.leq[t, s]) != s:
+            return (int(s),)
+    return None
 
 
 def classify_by_cascade(Q):
@@ -957,12 +966,8 @@ def lex_problems(draw):
     return values, allowed
 
 
-@SETTINGS
-@given(lex_problems(), st.sampled_from([1, 2, 7, laws._LEX_BLOCK]))
-def test_lex_solutions_match_the_product_filter(problem, block):
-    values, allowed = problem
-    calls = []
-
+def pair_filter(allowed, calls: list):
+    """The consistent() of a lex problem; it appends (len(P), len(c)) to calls."""
     def consistent(k, P, c):
         calls.append((len(P), len(c)))
         ok = allowed[k, k][c, c][None, :].repeat(len(P), axis=0)
@@ -970,6 +975,15 @@ def test_lex_solutions_match_the_product_filter(problem, block):
             ok &= allowed[j, k][P[:, j, None], c[None, :]]
         return ok
 
+    return consistent
+
+
+@SETTINGS
+@given(lex_problems(), st.sampled_from([1, 2, 7, laws._LEX_BLOCK]))
+def test_lex_solutions_match_the_product_filter(problem, block):
+    values, allowed = problem
+    calls = []
+    consistent = pair_filter(allowed, calls)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(laws, "_LEX_BLOCK", block)
         got = lex_solutions(values, consistent)
@@ -979,6 +993,39 @@ def test_lex_solutions_match_the_product_filter(problem, block):
     assert got.tolist() == [list(s) for s in brute]
     # each call tests one block: about `block` (prefix, candidate) pairs
     assert all(F * n <= max(block, n) for F, n in calls)
+
+
+@SETTINGS
+@given(lex_problems(), st.sampled_from([1, 2, 7, laws._LEX_BLOCK]))
+def test_lex_blocks_stream_the_solutions_and_stop_early(problem, block):
+    values, allowed = problem
+    streamed, whole_calls, first_calls = [], [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "_LEX_BLOCK", block)
+        blocks = list(lex_blocks(values, pair_filter(allowed, streamed)))
+        whole = lex_solutions(values, pair_filter(allowed, whole_calls))
+        next(lex_blocks(values, pair_filter(allowed, first_calls)), None)
+    assert np.concatenate(blocks or [whole]).tolist() == whole.tolist()
+    assert all(len(b) and b.dtype == np.intp for b in blocks)
+    assert streamed == whole_calls
+    # the first block is yielded before the walk goes on; a second block
+    # needs at least one more call
+    assert first_calls == streamed[:len(first_calls)]
+    assert len(first_calls) < len(streamed) or len(blocks) < 2
+
+
+def test_lex_blocks_of_a_wide_walk_stop_after_the_first_block():
+    calls = []
+
+    def anything(k, P, c):
+        calls.append(k)
+        return np.ones((len(P), len(c)), dtype=bool)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "_LEX_BLOCK", 4)
+        first = next(lex_blocks([np.arange(2)] * 3, anything))
+    assert first.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]]
+    assert calls == [0, 1, 2]            # one prefix block per position, then it stops
 
 
 def test_lex_solutions_of_no_positions_and_of_an_empty_domain():
@@ -1124,4 +1171,16 @@ def test_sections_match_the_per_section_loops(name):
         assert hilbert_sections(Y).tolist() == hilbert_sections_loop(Y)
     in_local, pointwise = local_sections_loops(am.supported)
     assert in_local == pointwise
-    assert hb.local_sections(am.supported).local.tolist() == np.flatnonzero(in_local).tolist()
+    rep = hb.local_sections(am.supported)
+    assert rep.local.tolist() == np.flatnonzero(in_local).tolist()
+    assert rep.equal and generated_witness_loop(X.carrier, rep.local, rep.hilbert) is None
+    # trade the least nonzero section for a second bottom: the same count,
+    # all local, so the generation check runs and must name the loop's witness
+    fake = rep.hilbert.copy()
+    fake[1] = X.carrier.bottom
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hb, "hilbert_sections", lambda _: fake)
+        with pytest.raises(laws.TheoremViolation) as ei:
+            hb.local_sections(am.supported)
+    assert ei.value.law == "local_sections_generated"
+    assert ei.value.witness == generated_witness_loop(X.carrier, rep.local, fake)

@@ -6,7 +6,7 @@ Python triple loop over irreducibles.  The search, which tests each triple
 as soon as a partial table decides it, must give the same models in the
 same order, hand on the same associative leaves and keep an equal
 SearchStats, also when it stops on `limit` or raises BudgetExceeded, and
-for every step size (_BLOCK).
+for every block size of laws.lex_blocks (_LEX_BLOCK), which the search walks.
 
 The leaf kernel, which validates and classifies a stack of associative
 leaves at once, is compared leaf by leaf with validate_quantale and
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qlab import cli, objio
+from qlab import cli, laws, objio
 from qlab.lattice import (NotALattice, NotAPoset, SupLattice, build_lattice,
                           chain_lattice, powerset_lattice)
 from qlab.laws import TheoremViolation
@@ -182,7 +182,7 @@ def outcome(run, spec: SearchSpec):
 
 
 def assert_same(spec_args: dict, block: int, chunk: int = search_mod._LEAF_CHUNK) -> tuple:
-    with mock.patch.object(search_mod, "_BLOCK", block), \
+    with mock.patch.object(laws, "_LEX_BLOCK", block), \
             mock.patch.object(search_mod, "_LEAF_CHUNK", chunk):
         fast = outcome(search_mod.search, SearchSpec(**spec_args))
     slow = outcome(search_one_leaf_at_a_time, SearchSpec(**spec_args))
@@ -203,7 +203,7 @@ CUBE = powerset_lattice(["a", "b", "c"])
 NAMED = {"chain1": chain_lattice(1), "chain2": chain_lattice(2),
          "chain3": chain_lattice(3), "chain4": chain_lattice(4), "diamond": DIAMOND,
          "pentagon": pentagon(), "m3": m3(), "cube": CUBE}
-BLOCKS = (1, 7, search_mod._BLOCK)
+BLOCKS = (1, 7, 1 << 14, laws._LEX_BLOCK)   # 1 << 14 cuts a cube involution in two blocks
 CHUNKS = (1, search_mod._LEAF_CHUNK)
 
 
@@ -276,13 +276,17 @@ def test_exhaustive_searches_match_the_one_leaf_walk(name, block):
     assert not raised and stats.exhausted
 
 
-# (spec, leaves in the whole search, patched block size, leaves per block)
+# (spec, leaves in the whole search, patched block size, leaves per block).
+# One consistent() call at the last free cell tests block // n prefixes, which
+# cover (block // n) * n leaves: 4 and 64 on the diamond, 96 on the cube at
+# block 100.  Each involution is a walk of its own, so at the default block,
+# which covers 2 * 8**5 leaves, the cube's blocks with unit a are its two
+# involutions that fix a, 8**3 leaves each.
 BOUNDARY = [
     ({"lattice": DIAMOND}, 2 * 4 ** 3, 7, 4),      # two involutions, 3 free cells each
     ({"lattice": DIAMOND}, 2 * 4 ** 3, 64, 64),
-    ({"lattice": CUBE, "cap": 8, "fix_involution": np.arange(8)}, 8 ** 6, 100, 64),
-    ({"lattice": CUBE, "cap": 8, "fix_involution": np.arange(8)}, 8 ** 6,
-     search_mod._BLOCK, 8 ** 4),
+    ({"lattice": CUBE, "cap": 8, "fix_involution": np.arange(8)}, 8 ** 6, 100, 96),
+    ({"lattice": CUBE, "cap": 8, "fix_unit": 1}, 2 * 8 ** 3, laws._LEX_BLOCK, 8 ** 3),
 ]
 
 
@@ -317,10 +321,10 @@ def test_budget_on_a_search_wider_than_int64():
     assert ei.value.stats.free_cells == 28
     assert ei.value.stats.candidates == 11
     assert len(ei.value.models) == 10
-    assert peak < 16 * 2 ** 20          # one block of 8**4 tables, not more
+    assert peak < 16 * 2 ** 20          # the budget keeps a few prefixes per level
 
 
-@pytest.mark.parametrize("block", (7, search_mod._BLOCK))
+@pytest.mark.parametrize("block", (7, 1 << 14, laws._LEX_BLOCK))
 def test_budget_stops_inside_the_second_involution_match_the_one_leaf_walk(block):
     # The atom swap is the diamond's second involution (leaves 65-128), and
     # its cells a.b and b.a are self-linked.
@@ -345,7 +349,7 @@ def test_blocks_hold_the_leaf_tables_in_walk_order(spec_args, block):
         extended.extend(m.astype(np.intp).tobytes() for m in ms)
         return real(lat, ms)
 
-    with mock.patch.object(search_mod, "_BLOCK", block), \
+    with mock.patch.object(laws, "_LEX_BLOCK", block), \
             mock.patch.object(search_mod, "_full_table", spy):
         with contextlib.suppress(BudgetExceeded):
             search_mod.search(SearchSpec(**spec_args))
