@@ -16,8 +16,9 @@ just become decidable: both of its products are placed, and so is every
 cell their join-extensions read.  Which cells those are depends on the
 products, so a triple becomes decidable at a level that depends on the
 row; each row tests each triple once, at that level (propagation, as in
-Mace4).  A partial table that fails a triple is dropped with all the
-leaves below it.
+Mace4).  The triples of one level are tested a group at a time, each group
+on every surviving row in one array step.  A partial table that fails a
+triple is dropped with all the leaves below it.
 
 Each leaf (complete assignment) is numbered by its free values in mixed
 radix n, a Python int when n**K does not fit in int64.  The statistics
@@ -35,23 +36,29 @@ The searcher never trusts its own pruning or its kernel: every leaf that
 matches the requested flags is re-validated from scratch by
 validate_quantale and re-classified by classify, independent code paths,
 and any disagreement with the kernel is a failed theorem check.  So an
-unsound prune can only lose models, never emit a bad one, and the kernel
-decides every law from its definition, on every cell.
+unsound prune can only lose models, never emit a bad one.  The kernel
+decides the cubic laws on join-irreducibles, under the premises that
+validate_quantale and modular_law check: the join laws with one
+irreducible argument (no premise), associativity on irreducible triples
+(the join and bottom laws), and the modular rung on irreducible b and c
+(a frame and a valid table; on any other lattice, every cell).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import laws
 from .lattice import SupLattice
 from .laws import TheoremViolation, first_bad, lex_blocks
 from .quantale import (BUILDS_ON, LADDER, Quantale, _FLAG_NAMES, _UNIT_RUNGS, classify,
                        lattice_order_isos, validate_quantale)
 
-# Associative leaves per _leaf_verdicts call, which holds n**3 cells per leaf.
+# Associative leaves per _leaf_verdicts call.  Its largest temporaries hold
+# n**2 * k cells per leaf (k join-irreducibles), and n**3 for the modular
+# rung on a lattice that is not a frame.
 _LEAF_CHUNK = 1 << 8
 
 
@@ -165,16 +172,30 @@ def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
     flags[name][t] true when the flag holds.  Every law of validate_quantale
     is decided on every table, the rungs of classify only on the valid
     tables and the unit rungs only on the valid unital ones: every flag of
-    an invalid table, and a unit rung without a unit, is false.  Each law
-    and rung is decided on every cell from its definition, with no
-    generator reductions and no witnesses, and each flag then builds on its
-    rungs through BUILDS_ON.  On every valid table the implications of
-    LADDER and the support cross-checks are re-checked; a failure raises
-    TheoremViolation with the table's index in the stack.
+    an invalid table, and a unit rung without a unit, is false.  No witness
+    is computed.  The cubic laws are decided on join-irreducibles by the
+    reductions of qlab.laws, under the premises that validate_quantale and
+    modular_law check:
+
+    * the join laws with one irreducible argument, M[x OR j, b] =
+      M[x, b] OR M[j, b] and on the right: exact;
+    * associativity on irreducible triples: exact on a table that passes
+      the join and bottom laws, and a table that fails them is invalid;
+    * on a frame, the modular rung on irreducible b and c, for every a:
+      both of its sides preserve joins in b and in c once the product is
+      bilinear, as on every valid table.  On any other lattice the rung is
+      decided on every cell.
+
+    The other laws and rungs are quadratic and are decided on every cell
+    from their definitions, and each flag then builds on its rungs through
+    BUILDS_ON.  On every valid table the implications of LADDER and the
+    support cross-checks are re-checked; a failure raises TheoremViolation
+    with the table's index in the stack.
     """
     M, A, n = muls, len(muls), lat.n
     leq, jt, mt = lat.leq, lat.join_table.astype(M.dtype), lat.meet_table.astype(M.dtype)
     ar = np.arange(n)
+    J = np.asarray(lat.join_irreducibles, dtype=np.intp)
     bot, top = lat.bottom, lat.top
     involution, frame = fixed
 
@@ -189,11 +210,13 @@ def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
     e = np.where(has, units, 0)
     t1, _, _, t4 = stack(A)
     u_rows, u_cols = M[t1, e], M[t1, :, e]
-    valid = (involution
-             & each(M[t4, M[..., None], ar] == M[t4, ar[:, None, None], M[:, None]])
-             & each(M[:, jt] == jt[M[:, :, None], M[:, None]])
-             & each(M[:, :, jt] == jt[M[..., None], M[:, :, None]])
-             & (M[:, bot] == bot).all(axis=1) & (M[:, :, bot] == bot).all(axis=1)
+    JM, MJ = M[:, J], M[:, :, J]                         # J[j] b and a J[j]
+    JMJ = JM[:, :, J]                                    # J[i] J[j]
+    bilinear = (each(M[:, jt[:, J]] == jt[M[:, :, None], JM[:, None]])
+                & each(M[:, :, jt[:, J]] == jt[M[..., None], MJ[:, :, None]])
+                & (M[:, bot] == bot).all(axis=1) & (M[:, :, bot] == bot).all(axis=1))
+    valid = (involution & bilinear
+             & each(M[t4, JMJ[..., None], J] == M[t4, J[:, None, None], JMJ[:, None]])
              & each(inv[M] == M[:, inv[None, :], inv[:, None]])
              & (~has | ((u_rows == ar).all(axis=1) & (u_cols == ar).all(axis=1))))
 
@@ -206,13 +229,15 @@ def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
     regular = reg == ar
     proj = (inv == ar) & (M[:, ar, ar] == ar)
     local = proj[:, None, :] & leq & leq[M, ar[:, None]]     # [t, a, p]: a <= p, ap <= a
-    inner = mt[ar[:, None], M[:, inv][:, :, None, :]]        # [t, a, b, c] = b AND a*c
+    gens = J if frame else ar                            # the b and c of the modular rung
+    inner = mt[gens[:, None], M[:, inv][:, :, None, gens]]   # [t, a, b, c] = b AND a*c
     a1 = M[:, :, top]
     plain = {"unital": has,
              "gelfand": each(~leq[a1, ar] | regular),
              "locally_gelfand": each(~local | regular[..., None]),
              "stably_gelfand": each(~leq[reg, ar] | regular),
-             "modular": each(leq[mt[M[..., None], ar], M[t4, ar[:, None, None], inner]]),
+             "modular": each(leq[mt[M[:, :, gens, None], gens],
+                                 M[t4, ar[:, None, None], inner]]),
              "quantal_frame": np.full(len(v), frame)}
 
     # the unit rungs, on the valid unital tables
@@ -279,28 +304,34 @@ def _canonical_key(Q: Quantale, autos: list[np.ndarray]) -> bytes:
     return best
 
 
-def _triple_levels(lat: SupLattice, J: list[int], level: np.ndarray) -> list[list]:
-    """The irreducible associativity triples, by the level at which a row first decides them.
+def _triple_levels(lat: SupLattice, J: list[int], level: np.ndarray) -> list[tuple]:
+    """The irreducible associativity triples, by the level at which a row decides them.
 
     level[i, j] is the free cell that places cell (i, j) of the irreducible
     table, -1 for a pinned cell.  Triple (i, j, l) reads J[i]J[j] = a,
     J[j]J[l] = b, the cells (t, l) with J[t] <= a and the cells (i, t) with
-    J[t] <= b; so a row decides it from level max(left[a], right[b]) on,
-    where left and right fold in the levels of cells (i, j) and (j, l).
-    Entry c + 1 (c = -1 for the pinned cells) lists, for each triple that
-    some row can first decide at level c: the flat cells (i, j) and (j, l),
-    left and right, and the flat cells (t, l) and (i, t) over every t.
+    J[t] <= b; so a row with these values of a and b decides it at the
+    largest level of those cells and of (i, j) and (j, l).  Entry c + 1
+    (c = -1 for the pinned cells) holds, for the T triples that some row
+    decides at level c: their flat cells (i, j) and (j, l), each (T,); the
+    flat (T * n * n) table, true at (s * n + a) * n + b when a row with
+    values a and b decides the s-th of them at level c; and their flat cells
+    (t, l) and (i, t) over every t, each (T, k).
     """
     k = len(J)
-    below = lat.leq[J]                                   # below[t, a]: J[t] <= a
-    out: list[list] = [[] for _ in range(int(level.max(initial=-1)) + 2)]
-    for i, j, l in itertools.product(range(k), repeat=3):
-        base = max(level[i, j], level[j, l])
-        left = np.maximum(np.where(below, level[:, l, None], -1).max(axis=0), base)
-        right = np.maximum(np.where(below, level[i, :, None], -1).max(axis=0), base)
-        for c in range(max(left.min(), right.min()), max(left.max(), right.max()) + 1):
-            out[c + 1].append((i * k + j, j * k + l, left, right,
-                               np.arange(k) * k + l, i * k + np.arange(k)))
+    ks = np.arange(k)
+    below = lat.leq[J][:, None, :]                       # below[t, _, a]: J[t] <= a
+    left = np.where(below, level[:, :, None], -1).max(axis=0, initial=-1)     # [l, a]
+    right = np.where(below, level.T[:, :, None], -1).max(axis=0, initial=-1)  # [i, b]
+    i, j, l = (g.ravel() for g in np.meshgrid(ks, ks, ks, indexing="ij"))     # in lex order
+    when = np.maximum(np.maximum(level[i, j], level[j, l])[:, None, None],
+                      np.maximum(left[l][:, :, None], right[i][:, None, :]))
+    out = []
+    for c in range(-1, int(level.max(initial=-1)) + 1):
+        now = when == c
+        t = np.flatnonzero(now.any(axis=(1, 2)))
+        out.append((i[t] * k + j[t], j[t] * k + l[t], now[t].ravel(),
+                    ks * k + l[t, None], i[t, None] * k + ks))
     return out
 
 
@@ -437,21 +468,33 @@ def search(spec: SearchSpec) -> SearchResult:
                 pending.append((rows[done:], leaves[done:]))
 
         def associative(rows: np.ndarray, c: int) -> np.ndarray:
-            """Indices of the rows that pass every triple they first decide at level c."""
+            """Indices of the rows that pass every triple they decide at level c.
+
+            The triples are tested a group at a time, each group in one array
+            step on the rows that passed the groups before it.  Most rows fail
+            one of the first triples they decide, so the groups start at one
+            triple and double.  A group spans at most about laws._LEX_BLOCK
+            (row, triple) pairs, as many as the (prefix, value) pairs of one
+            consistent() call, and at least one triple.  Both products are
+            computed on every pair of a group, and count only where the row
+            decides the triple.
+            """
+            ij, jl, now, l_cells, i_cells = triples[c + 1]
             alive = np.arange(len(rows))
-            for ij, jl, left, right, l_cells, i_cells in triples[c + 1]:
-                a, b = rows[alive, ij], rows[alive, jl]
-                now = np.flatnonzero(np.maximum(left[a], right[b]) == c)
-                if not len(now):
-                    continue
-                r = alive[now][:, None]
-                lhs = np.where(below[a[now]], rows[r, l_cells], bottom)
-                rhs = np.where(below[b[now]], rows[r, i_cells], bottom)
-                for t in range(1, k):
-                    lhs[:, 0], rhs[:, 0] = jt_t[lhs[:, 0], lhs[:, t]], jt_t[rhs[:, 0], rhs[:, t]]
-                alive = np.delete(alive, now[lhs[:, 0] != rhs[:, 0]])
-                if not len(alive):
-                    break
+            start, size = 0, 1
+            while start < len(ij) and len(alive):
+                stop = min(len(ij), start + max(1, min(size, laws._LEX_BLOCK // len(alive))))
+                g = slice(start, stop)
+                a, b = rows[:, ij[g]], rows[:, jl[g]]                      # [r, t]
+                decides = now[(np.arange(start, stop) * n + a) * n + b]
+                lhs = np.where(below[a], rows[:, l_cells[g]], bottom)      # [r, t, u]
+                rhs = np.where(below[b], rows[:, i_cells[g]], bottom)
+                for u in range(1, k):
+                    lhs[..., 0] = jt_t[lhs[..., 0], lhs[..., u]]
+                    rhs[..., 0] = jt_t[rhs[..., 0], rhs[..., u]]
+                keep = ~(decides & (lhs[..., 0] != rhs[..., 0])).any(axis=1)
+                rows, alive = rows[keep], alive[keep]
+                start, size = stop, 2 * size
             return alive
 
         # The walk: lex_blocks over the free values.  consistent() keeps the

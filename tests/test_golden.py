@@ -11,11 +11,12 @@ completion from the pruned backtracking walk over singleton columns that
 laws.lex_solutions replaced, and the non-unital classify digest from the
 hand-written cascade that classify's table of rungs replaced, and the
 search over every involution of egger8's lattice from the block search
-that the propagation walk replaced, so a kernel that changes one byte of a
-report fails here.
-Every command reads only catalog entries, two fixed Q-set files and one
-fixed quantale file, named by relative paths so that the echoed ref is the
-same on every run.
+that the propagation walk replaced, and the searches on the pentagon and
+M3, which are not frames, from the leaf kernel that decided every law on
+every cell, so a kernel that changes one byte of a report fails here.
+Every command reads only catalog entries, two fixed Q-set files, one
+fixed quantale file and two fixed lattice files, named by relative paths
+so that the echoed ref is the same on every run.
 """
 
 import hashlib
@@ -38,6 +39,12 @@ QSET3 = {"kind": "qset", "payload": {
 ZERO4 = {"kind": "quantale", "payload": {
     "lattice": {"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]], "labels": ["0", "e", "a", "1"]},
     "mul": [[0] * 4] * 4, "inv": [0, 1, 2, 3], "unit": None}}
+# two lattices that are not frames, so the search decides the modular rung
+# on every cell rather than on join-irreducibles
+PENTAGON = {"kind": "lattice", "payload": {
+    "n": 5, "covers": [[0, 1], [0, 3], [1, 2], [2, 4], [3, 4]], "labels": list("01234")}}
+M3 = {"kind": "lattice", "payload": {
+    "n": 5, "covers": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]], "labels": list("01234")}}
 
 GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
     "classify": (("classify", "catalog:relq3"),
@@ -85,6 +92,12 @@ GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
         ("search", "--lattice", "catalog:egger8", "--cap", "8", "--dedup",
          "--require", "stably_supported,!modular"),
         0, "8b3cc66560759b53930e0ea0319cb8f89b5c927622fdd7429e32489a250eecea"),
+    "search-pentagon-modular": (
+        ("search", "--lattice", "pentagon.json", "--dedup", "--require", "modular"),
+        0, "91d5c13a475e94d27470ba01a960e2af3bcc7f4d38dd809924207b2aa0c14eea"),
+    "search-m3-involutions": (   # 4 involutions
+        ("search", "--lattice", "m3.json", "--dedup", "--require", "!modular"),
+        0, "d2904e05180f3f1717e0a1d669cc4ec3b25d82ad4cf0f80a68d4d90d32160669"),
 }
 
 
@@ -94,6 +107,8 @@ def test_json_report_matches_its_golden_digest(name, tmp_path, monkeypatch, caps
     (tmp_path / "qset.json").write_text(json.dumps(QSET))
     (tmp_path / "qset3.json").write_text(json.dumps(QSET3))
     (tmp_path / "zero4.json").write_text(json.dumps(ZERO4))
+    (tmp_path / "pentagon.json").write_text(json.dumps(PENTAGON))
+    (tmp_path / "m3.json").write_text(json.dumps(M3))
     monkeypatch.chdir(tmp_path)
     got = main([argv[0], "--json", *argv[1:]])
     assert (got, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == (code, digest)

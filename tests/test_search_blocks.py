@@ -6,14 +6,21 @@ Python triple loop over irreducibles.  The search, which tests each triple
 as soon as a partial table decides it, must give the same models in the
 same order, hand on the same associative leaves and keep an equal
 SearchStats, also when it stops on `limit` or raises BudgetExceeded, and
-for every block size of laws.lex_blocks (_LEX_BLOCK), which the search walks.
+for every block size of laws.lex_blocks (_LEX_BLOCK), which the search walks
+and which also bounds the groups of triples it tests in one array step.
 
 The leaf kernel, which validates and classifies a stack of associative
 leaves at once, is compared leaf by leaf with validate_quantale and
-classify, at one leaf per kernel call and at the default chunk.
+classify, at one leaf per kernel call and at the default chunk.  It decides
+the cubic laws on join-irreducibles; the kernel it replaced, which decides
+every law on every cell from its definition, is kept here as
+leaf_verdicts_by_definition, and both must give equal arrays on every
+chunk of a search and on random stacks of tables that are not
+join-extensions, where the premises of the reductions fail.
 """
 
 import contextlib
+import functools
 import importlib
 import os
 import tracemalloc
@@ -27,11 +34,11 @@ from hypothesis import strategies as st
 from qlab import cli, laws, objio
 from qlab.lattice import (NotALattice, NotAPoset, SupLattice, build_lattice,
                           chain_lattice, powerset_lattice)
-from qlab.laws import TheoremViolation
-from qlab.quantale import (_FLAG_NAMES, Quantale, classify, lattice_order_isos,
-                           validate_quantale)
+from qlab.laws import TheoremViolation, first_bad
+from qlab.quantale import (BUILDS_ON, LADDER, _FLAG_NAMES, Quantale, classify,
+                           lattice_order_isos, validate_quantale)
 from qlab.search import (BudgetExceeded, SearchResult, SearchSpec, SearchStats,
-                         _canonical_key, _detect_unit, _full_table,
+                         _canonical_key, _detect_unit, _fixed_verdicts, _full_table,
                          _involution_candidates)
 
 search_mod = importlib.import_module("qlab.search")    # qlab.search is also a function
@@ -358,6 +365,124 @@ def test_blocks_hold_the_leaf_tables_in_walk_order(spec_args, block):
 
 # ---------------------------------------------------------------- leaf kernel
 
+def leaf_verdicts_by_definition(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
+                                units: np.ndarray, fixed: tuple[bool, bool]) -> tuple:
+    """The earlier search._leaf_verdicts, which decides every law on every cell.
+
+    muls[t] is a multiplication table with unit units[t] (-1 for none), and
+    fixed is _fixed_verdicts(lat, inv).  Returns (valid, flags) with
+    flags[name][t] true when the flag holds.  Every law of validate_quantale
+    is decided on every table, the rungs of classify only on the valid
+    tables and the unit rungs only on the valid unital ones: every flag of
+    an invalid table, and a unit rung without a unit, is false.  Each law
+    and rung is decided on every cell from its definition, with no
+    generator reductions and no witnesses, and each flag then builds on its
+    rungs through BUILDS_ON.  On every valid table the implications of
+    LADDER and the support cross-checks are re-checked; a failure raises
+    TheoremViolation with the table's index in the stack.
+    """
+    M, A, n = muls, len(muls), lat.n
+    leq, jt, mt = lat.leq, lat.join_table.astype(M.dtype), lat.meet_table.astype(M.dtype)
+    ar = np.arange(n)
+    bot, top = lat.bottom, lat.top
+    involution, frame = fixed
+
+    def each(ok):                       # [t, ...] -> the law holds on every cell of t
+        return ok.all(axis=tuple(range(1, ok.ndim)))
+
+    def stack(size):                    # the stack index, broadcast along 0 to 3 cell axes
+        t = np.arange(size)
+        return t, t[:, None], t[:, None, None], t[:, None, None, None]
+
+    has = units >= 0
+    e = np.where(has, units, 0)
+    t1, _, _, t4 = stack(A)
+    u_rows, u_cols = M[t1, e], M[t1, :, e]
+    valid = (involution
+             & each(M[t4, M[..., None], ar] == M[t4, ar[:, None, None], M[:, None]])
+             & each(M[:, jt] == jt[M[:, :, None], M[:, None]])
+             & each(M[:, :, jt] == jt[M[..., None], M[:, :, None]])
+             & (M[:, bot] == bot).all(axis=1) & (M[:, :, bot] == bot).all(axis=1)
+             & each(inv[M] == M[:, inv[None, :], inv[:, None]])
+             & (~has | ((u_rows == ar).all(axis=1) & (u_cols == ar).all(axis=1))))
+
+    # the rungs without a unit, on the valid tables
+    v = np.flatnonzero(valid)
+    M, e, has = muls[v], e[v], has[v]
+    _, t2, t3, t4 = stack(len(v))
+    aa = M[t2, ar, inv]                                  # a a*
+    reg = M[t2, aa, ar]                                  # a a* a
+    regular = reg == ar
+    proj = (inv == ar) & (M[:, ar, ar] == ar)
+    local = proj[:, None, :] & leq & leq[M, ar[:, None]]     # [t, a, p]: a <= p, ap <= a
+    inner = mt[ar[:, None], M[:, inv][:, :, None, :]]        # [t, a, b, c] = b AND a*c
+    a1 = M[:, :, top]
+    plain = {"unital": has,
+             "gelfand": each(~leq[a1, ar] | regular),
+             "locally_gelfand": each(~local | regular[..., None]),
+             "stably_gelfand": each(~leq[reg, ar] | regular),
+             "modular": each(leq[mt[M[..., None], ar], M[t4, ar[:, None, None], inner]]),
+             "quantal_frame": np.full(len(v), frame)}
+
+    # the unit rungs, on the valid unital tables
+    u = np.flatnonzero(has)
+    M, e, aa, a1, vu = M[u], e[u], aa[u], a1[u], v[u]
+    _, t2, t3, _ = stack(len(u))
+    sup = mt[a1, e[:, None]]
+    supported = (each(sup[:, jt] == jt[sup[..., None], sup[:, None]])
+                 & (sup[:, bot] == bot) & each(leq[sup, aa])
+                 & each(leq[ar, M[t2, sup, ar]]))
+    stable = each(leq[np.take_along_axis(sup, a1, axis=1), sup])
+    partial = leq[jt[aa, M[t2, inv, ar]], e[:, None]]        # ss* OR s*s <= e
+    bounds = ~(partial[:, :, None] & ~leq).any(axis=1)       # upper bounds of the partial units
+    unit = {"supported": supported,
+            "stably_supported": stable,
+            "stable_quantal_frame": np.ones(len(u), bool),
+            "inverse_quantal_frame": bounds.sum(axis=1) == 1}   # their join is the top
+
+    flags = {name: np.zeros(A, bool) for name in _FLAG_NAMES}
+    for rows, own in ((v, plain), (vu, unit)):
+        for name, ok in own.items():
+            flags[name][rows] = ok
+    for name in _FLAG_NAMES:
+        for rung in BUILDS_ON.get(name, ()):
+            flags[name] = flags[name] & flags[rung]
+
+    for pre, post, name in LADDER:
+        bad = valid & ~flags[post]
+        for p in pre:
+            bad = bad & flags[p]
+        TheoremViolation.check(name, first_bad(bad))
+    # the cross-checks of quantale.support on supported tables: sup_times_top
+    # and the b_* identities below the unit, then under stability the
+    # composed, self-star, product, meet-unit and equivariance identities
+    below_e = leq[ar, e[:, None]]                        # [t, b]: b <= e
+    b_rows = below_e[..., None]
+    sup_m = sup[t3, M]                                   # sup(ab)
+    m_sup = M[t3, ar[:, None], sup[:, None, :]]          # a sup(b)
+    cross = (each(M[t2, sup, top] == a1)
+             & each(~(b_rows & below_e[:, None]) | (mt == M))
+             & each(~below_e | ((inv == ar) & (sup == ar)))
+             & (~stable
+                | (each(sup_m == sup[t3, m_sup])
+                   & each(sup == mt[aa, e[:, None]])
+                   & each(~b_rows | ((M == mt[a1[..., None], ar])
+                                     & (mt[M, e[:, None, None]] == mt)
+                                     & (sup_m == m_sup))))))
+    bad = np.zeros(A, bool)
+    bad[vu] = supported & ~cross
+    TheoremViolation.check("support_cross_checks", first_bad(bad))
+    return valid, flags
+
+
+def assert_same_verdicts(got: tuple, want: tuple) -> None:
+    (valid, flags), (want_valid, want_flags) = got, want
+    assert np.array_equal(valid, want_valid)
+    assert flags.keys() == want_flags.keys()
+    for name in want_flags:
+        assert np.array_equal(flags[name], want_flags[name]), name
+
+
 # (order, mul, inv, unit) -> (validate_quantale ok, classify flags or None),
 # shared by the runs below, which meet the same leaves at every chunk size
 _VERDICTS: dict = {}
@@ -372,14 +497,17 @@ def from_scratch(Q: Quantale) -> tuple:
 
 
 def kernel_against_scratch(spec_args: dict, chunk: int) -> tuple:
-    """Run a search whose kernel verdicts are each compared, leaf by leaf, with
-    validate_quantale and classify; returns (leaves compared, stats)."""
+    """Run a search whose kernel verdicts are each compared with the definitional
+    kernel, chunk by chunk, and with validate_quantale and classify, leaf by
+    leaf; returns (leaves compared, stats)."""
     real = search_mod._leaf_verdicts
     compared = 0
 
     def spy(lat, muls, inv, units, fixed):
         nonlocal compared
         valid, flags = real(lat, muls, inv, units, fixed)
+        assert_same_verdicts((valid, flags),
+                             leaf_verdicts_by_definition(lat, muls, inv, units, fixed))
         for t, unit in enumerate(units.tolist()):
             Q = Quantale(lat, muls[t], inv, None if unit < 0 else unit)
             ok, want = from_scratch(Q)
@@ -448,6 +576,56 @@ def test_leaf_verdicts_match_on_leaves_without_a_unit(lat, data, chunk):
     if data.draw(st.booleans()):
         args["fix_unit"] = data.draw(st.integers(0, lat.n - 1))
     kernel_against_scratch(args, chunk)
+
+
+STACK_LATTICES = ("chain3", "chain4", "diamond", "cube",     # frames
+                  "pentagon", "m3")                          # not frames
+
+
+@functools.cache
+def quantales_on(name: str) -> tuple:
+    """Up to 12 quantales with a unit and 12 without one on a named lattice."""
+    models = []
+    for unital in (True, False):
+        spec = SearchSpec(NAMED[name], cap=8, require={"unital": unital}, limit=12)
+        models += search_mod.search(spec).models
+    return tuple(models)
+
+
+@SETTINGS
+@given(st.sampled_from(STACK_LATTICES), st.data())
+def test_leaf_verdicts_match_the_definition_on_tables_that_are_not_join_extensions(name, data):
+    # A stack over one involution: a quantale, copies of it with a few cells
+    # changed (on a frame these usually fail a join law, and a change off
+    # the irreducible products keeps associativity on irreducible triples),
+    # and random tables, some with a unit planted.  The units are detected,
+    # or the quantale's unit (or some element) is fixed for the whole stack.
+    lat, n = NAMED[name], NAMED[name].n
+    base = data.draw(st.sampled_from(quantales_on(name)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    unit = base.unit if base.unit is not None else int(rng.integers(n))
+    muls = np.empty((data.draw(st.integers(1, 16)), n, n), dtype=np.uint8)
+    for t, kind in enumerate(rng.integers(0, 4, len(muls))):
+        if kind < 2:
+            muls[t] = base.mul
+            for x, y in rng.integers(0, n, (kind * int(rng.integers(1, 4)), 2)):
+                muls[t, x, y] = rng.integers(n)
+        else:
+            muls[t] = rng.integers(0, n, (n, n))
+            if kind == 3:
+                muls[t, unit], muls[t, :, unit] = np.arange(n), np.arange(n)
+    units = (_detect_unit(lat, muls) if data.draw(st.booleans())
+             else np.full(len(muls), unit if data.draw(st.booleans()) else -1))
+    fixed = _fixed_verdicts(lat, base.inv)
+    valid, flags = search_mod._leaf_verdicts(lat, muls, base.inv, units, fixed)
+    assert_same_verdicts((valid, flags),
+                         leaf_verdicts_by_definition(lat, muls, base.inv, units, fixed))
+    for t, u in enumerate(units.tolist()):
+        ok, want = from_scratch(Quantale(lat, muls[t], base.inv, None if u < 0 else u))
+        assert bool(valid[t]) is ok
+        if ok:
+            assert {name: bool(flags[name][t]) for name in _FLAG_NAMES} == {
+                name: bool(v) for name, v in want.items()}
 
 
 def test_a_kernel_verdict_that_disagrees_with_classify_is_a_failed_theorem_check(
