@@ -106,7 +106,7 @@ def holds_on(bad_row: BadRow, generators: Iterable[int]) -> bool:
     return not any(bad_row(j).any() for j in generators)
 
 
-_LEX_BLOCK = 1 << 16   # (prefix, candidate) pairs tested by one consistent() call
+_LEX_BLOCK = 1 << 16   # pairs per consistent() call, and per triple group of the search
 
 Consistent = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 

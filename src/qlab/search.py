@@ -471,17 +471,17 @@ def search(spec: SearchSpec) -> SearchResult:
             """Indices of the rows that pass every triple they decide at level c.
 
             The triples are tested a group at a time, each group in one array
-            step on the rows that passed the groups before it.  Most rows fail
-            one of the first triples they decide, so the groups start at one
-            triple and double.  A group spans at most about laws._LEX_BLOCK
-            (row, triple) pairs, as many as the (prefix, value) pairs of one
-            consistent() call, and at least one triple.  Both products are
-            computed on every pair of a group, and count only where the row
-            decides the triple.
+            step on the rows that passed the groups before it.  Both products
+            are computed on every (row, triple) pair of a group, and count only
+            where the row decides the triple.  The first group holds
+            max(1, triples // rows) triples and each later one twice as many,
+            up to about laws._LEX_BLOCK pairs: a level on few rows takes one or
+            two steps, and on many rows, which mostly fail their first triples,
+            few pairs are computed for rows that are already dropped.
             """
             ij, jl, now, l_cells, i_cells = triples[c + 1]
             alive = np.arange(len(rows))
-            start, size = 0, 1
+            start, size = 0, max(1, len(ij) // max(1, len(rows)))
             while start < len(ij) and len(alive):
                 stop = min(len(ij), start + max(1, min(size, laws._LEX_BLOCK // len(alive))))
                 g = slice(start, stop)
