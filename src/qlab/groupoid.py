@@ -402,14 +402,15 @@ def _equivariant_maps(A1: GroupoidAction, A2: GroupoidAction) -> list[tuple]:
 
 
 def _enumerate_homs(am1: ActionModule, am2: ActionModule,
-                    images: np.ndarray | None) -> list[np.ndarray]:
+                    images: np.ndarray | None) -> np.ndarray:
     """Join-preserving candidates via atom images, verified afterwards.
 
     Atom x may go to any element of `images` (None: any carrier element)
     with the support of {x}.  The quantale atoms prune: an arrow g carries
     atom x to either bottom or another atom, and the image assignment must
     commute.  Survivors are re-checked with the generic module-hom test, so
-    the pruning only has to be sound, not complete.
+    the pruning only has to be sound, not complete.  Returns the candidate
+    tables as the rows of one array, in lex order of the atom images.
     """
     X1, X2 = am1.module, am2.module
     atoms1 = am1.atoms.tolist()
@@ -424,18 +425,34 @@ def _enumerate_homs(am1: ActionModule, am2: ActionModule,
     triples = [(g, x, pos[int(X1.action[q, a])])
                for g, q in enumerate(qatoms) for x, a in enumerate(atoms1)]
     sols = _commuting_maps(values, X2.action[qatoms], triples, X2.carrier.bottom)
-    return list(X1.carrier.join_extend(sols.T, X2.carrier).T.copy())
+    return np.ascontiguousarray(X1.carrier.join_extend(sols.T, X2.carrier).T)
 
 
-def _is_sheaf_hom(am1: ActionModule, am2: ActionModule, table: np.ndarray,
-                  loc1: np.ndarray, loc2: set) -> bool:
-    phi = hb.ModuleHom(am1.module, am2.module, table)
-    ok, _ = hb.is_module_hom(phi)
-    if not ok:
-        return False
-    if not np.array_equal(am2.supported.sup[table], am1.supported.sup):
-        return False
-    return all(int(table[s]) in loc2 for s in loc1)
+def _hom_verdicts(am1: ActionModule, am2: ActionModule, tables: np.ndarray, basis,
+                  loc1: np.ndarray, loc2: np.ndarray):
+    """(hom, sheaf, direct_image) of a stack of candidate tables, one boolean per row.
+
+    hb.stacked_homs decides the stack on generators; a row it leaves open
+    goes through is_module_hom, or adjoint and is_direct_image, unchanged.
+    A sheaf hom is a hom that preserves supports and local sections;
+    direct_image(s) runs only when asked, since adjoint may raise.
+    """
+    X1, X2 = am1.module, am2.module
+    hom, adj, direct = hb.stacked_homs(X1, X2, tables, basis)
+    for s in np.flatnonzero(~hom):
+        hom[s] = hb.is_module_hom(hb.ModuleHom(X1, X2, tables[s]))[0]
+    local = np.zeros(X2.n, dtype=bool)
+    local[loc2] = True
+    sheaf = (hom & (am2.supported.sup[tables] == am1.supported.sup).all(axis=1)
+             & local[tables[:, loc1]].all(axis=1))
+
+    def direct_image(s: int) -> bool:
+        if adj[s]:
+            return bool(direct[s])
+        phi = hb.ModuleHom(X1, X2, tables[s])
+        return hb.is_direct_image(phi, hb.adjoint(phi, basis))
+
+    return hom, sheaf, direct_image
 
 
 def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> EquivalenceReport:
@@ -446,7 +463,8 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
     direct image f |-> f_!.  When the full space of join-preserving tables
     is small enough, all module homs are enumerated and the two sheaf-hom
     characterizations (support+section preserving vs the Galois pair
-    phi.phi+ <= id <= phi+.phi) are checked to coincide on it.
+    phi.phi+ <= id <= phi+.phi) are checked to coincide on it.  Each pair's
+    candidate tables are decided as one stack (_hom_verdicts).
     """
     mods = [module_from_action(a) for a in actions]
     locs = [hb.local_sections(am.supported).local for am in mods]
@@ -454,23 +472,22 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
     for i, am1 in enumerate(mods):
         basis = hb.hilbert_sections(am1.module)
         for j, am2 in enumerate(mods):
-            loc1, loc2 = locs[i], set(locs[j].tolist())
             equiv = _equivariant_maps(actions[i], actions[j])
-            sheaf_tables = [t for t in _enumerate_homs(am1, am2, locs[j])
-                            if _is_sheaf_hom(am1, am2, t, loc1, loc2)]
-            keyed = {t.tobytes(): pos for pos, t in enumerate(sheaf_tables)}
+            cands = _enumerate_homs(am1, am2, locs[j])
+            _, sheaf, direct_image = _hom_verdicts(am1, am2, cands, basis, locs[i], locs[j])
+            sheaf_rows = np.flatnonzero(sheaf)
+            keyed = {cands[s].tobytes(): pos for pos, s in enumerate(sheaf_rows)}
 
             # every sheaf hom is a direct image hom
-            for pos, t in enumerate(sheaf_tables):
-                phi = hb.ModuleHom(am1.module, am2.module, t)
+            for pos, s in enumerate(sheaf_rows):
                 TheoremViolation.check("sheaf_hom_is_direct_image",
-                                       None if hb.is_direct_image(phi, hb.adjoint(phi, basis))
-                                       else (i, j, pos))
+                                       None if direct_image(s) else (i, j, pos))
 
+            images = np.array(equiv, dtype=np.intp).reshape(len(equiv), actions[i].n_points)
+            pushed = am1.module.carrier.join_extend(am2.atoms[images].T, am2.module.carrier).T
             bij = []
-            for f in equiv:
-                key = am1.module.carrier.join_extend(am2.atoms[list(f)],
-                                                     am2.module.carrier).tobytes()
+            for f, table in zip(equiv, pushed):          # f_! for every equivariant f
+                key = table.tobytes()
                 TheoremViolation.check("direct_image_is_sheaf_hom",
                                        None if key in keyed else (i, j, f))
                 bij.append(keyed[key])
@@ -480,20 +497,15 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
             total = None
             space = am2.module.n ** am1.action.n_points
             if space <= all_hom_cap:
-                all_tables = [t for t in _enumerate_homs(am1, am2, None)
-                              if hb.is_module_hom(hb.ModuleHom(am1.module, am2.module, t))[0]]
-                total = len(all_tables)
-                subset = {t.tobytes() for t in all_tables
-                          if _is_sheaf_hom(am1, am2, t, loc1, loc2)}
-                galois = set()
-                for t in all_tables:
-                    phi = hb.ModuleHom(am1.module, am2.module, t)
-                    if hb.is_direct_image(phi, hb.adjoint(phi, basis)):
-                        galois.add(t.tobytes())
+                every = _enumerate_homs(am1, am2, None)
+                hom, sheaf, direct_image = _hom_verdicts(am1, am2, every, basis,
+                                                         locs[i], locs[j])
+                total = int(hom.sum())
+                subset = {every[s].tobytes() for s in np.flatnonzero(sheaf)}
+                galois = {every[s].tobytes() for s in np.flatnonzero(hom) if direct_image(s)}
                 TheoremViolation.check("sheaf_hom_characterizations_agree",
                                        None if subset == set(keyed) == galois else (i, j))
-            pairs.append(PairReport(i, j, equiv,
-                                    [tuple(map(int, t)) for t in sheaf_tables],
+            pairs.append(PairReport(i, j, equiv, [tuple(t) for t in cands[sheaf_rows].tolist()],
                                     bij, total))
     return EquivalenceReport(G, pairs)
 

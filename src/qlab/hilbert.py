@@ -7,7 +7,11 @@ The central construction is module_from_qset, which materializes the module
 of "row combinations" of a Q-valued matrix together with its row basis;
 everything else (adjoints, the matrix functor M, supports, local sections)
 is built on top of it.  Its carrier is an array of vectors in closure order (zero,
-scaled rows, joins of vector i with 0..i); _RowIndex tells rows apart by searchsorted.
+scaled rows, joins of vector i with 0..i); _RowIndex tells rows apart by searchsorted,
+and the closure's joins give the carrier's order.  Its action and inner product
+are computed on join-irreducible scalars and vectors and join-extended.
+stacked_homs decides is_module_hom, adjoint and is_direct_image for a whole
+stack of tables on generators, leaving any table it cannot prove to them.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .laws import TheoremViolation, Violation, first_bad, first_violation, holds
 from .lattice import SupLattice
 from .qmatrix import (NotAQSet, QMatrix, QSet, completion, is_qset, is_relation, mat_adjoint,
                       mat_mul)
-from .quantale import Quantale, ValidationReport, support
+from .quantale import NotAQuantale, Quantale, ValidationReport, support
 
 
 class CarrierTooLarge(RuntimeError):
@@ -95,13 +99,18 @@ class _RowIndex:
         pos = np.minimum(np.searchsorted(self.keys, _row_keys(rows)), len(self.keys) - 1)
         return np.where((self.sorted[pos] == rows).all(axis=1), self.order[pos], -1)
 
-    def extended(self, rows) -> "_RowIndex":
-        """The index of the table with the rows it lacks appended where they first occur."""
-        rows = rows[self.find(rows) < 0]
-        if not len(rows):
-            return self
-        rows = rows[_RowIndex(rows).find(rows) == np.arange(len(rows))]
-        return _RowIndex(np.concatenate([self.table, rows]))
+    def extended(self, rows) -> tuple["_RowIndex", np.ndarray]:
+        """The index of the table with the rows it lacks appended where they
+        first occur, and the position of every row of rows in that table."""
+        pos = self.find(rows)
+        new = pos < 0
+        if not new.any():
+            return self, pos
+        fresh = rows[new]
+        first = _RowIndex(fresh).find(fresh)       # each fresh row's first occurrence
+        keep = first == np.arange(len(fresh))
+        pos[new] = len(self.table) + (np.cumsum(keep) - 1)[first]
+        return _RowIndex(np.concatenate([self.table, fresh[keep]])), pos
 
 
 class QModule:
@@ -387,6 +396,61 @@ def is_direct_image(phi: ModuleHom, dag: ModuleHom | None = None) -> bool:
                 and Xs.carrier.leq[ar_s, dag.map[phi.map]].all())
 
 
+_STACK_CELLS = 1 << 20    # cells of stacked_homs' largest temporary per chunk of tables
+
+
+def stacked_homs(Xs: PreHilbertModule, Xt: PreHilbertModule, tables, sigma):
+    """is_module_hom, adjoint and is_direct_image on a stack of tables Xs -> Xt.
+
+    Returns boolean arrays (hom, adj, direct) over the rows of tables: hom
+    marks the tables proved to be module homs, adj the homs whose
+    adjoint(phi, sigma) is proved to succeed, and direct those among them
+    for which is_direct_image(phi, adjoint) is true.  A row left unmarked
+    is not decided here; the per-table functions decide it, with their
+    exceptions and witnesses.  The premises are a distributive source
+    carrier, both modules passing validate_prehilbert and sigma a Hilbert
+    basis.  Then a table preserves binary joins iff it equals its
+    extension (SupLattice.extension); f(ax) = af(x) is bilinear and is
+    checked on join-irreducible a and x; the adjoint adj(y) = join over t
+    in sigma of <y, f(t)> t preserves finite joins in y, so it is computed
+    on join-irreducible y and join-extended; its identity is checked on
+    join-irreducible x, as adjoint does; and f adj <= id <= adj f holds iff
+    it holds on join-irreducibles, both sides preserving finite joins.
+    Tables are taken in chunks of at most _STACK_CELLS cells per temporary.
+    """
+    tables = np.asarray(tables, dtype=np.intp)
+    hom, adj, direct = (np.zeros(len(tables), dtype=bool) for _ in range(3))
+    S, T = Xs.carrier, Xt.carrier
+    if not (S.distributive and Xs.prehilbert_report.ok and Xt.prehilbert_report.ok):
+        return hom, adj, direct
+    sigma = np.asarray(sigma, dtype=np.intp)
+    basis = Xs.basis_witness(sigma) is None
+    JQ = np.asarray(Xs.quantale.lattice.join_irreducibles, dtype=np.intp)
+    JS = np.asarray(S.join_irreducibles, dtype=np.intp)
+    JT = np.asarray(T.join_irreducibles, dtype=np.intp)
+    gen_act = Xs.action[np.ix_(JQ, JS)]                 # [a, x] = a.x on generators
+    step = max(1, _STACK_CELLS // max(Xs.n, len(JS) * Xt.n, len(JQ) * len(JS),
+                                      len(JT) * len(sigma)))
+    for r in range(0, len(tables), step):
+        f = tables[r:r + step]
+        c = np.arange(len(f))[:, None]
+        ok = ((S.extension(f, T, axis=1) == f).all(axis=1)
+              & (f[:, S.bottom] == T.bottom)
+              & (f[:, gen_act] == Xt.action[JQ[:, None], f[:, None, JS]]).all(axis=(1, 2)))
+        hom[r:r + step] = ok
+        if not basis:
+            continue
+        coeffs = Xt.ip[JT[None, :, None], f[:, None, sigma]]          # [., y, t] = <y, f(t)>
+        dag = S.join_products(Xs.action, coeffs.reshape(len(f) * len(JT), len(sigma)), sigma)
+        dag = T.join_extend(dag.reshape(len(f), len(JT)).T, S).T
+        identity = Xt.ip[f[:, JS]] == Xs.ip[JS[None, :, None], dag[:, None, :]]    # [., x, y]
+        proved = ok & identity.all(axis=(1, 2))
+        adj[r:r + step] = proved
+        direct[r:r + step] = (proved & T.leq[f[c, dag[:, JT]], JT].all(axis=1)
+                              & S.leq[JS, dag[c, f[:, JS]]].all(axis=1))
+    return hom, adj, direct
+
+
 @dataclass(eq=False)
 class MatrixModule:
     """Q^I A: the row-combination module of a Q-set matrix, with row basis."""
@@ -417,33 +481,53 @@ def module_from_qset(Q: Quantale, X: QSet, cap: int = CARRIER_CAP) -> MatrixModu
     the zero vector; the new q . row_a, q ascending, one row a at a time
     (CarrierTooLarge(size, cap) past the cap); then for i = 0, 1, ... the
     new joins of vector i with vectors 0..i, each where it first occurs
-    (CarrierTooLarge(cap + 1, cap)).  Membership, the action table and the
-    rows are _RowIndex lookups.  The inner product is <v, w> = join_a v_a
-    w_a*.  <v, row_b> = v_b, <row_a, row_b> = a_ab and the rows being a
-    Hilbert basis are re-checked.
+    (CarrierTooLarge(cap + 1, cap)).  Where each of those joins lands is
+    the carrier's join table, so x <= y iff x OR y = y.  The tables are
+    built on generators, which needs the product to be bilinear and the
+    involution to preserve finite joins (NotAQuantale otherwise): a . v is
+    looked up for join-irreducible a only, and join-extended over Q; the
+    inner product <v, w> = join_a v_a w_a* is computed for join-irreducible
+    w only, and join-extended over the carrier.  A vector a . v missing
+    from the carrier is looked up for every a, for the lex-first witness
+    of carrier_closed_under_action.  The pre-Hilbert laws, <v, row_b> =
+    v_b, <row_a, row_b> = a_ab and the rows being a Hilbert basis are
+    re-checked.
     """
     NotAQSet.check("qset", is_qset(X)[1])
+    lat, mul, inv = Q.lattice, Q.mul, Q.inv
+    premises = {**Q.linearity, "involution_join": lat.join_witness(inv, lat),
+                "involution_bottom": None if inv[Q.bottom] == Q.bottom else (Q.bottom,)}
+    ValidationReport(premises).require(NotAQuantale)
     A = X.A.data
-    jt, mul, inv = Q.lattice.join_table, Q.mul, Q.inv
 
     index = _RowIndex(np.full((1, X.size), Q.bottom))
     for alpha in range(X.size):
-        index = index.extended(mul[:, A[alpha]])
+        index = index.extended(mul[:, A[alpha]])[0]
     if len(index.table) > cap:
         raise CarrierTooLarge(len(index.table), cap)
-    i = 0
-    while i < len(arr := index.table):
-        index = index.extended(jt[arr[i], arr[:i + 1]])
+    joins = []                                  # joins[i][k] = carrier index of v_i OR v_k
+    while len(joins) < len(arr := index.table):
+        i = len(joins)
+        index, pos = index.extended(lat.join_table[arr[i], arr[:i + 1]])
+        joins.append(pos)
         if len(index.table) > cap:
             raise CarrierTooLarge(cap + 1, cap)
-        i += 1
-    carrier = SupLattice(Q.leq[arr[:, None], arr[None]].all(axis=2), _vector_labels(Q, arr))
-    act = np.stack([index.find(mul[a][arr]) for a in range(Q.n)])
+    m = len(arr)
+    jt = np.empty((m, m), dtype=np.intp)
+    for i, pos in enumerate(joins):
+        jt[i, :i + 1] = jt[:i + 1, i] = pos
+    carrier = SupLattice(jt == np.arange(m), _vector_labels(Q, arr))
+
+    JQ, JX = lat.join_irreducibles, carrier.join_irreducibles
+    act = np.array([index.find(mul[a][arr]) for a in JQ], dtype=np.intp).reshape(len(JQ), m)
+    if (act < 0).any():
+        act = np.stack([index.find(mul[a][arr]) for a in range(Q.n)])
+        TheoremViolation.check("carrier_closed_under_action", first_bad(act < 0))
+    act = lat.join_extend(act, carrier)
     rows = index.find(A)
-    TheoremViolation.check("carrier_closed_under_action", first_bad(act < 0))
     TheoremViolation.check("rows_in_carrier", first_bad(rows < 0))
 
-    ip = Q.lattice.join_products(mul, arr, inv[arr].T)
+    ip = carrier.join_extend(lat.join_products(mul, arr, inv[arr[JX]].T).T, Q.lattice).T
     mod = PreHilbertModule(QModule(Q, carrier, act), ip)
 
     check_prehilbert(mod)

@@ -157,16 +157,31 @@ class SupLattice:
 
         For a finite lattice this is equivalent to the full frame law.
         Returns (ok, witness); the witness is the lex-first failing triple.
-        The law says each a AND - preserves binary joins, so it is
-        join_witness of the meet table along axis 1.  The result is computed
-        once per lattice.
+        The verdict is `distributive` (Birkhoff's test); only a lattice
+        that fails it is scanned for the witness, as join_witness of the
+        meet table along axis 1 (the law says each a AND - preserves binary
+        joins).  The result is computed once per lattice.
         """
         return self._frame_law
 
     @cached_property
     def _frame_law(self) -> tuple[bool, tuple[int, int, int] | None]:
+        if self.distributive:
+            return True, None
         w = self.join_witness(self.meet_table, self, axis=1)
         return w is None, w
+
+    @cached_property
+    def distributive(self) -> bool:
+        """Birkhoff's test: every join-irreducible j is join-prime.
+
+        j is join-prime when j <= x OR y implies j <= x or j <= y; a finite
+        lattice is distributive iff all its join-irreducibles are, since then
+        x |-> {j <= x} embeds it into a powerset.  |J| n^2 boolean cells.
+        """
+        leq, js = self.leq, self.join_table
+        return not any((leq[j][js] & ~(leq[j][:, None] | leq[j][None, :])).any()
+                       for j in self.join_irreducibles)
 
     @cached_property
     def join_irreducibles(self) -> list[int]:
@@ -188,18 +203,39 @@ class SupLattice:
         OR table[x', ...], witnessed by (x, x', ...); table may be 1-D.
         Axis 1 is the law table[p, x OR x'] = table[p, x] OR table[p, x'] of
         a 2-D table, witnessed by (p, x, x').  This is the one place where
-        the law is decided on join-irreducible x' (qlab.laws); the row scan
-        runs only to find the witness.
+        the law is decided on generators (qlab.laws).  On a distributive
+        lattice the law holds iff table equals its extension (below), since
+        join-irreducibles are join-prime there; on any other lattice it is
+        decided on join-irreducible x'.  The row scan runs only to find the
+        witness.
         """
         table = np.asarray(table)
         js, jt, J = self.join_table, target.join_table, self.join_irreducibles
-        if axis == 1:
+        if self.distributive:
+            proved = bool((self.extension(table, target, axis) == table).all())
+        elif axis == 1:
             proved = holds_on(lambda j: table[:, js[:, j]] != jt[table, table[:, j, None]], J)
+        else:
+            proved = holds_on(lambda j: table[js[:, j]] != jt[table, table[j:j + 1]], J)
+        if axis == 1:
             return first_violation(lambda p: table[p][js] != jt[np.ix_(table[p], table[p])],
                                    range(len(table)), proved)
-        proved = holds_on(lambda j: table[js[:, j]] != jt[table, table[j:j + 1]], J)
         return first_violation(lambda x: table[js[x]] != jt[table[x:x + 1], table],
                                range(self.n), proved)
+
+    def extension(self, table, target: "SupLattice", axis: int = 0) -> np.ndarray:
+        """table[bottom] OR the join-extension of table on the join-irreducibles.
+
+        Along `axis` of table, whose values lie in `target`: out[x] is the
+        join of table[bottom] and table[j] over every join-irreducible j <=
+        x.  A table that preserves binary joins equals it; on a distributive
+        lattice the converse holds too, since {j <= x OR y} = {j <= x} U
+        {j <= y} when every join-irreducible is join-prime.  Other axes are
+        carried along, so a stack of tables is checked in one step.
+        """
+        t = np.asarray(table).swapaxes(0, axis)
+        ext = self.join_extend(t[self.join_irreducibles], target)
+        return target.join_table[t[self.bottom], ext].swapaxes(0, axis)
 
     def join_extend(self, values, target: "SupLattice") -> np.ndarray:
         """The join-extension of values on the join-irreducibles into `target`.
@@ -211,13 +247,48 @@ class SupLattice:
         join-preserving map this is that map, since every element is the
         join of the irreducibles below it.  The output has the dtype of
         `values`; a two-argument table is join_extend applied twice.
+
+        On a distributive lattice the elements are filled one rank at a
+        time (_rank_steps), each from two lower covers, which is one pass
+        over the elements; on any other lattice each join-irreducible is
+        joined into its up-set.
         """
         values = np.asarray(values)
-        out = np.full((self.n,) + values.shape[1:], target.bottom, dtype=values.dtype)
-        for j, v in zip(self.join_irreducibles, values, strict=True):
-            up = self.leq[j]
-            out[up] = target.join_table[out[up], v]
-        return out
+        if len(values) != len(self.join_irreducibles):
+            raise ValueError("one value per join-irreducible is needed")
+        jt = target.join_table
+        if not self.distributive:
+            out = np.full((self.n,) + values.shape[1:], target.bottom, dtype=values.dtype)
+            for j, v in zip(self.join_irreducibles, values):
+                up = self.leq[j]
+                out[up] = jt[out[up], v]
+            return out
+        work = np.empty((self.n + len(values),) + values.shape[1:], dtype=values.dtype)
+        work[self.n:] = values
+        work[self.bottom] = target.bottom
+        for xs, a, b in self._rank_steps:
+            work[xs] = jt[work[a], work[b]]
+        return work[:self.n]
+
+    @cached_property
+    def _rank_steps(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(xs, a, b) per rank of a distributive lattice, rank 1 first.
+
+        The rank of x is the number of join-irreducibles below it, and x's
+        lower covers are the y < x one rank down.  A join-irreducible x has
+        one, a, and b = n + its position among the irreducibles (its value
+        in join_extend's work array); any other x is the join of two of
+        them, a and b, and each irreducible below x lies below a or b,
+        being join-prime.  So out[x] = out[a] OR out[b] in both cases.
+        """
+        leq, J = self.leq, self.join_irreducibles
+        rank = leq[J].sum(axis=0)
+        lower = leq & (rank[:, None] == rank[None, :] - 1)         # [y, x]: y covers under x
+        a = np.argmax(lower, axis=0)
+        b = np.argmax(lower & (np.arange(self.n)[:, None] != a), axis=0)
+        b[J] = self.n + np.arange(len(J))
+        return [(xs, a[xs], b[xs]) for r in range(1, int(rank.max(initial=0)) + 1)
+                if len(xs := np.flatnonzero(rank == r))]
 
     def join_products(self, act, coeffs, vectors) -> np.ndarray:
         """out[i, ...] = the join over t of act[coeffs[i, t], vectors[t, ...]].

@@ -20,8 +20,11 @@ two exact reductions that the callers state next to each use:
   multilinear law needs checking only on generators once its premises,
   the join and bottom laws that make it multilinear, have been checked.
 
-The first reduction runs in one place, SupLattice.join_witness, which
-every binary-join law calls.  A caller passes proved=True to
+On a distributive lattice the first reduction takes one comparison: f
+preserves binary joins iff f(x) = f(bottom) OR the join of f(j) over the
+join-irreducibles j <= x, for every x, since each join-irreducible is
+join-prime there (Birkhoff).  The first reduction runs in one place,
+SupLattice.join_witness, which every binary-join law calls.  A caller passes proved=True to
 first_violation only when the premises and the reduced check both passed;
 any other outcome runs the exhaustive scan, so every witness is the one
 the exhaustive scan alone would report.

@@ -13,6 +13,7 @@ examples.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,27 +34,80 @@ class InputError(ValueError):
     """Malformed file, schema mismatch, or unresolvable reference."""
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "), indent=2)
-_FLUSH_CHUNKS = 1 << 14
+_FLUSH_CHARS = 1 << 20     # write_canonical writes once this much text is pending
+
+
+_scalar = json.JSONEncoder().encode        # a scalar is spelled the same at any indent
+_SCALARS = (str, int, float, type(None))   # bool is an int
+
+
+def _key(key) -> str:
+    """A dict key as JSON text: a str as it is, any other scalar spelled as JSON."""
+    if not isinstance(key, _SCALARS):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
+
+
+def _pieces(obj, level: int = 0):
+    """The canonical text of obj, piece by piece.
+
+    Sorted keys, two-space indent and the separators "," and ": ", as
+    json.JSONEncoder(sort_keys=True, indent=2, separators=(",", ": "))
+    writes them; tuples are lists.  A list of plain ints is one piece,
+    written with one str.join.
+    """
+    if isinstance(obj, _SCALARS):
+        yield _scalar(obj)
+        return
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+        elif set(map(type, obj)) == {int}:
+            yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + close + "]"
+        else:
+            sep = "[" + inner
+            for item in obj:
+                yield sep
+                yield from _pieces(item, level + 1)
+                sep = "," + inner
+            yield close + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + _key(key) + ": "
+            yield from _pieces(value, level + 1)
+            sep = "," + inner
+        yield close + "}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_dumps(obj) -> str:
-    return "".join(_ENCODER.iterencode(obj)) + "\n"
+    return "".join(_pieces(obj)) + "\n"
 
 
 def write_canonical(obj, fh) -> None:
-    """Write canonical_dumps(obj) to fh, joining ~16k encoder chunks per write.
+    """Write canonical_dumps(obj) to fh, about _FLUSH_CHARS characters per write.
 
     The whole text of a large report is never held at once.
     """
-    chunks: list[str] = []
-    for chunk in _ENCODER.iterencode(obj):
-        chunks.append(chunk)
-        if len(chunks) >= _FLUSH_CHUNKS:
-            fh.write("".join(chunks))
-            chunks.clear()
-    chunks.append("\n")
-    fh.write("".join(chunks))
+    pending: list[str] = []
+    size = 0
+    for piece in _pieces(obj):
+        pending.append(piece)
+        size += len(piece)
+        if size >= _FLUSH_CHARS:
+            fh.write("".join(pending))
+            pending.clear()
+            size = 0
+    pending.append("\n")
+    fh.write("".join(pending))
 
 
 def _need(payload: dict, key: str, kind: str):

@@ -23,8 +23,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlab import objio
+from qlab import cli, objio
 from qlab.cli import main
 
 # a Q-set over relq2 whose completion has 16 singletons
@@ -101,22 +103,83 @@ GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_json_report_matches_its_golden_digest(name, tmp_path, monkeypatch, capsys):
-    argv, code, digest = GOLDEN[name]
+def write_inputs(tmp_path, monkeypatch):
     (tmp_path / "qset.json").write_text(json.dumps(QSET))
     (tmp_path / "qset3.json").write_text(json.dumps(QSET3))
     (tmp_path / "zero4.json").write_text(json.dumps(ZERO4))
     (tmp_path / "pentagon.json").write_text(json.dumps(PENTAGON))
     (tmp_path / "m3.json").write_text(json.dumps(M3))
     monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_report_matches_its_golden_digest(name, tmp_path, monkeypatch, capsys):
+    argv, code, digest = GOLDEN[name]
+    write_inputs(tmp_path, monkeypatch)
     got = main([argv[0], "--json", *argv[1:]])
     assert (got, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == (code, digest)
 
 
+# The encoder objio replaced: its text is the canonical format.
+ORACLE = json.JSONEncoder(sort_keys=True, indent=2, separators=(",", ": "))
+
+
+def by_oracle(obj) -> str:
+    return ORACLE.encode(obj) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_reports_are_encoded_as_the_json_encoder_does(name, tmp_path, monkeypatch,
+                                                            capsys):
+    """The report object itself, tuples and all, goes through both encoders."""
+    argv = GOLDEN[name][0]
+    write_inputs(tmp_path, monkeypatch)
+    docs = []
+
+    def spy(doc, fh):
+        docs.append(doc)
+        objio.write_canonical(doc, fh)
+
+    monkeypatch.setattr(cli, "write_canonical", spy)
+    main([argv[0], "--json", *argv[1:]])
+    assert len(docs) == 1
+    assert capsys.readouterr().out == by_oracle(docs[0]) == objio.canonical_dumps(docs[0])
+
+
+SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+DOCS = st.recursive(SCALARS, lambda inner: (st.lists(inner) | st.tuples(inner, inner)
+                                            | st.lists(st.integers(-9, 10 ** 20))
+                                            | st.dictionaries(st.text(), inner)),
+                    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCS)
+def test_canonical_text_is_the_json_encoders(doc):
+    assert objio.canonical_dumps(doc) == by_oracle(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.one_of(st.none(), st.booleans(), st.integers(), st.floats()),
+                       st.integers(), max_size=1))
+def test_scalar_keys_are_spelled_as_the_json_encoder_does(doc):
+    assert objio.canonical_dumps(doc) == by_oracle(doc)
+
+
+@pytest.mark.parametrize("bad", [{"x": object()}, [1, {2, 3}], {(1, 2): 3}])
+def test_what_the_json_encoder_rejects_is_rejected(bad):
+    with pytest.raises(TypeError):
+        ORACLE.encode(bad)
+    with pytest.raises(TypeError):
+        objio.canonical_dumps(bad)
+
+
 def test_chunked_writer_matches_canonical_dumps(monkeypatch):
-    monkeypatch.setattr(objio, "_FLUSH_CHUNKS", 100)
-    report = {"rows": [[i, str(i), {"x": [i, None, True]}] for i in range(400)]}
+    """Writes come in pieces of about _FLUSH_CHARS characters, never the whole text."""
+    monkeypatch.setattr(objio, "_FLUSH_CHARS", 1000)
+    report = {"rows": [[i, str(i), {"x": [i, None, True]}] for i in range(400)],
+              "table": [list(range(i, i + 50)) for i in range(40)]}
     writes = []
 
     class Sink:
@@ -124,7 +187,7 @@ def test_chunked_writer_matches_canonical_dumps(monkeypatch):
             writes.append(text)
 
     objio.write_canonical(report, Sink())
-    assert len(writes) > 2                       # several flushes, then the tail
-    assert "".join(writes) == objio.canonical_dumps(report)
-    assert objio.canonical_dumps(report) == json.dumps(
-        report, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
+    text = objio.canonical_dumps(report)
+    assert "".join(writes) == text == by_oracle(report)
+    assert len(writes) > len(text) // 2000
+    assert max(map(len, writes)) < 2000          # no write holds much more than _FLUSH_CHARS

@@ -19,7 +19,10 @@ SupLattice.join_witness is compared with the whole cubic violation array,
 and classify's table of rungs (quantale.BUILDS_ON) with the hand-written
 cascade it replaced.  module_from_qset's whole-row closure, action table
 and rows, and validate_prehilbert's degeneracy scan, are compared with the
-bytes-keyed worklist and seen-dict scan they replaced, and the whole-array
+bytes-keyed worklist and seen-dict scan they replaced, and its tables
+built on generators with the dense construction they replaced (the
+order from all coordinates, one action lookup per scalar, every inner
+product from its definition), and the whole-array
 hilbert_sections and local_sections with their per-section loops (the
 fold behind local_sections_generated included).
 Each kernel must give the same tables, the same order of results and the
@@ -47,8 +50,9 @@ from qlab.hilbert import (hilbert_sections, hom_from_relation, module_from_qset,
 from qlab.laws import first_bad, lex_blocks, lex_solutions
 from qlab.qmatrix import (QMatrix, QSet, _columns, completion, mat_mul, random_qset,
                           singletons)
-from qlab.quantale import (_gelfand_witnesses, classify, lattice_order_isos, modular_law,
-                           partial_units, support)
+from qlab.quantale import (NotAQuantale, Quantale, _gelfand_witnesses, classify,
+                           lattice_order_isos, modular_law, partial_units, support,
+                           validate_quantale)
 
 from test_golden import QSET, QSET3
 
@@ -1133,6 +1137,149 @@ def test_module_carriers_match_the_bytes_keyed_worklist(name):
         Y = with_repeated_row(mm.module, seed)
         witness = hb.validate_prehilbert(Y).degeneracy_witness
         assert witness == degeneracy_by_seen_dict(Y.ip) is not None
+
+
+def module_from_qset_dense(Q, X, cap=hb.CARRIER_CAP):
+    """module_from_qset as it was before its tables were built on generators.
+
+    The order compares all coordinates, the action is looked up for every
+    scalar and the inner product is computed from its definition in every
+    cell; then the same theorem checks run.
+    """
+    qmatrix.NotAQSet.check("qset", qmatrix.is_qset(X)[1])
+    A = X.A.data
+    jt, mul, inv = Q.lattice.join_table, Q.mul, Q.inv
+    index = hb._RowIndex(np.full((1, X.size), Q.bottom))
+    for alpha in range(X.size):
+        index = index.extended(mul[:, A[alpha]])[0]
+    if len(index.table) > cap:
+        raise hb.CarrierTooLarge(len(index.table), cap)
+    i = 0
+    while i < len(arr := index.table):
+        index = index.extended(jt[arr[i], arr[:i + 1]])[0]
+        if len(index.table) > cap:
+            raise hb.CarrierTooLarge(cap + 1, cap)
+        i += 1
+    carrier = SupLattice(Q.leq[arr[:, None], arr[None]].all(axis=2), hb._vector_labels(Q, arr))
+    act = np.stack([index.find(mul[a][arr]) for a in range(Q.n)])
+    rows = index.find(A)
+    laws.TheoremViolation.check("carrier_closed_under_action", first_bad(act < 0))
+    laws.TheoremViolation.check("rows_in_carrier", first_bad(rows < 0))
+    ip = Q.lattice.join_products(mul, arr, inv[arr].T)
+    mod = hb.PreHilbertModule(hb.QModule(Q, carrier, act), ip)
+    hb.check_prehilbert(mod)
+    laws.TheoremViolation.check("row_projection", first_bad(ip[:, rows] != arr))
+    laws.TheoremViolation.check("row_entries", first_bad(ip[np.ix_(rows, rows)] != A))
+    laws.TheoremViolation.check("rows_are_a_basis", hb.is_hilbert_basis(mod, rows)[1])
+    return hb.MatrixModule(mod, X, arr, rows)
+
+
+def module_outcome(build):
+    """The module's tables, or the failure's type, law and witness."""
+    try:
+        mm = build()
+    except (laws.Violation, laws.TheoremViolation) as exc:
+        return type(exc).__name__, exc.law, exc.witness
+    N = mm.module
+    return ("ok", mm.vectors.tolist(), mm.rows.tolist(), N.carrier.leq.tolist(),
+            N.carrier.labels, N.action.tolist(), N.ip.tolist())
+
+
+def assert_tables_match_the_dense_construction(Q, X):
+    fast = module_outcome(lambda: module_from_qset(Q, X))
+    assert fast == module_outcome(lambda: module_from_qset_dense(Q, X))
+    return fast
+
+
+@pytest.mark.parametrize("name", sorted(set(CARRIER_QSETS) - {"golden3"})
+                         + [f"sections:{a}" for a in catalog_names("action")])
+def test_module_tables_match_the_dense_construction(name):
+    X = CARRIER_QSETS[name]() if name in CARRIER_QSETS else section_qset(name.split(":")[1])
+    assert assert_tables_match_the_dense_construction(X.Q, X)[0] == "ok"
+
+
+def small_quantale(name):
+    kind, obj = catalog_get(name)
+    return obj if kind == "quantale" else quantale_of(obj)
+
+
+GELFAND = [name for name in catalog_names("quantale", "groupoid")
+           if small_quantale(name).n <= 64
+           and classify(small_quantale(name)).flag("stably_gelfand")]
+
+
+@SETTINGS
+@given(st.sampled_from(GELFAND), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_random_qset_tables_match_the_dense_construction(name, size, seed):
+    Q = small_quantale(name)
+    X = random_qset(Q, size, np.random.default_rng(seed))
+    assert assert_tables_match_the_dense_construction(Q, X)[0] == "ok"
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.data())
+def test_bilinear_products_that_are_not_associative_fail_as_before(k, data):
+    """A join-extended atom table is bilinear but need not be associative, so
+    the carrier may not be closed under the action: the witness is the one the
+    lookup of every scalar finds."""
+    n = 1 << k
+    atom_mul = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=k * k,
+                                           max_size=k * k))).reshape(k, k)
+    Q = powerset_quantale(atom_mul, data.draw(st.permutations(range(k))), 0,
+                          [str(i) for i in range(k)])
+    size = data.draw(st.integers(1, 2))
+    A = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=size * size,
+                                    max_size=size * size))).reshape(size, size)
+    idempotent = [a for a in range(n) if Q.inv[a] == a and Q.mul[a, a] == a]
+    if size == 1 and idempotent:
+        A[0, 0] = data.draw(st.sampled_from(idempotent))
+    assert_tables_match_the_dense_construction(Q, QSet(Q, A))
+
+
+@pytest.mark.parametrize("atom_mul, atom_inv, matrix, witness", [
+    ([[4, 6, 2], [3, 6, 0], [2, 0, 3]], [0, 2, 1], [[7]], (4, 3)),
+    ([[2, 0], [2, 1]], [0, 1], [[3]], (2, 1)),
+    ([[2, 3], [1, 1]], [1, 0], [[0, 0], [0, 3]], (1, 2)),
+])
+def test_a_carrier_not_closed_under_the_action_reports_the_scalar_scan(
+        atom_mul, atom_inv, matrix, witness):
+    """Found by drawing atom tables: the product is bilinear but not associative,
+    and the lex-first missing a . v is the one every scalar's lookup finds."""
+    k = len(atom_mul)
+    Q = powerset_quantale(np.array(atom_mul), atom_inv, 0, [str(i) for i in range(k)])
+    X = QSet(Q, matrix)
+    fast = module_outcome(lambda: module_from_qset(Q, X))
+    assert fast == module_outcome(lambda: module_from_qset_dense(Q, X))
+    assert fast == ("TheoremViolation", "carrier_closed_under_action", witness)
+
+
+def test_module_from_qset_needs_a_bilinear_product_and_a_join_preserving_involution():
+    R = relq(2)
+    X = QSet(R, [[R.unit]])
+    seen = set()
+    for cell in itertools.product(range(R.n), repeat=2):
+        for table in ("mul", "inv"):
+            if table == "inv" and cell[1]:
+                continue
+            mul, inv = R.mul.copy(), R.inv.copy()
+            if table == "mul":
+                mul[cell] = R.top if mul[cell] != R.top else R.bottom
+            else:
+                inv[cell[0]] = R.top if inv[cell[0]] != R.top else R.bottom
+            Q = Quantale(R.lattice, mul, inv, R.unit)
+            if not qmatrix.is_qset(QSet(Q, X.A.data))[0]:
+                continue
+            premises = {k: w for k, w in validate_quantale(Q).laws.items()
+                        if k in (*Q.linearity, "involution_join", "involution_bottom")}
+            bad = next(((k, w) for k, w in premises.items() if w is not None), None)
+            if bad is None:
+                continue
+            with pytest.raises(NotAQuantale) as ei:
+                module_from_qset(Q, QSet(Q, X.A.data))
+            assert (ei.value.law, ei.value.witness) == bad
+            seen.add(bad[0])
+    # a changed cell breaks both join distributions, and the left one is reported
+    assert {"join_distribution_left", "involution_join"} <= seen
 
 
 def carrier_outcome(build):

@@ -1,8 +1,10 @@
 """Differential tests: generator-reduced law checks against exhaustive scans.
 
 The oracle side runs the same checks with every reduced check answering
-"not proved" (holds_on replaced by a function returning False), so each law
-is decided by its exhaustive row scan alone.  Inputs are catalog structures,
+"not proved" (holds_on replaced by a function returning False, and every
+lattice reported not distributive, so join laws are not decided by
+join-extension either), so each law is decided by its exhaustive row scan
+alone.  Inputs are catalog structures,
 modules and homs with one table cell overwritten, so most of them break
 some law, and both sides must report the same laws dict, witnesses
 included.  Every input is copied afresh for each side (the catalog caches
@@ -43,6 +45,7 @@ def exhaustive():
     mp = pytest.MonkeyPatch()
     for mod in (lattice, quantale, hilbert):
         mp.setattr(mod, "holds_on", lambda bad_row, generators: False)
+    mp.setattr(SupLattice, "distributive", property(lambda self: False))
     try:
         yield
     finally:
@@ -159,21 +162,38 @@ def test_modular_law_scans_exhaustively_off_frames(make, monkeypatch):
     assert proved == [False]
 
 
-def test_valid_quantales_skip_the_scans(monkeypatch):
-    proved = []
-    scan = quantale.first_violation
-
-    def spy(bad_row, rows, proved_flag=False):
-        proved.append(proved_flag)
-        return scan(bad_row, rows, proved_flag)
-
-    Q = catalog_quantale("pair2")
-    for mod in (lattice, quantale):     # join_witness scans in lattice
+def counting_scans(monkeypatch, *modules) -> list:
+    """Record every row that first_violation evaluates in the given modules."""
+    rows: list = []
+    for mod in modules:
+        def spy(bad_row, rs, proved=False, scan=mod.first_violation):
+            def counted(r):
+                rows.append(r)
+                return bad_row(r)
+            return scan(counted, rs, proved)
         monkeypatch.setattr(mod, "first_violation", spy)
-    assert validate_quantale(Q).ok and modular_law(Q) is None
-    # associativity, the two join distributions, involution_join, the
-    # modular law and is_frame
-    assert proved == [True] * 6
+    return rows
+
+
+def test_valid_quantales_skip_the_scans(monkeypatch):
+    """No law of a valid quantale on a frame scans a single row."""
+    rows = counting_scans(monkeypatch, lattice, quantale)
+    for name in ("pair2", "relq2", "z2_plus_pair2", "zmod3"):
+        Q = catalog_quantale(name)
+        assert validate_quantale(Q).ok and modular_law(Q) is None
+        assert Q.lattice.is_frame() == (True, None)
+    assert rows == []
+
+
+@pytest.mark.parametrize("make", [pentagon, m3])
+def test_join_laws_off_distributive_lattices_skip_the_frame_witness(make, monkeypatch):
+    """join_witness decides distributivity by Birkhoff's test, never by is_frame's scan."""
+    lat = make()
+    rows = counting_scans(monkeypatch, lattice)
+    assert lat.join_witness(np.arange(lat.n), lat) is None
+    assert lat.join_witness(lat.join_table, lat, axis=1) is None
+    assert "_frame_law" not in vars(lat) and rows == []
+    assert lat.is_frame()[0] is False and rows != []
 
 
 # -------------------------------------------------------------- lattices
@@ -193,9 +213,51 @@ def test_frame_law_matches_the_exhaustive_scan(masks):
     fast, slow = both(lambda: moore_lattice(masks), lambda lat: lat.is_frame())
     assert fast == slow
     lat = moore_lattice(masks)
+    assert lat.distributive == (slow[1] is None)           # Birkhoff's test against the scan
     by_definition = [x for x in range(lat.n)
                      if lat.join([y for y in range(lat.n) if lat.leq[y, x] and y != x]) != x]
     assert lat.join_irreducibles == by_definition
+
+
+def join_tables(lat: SupLattice, data, width: int):
+    """A (n, width) table: join-extended irreducible values, maybe shifted
+    off the bottom by a constant, maybe with one cell overwritten."""
+    values = np.array(data.draw(st.lists(st.lists(st.integers(0, lat.n - 1), min_size=width,
+                                                  max_size=width),
+                                         min_size=len(lat.join_irreducibles),
+                                         max_size=len(lat.join_irreducibles))),
+                      dtype=np.intp).reshape(len(lat.join_irreducibles), width)
+    table = lat.join_extend(values, lat)
+    if data.draw(st.booleans()):
+        table = lat.join_table[data.draw(st.integers(0, lat.n - 1)), table]
+    kind = data.draw(st.sampled_from(["extension", "corrupt", "random"]))
+    if kind == "corrupt":
+        table[data.draw(st.integers(0, lat.n - 1)), data.draw(st.integers(0, width - 1))] = \
+            data.draw(st.integers(0, lat.n - 1))
+    elif kind == "random":
+        table = np.array(data.draw(st.lists(st.integers(0, lat.n - 1), min_size=lat.n * width,
+                                            max_size=lat.n * width)),
+                         dtype=np.intp).reshape(lat.n, width)
+    return table
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 15), max_size=6), st.sampled_from(["1-D", "axis 0", "axis 1"]),
+       st.data())
+def test_join_witness_matches_the_exhaustive_scan(masks, shape, data):
+    """On distributive lattices and others, the law is decided by join-extension
+    or on generators, and the witness is the scan's."""
+    lat = moore_lattice(masks)
+    table = join_tables(lat, data, 1 if shape == "1-D" else data.draw(st.integers(1, 4)))
+    table = {"1-D": table[:, 0], "axis 0": table, "axis 1": table.T}[shape]
+    axis = 1 if shape == "axis 1" else 0
+
+    fast, slow = both(lambda: moore_lattice(masks),
+                      lambda lat: lat.join_witness(table.copy(), lat, axis))
+    assert fast == slow
+    preserved = (lat.extension(table, lat, axis) == table).all()
+    if lat.distributive:
+        assert (fast is None) == preserved
 
 
 # --------------------------------------------------------------- modules

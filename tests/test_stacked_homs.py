@@ -1,0 +1,277 @@
+"""Differential tests: the stacked hom verdicts against the per-table functions.
+
+verify_equivalence decides each action pair's candidate tables as one stack
+(hilbert.stacked_homs).  The oracles are the per-table functions it
+replaced on the success path, is_module_hom, adjoint and is_direct_image,
+and verify_equivalence_per_table, the loop that called them once per
+table.  The stack must give the same verdict for every table, and a run in
+which a candidate table or a target's inner product is corrupted must end
+with the same report, or the same exception, law and witness.
+"""
+
+import dataclasses
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qlab import groupoid as gp
+from qlab import hilbert as hb
+from qlab import laws
+from qlab.catalog import catalog_get
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def z3_free(orbits: int, seed: int) -> gp.GroupoidAction:
+    """`orbits` free orbits of z3 in a seeded point order; arrow k sends
+    (o, h) to (o, h + k mod 3)."""
+    pts = [(o, h) for o in range(orbits) for h in range(3)]
+    random.Random(seed).shuffle(pts)
+    where = {pt: x for x, pt in enumerate(pts)}
+    act = [[where[(o, (h + k) % 3)] for (o, h) in pts] for k in range(3)]
+    return gp.GroupoidAction(catalog_get("z3")[1], [f"o{o}h{h}" for o, h in pts],
+                             [0] * len(pts), act, name=f"z3_free{orbits}")
+
+
+def catalog_actions(groupoid: str) -> list:
+    return [catalog_get(f"{groupoid}_{kind}")[1] for kind in ("regular", "objects")]
+
+
+SMALL = ["z2", "z3", "pair2", "z2_plus_pair2"]
+ACTION_SETS = {
+    **{name: (lambda name=name: (catalog_get(name)[1], catalog_actions(name)))
+       for name in SMALL + ["pair3"]},
+    "z3_free": lambda: (catalog_get("z3")[1], [z3_free(3, 7), z3_free(1, 7)]),
+}
+
+
+def is_sheaf_hom(am1, am2, table, loc1, loc2: set) -> bool:
+    """The per-table sheaf-hom test the stack replaced: a module hom that
+    preserves supports and local sections."""
+    if not hb.is_module_hom(hb.ModuleHom(am1.module, am2.module, table))[0]:
+        return False
+    if not np.array_equal(am2.supported.sup[table], am1.supported.sup):
+        return False
+    return all(int(table[s]) in loc2 for s in loc1)
+
+
+def verify_equivalence_per_table(G, actions, all_hom_cap: int = 4096) -> gp.EquivalenceReport:
+    """verify_equivalence as it was before the stack: one call per table."""
+    mods = [gp.module_from_action(a) for a in actions]
+    locs = [hb.local_sections(am.supported).local for am in mods]
+    pairs = []
+    for i, am1 in enumerate(mods):
+        basis = hb.hilbert_sections(am1.module)
+        for j, am2 in enumerate(mods):
+            loc1, loc2 = locs[i], set(locs[j].tolist())
+            equiv = gp._equivariant_maps(actions[i], actions[j])
+            sheaf_tables = [t for t in gp._enumerate_homs(am1, am2, locs[j])
+                            if is_sheaf_hom(am1, am2, t, loc1, loc2)]
+            keyed = {t.tobytes(): pos for pos, t in enumerate(sheaf_tables)}
+            for pos, t in enumerate(sheaf_tables):
+                phi = hb.ModuleHom(am1.module, am2.module, t)
+                laws.TheoremViolation.check(
+                    "sheaf_hom_is_direct_image",
+                    None if hb.is_direct_image(phi, hb.adjoint(phi, basis)) else (i, j, pos))
+            bij = []
+            for f in equiv:
+                key = am1.module.carrier.join_extend(am2.atoms[list(f)],
+                                                     am2.module.carrier).tobytes()
+                laws.TheoremViolation.check("direct_image_is_sheaf_hom",
+                                            None if key in keyed else (i, j, f))
+                bij.append(keyed[key])
+            laws.TheoremViolation.check("direct_image_injective",
+                                        None if len(set(bij)) == len(bij) else (i, j))
+            total = None
+            if am2.module.n ** am1.action.n_points <= all_hom_cap:
+                all_tables = [t for t in gp._enumerate_homs(am1, am2, None)
+                              if hb.is_module_hom(hb.ModuleHom(am1.module, am2.module, t))[0]]
+                total = len(all_tables)
+                subset = {t.tobytes() for t in all_tables
+                          if is_sheaf_hom(am1, am2, t, loc1, loc2)}
+                galois = set()
+                for t in all_tables:
+                    phi = hb.ModuleHom(am1.module, am2.module, t)
+                    if hb.is_direct_image(phi, hb.adjoint(phi, basis)):
+                        galois.add(t.tobytes())
+                laws.TheoremViolation.check("sheaf_hom_characterizations_agree",
+                                            None if subset == set(keyed) == galois else (i, j))
+            pairs.append(gp.PairReport(i, j, equiv, [tuple(map(int, t)) for t in sheaf_tables],
+                                       bij, total))
+    return gp.EquivalenceReport(G, pairs)
+
+
+def outcome(run):
+    """A report's pairs, or the failure's type, law and witness."""
+    try:
+        rep = run()
+    except (laws.Violation, laws.TheoremViolation) as exc:
+        return type(exc).__name__, exc.law, exc.witness
+    return [(p.source, p.target, p.equivariant, p.sheaf_homs, p.bijection, p.all_homs)
+            for p in rep.pairs]
+
+
+def per_table(X1, X2, table, basis):
+    """(is_module_hom, adjoint succeeds, is_direct_image) of one table."""
+    phi = hb.ModuleHom(X1, X2, table)
+    if not hb.is_module_hom(phi)[0]:
+        return False, None, None
+    try:
+        dag = hb.adjoint(phi, basis)
+    except laws.Violation:
+        return True, False, None
+    return True, True, hb.is_direct_image(phi, dag)
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_SETS))
+def test_stacked_verdicts_match_the_per_table_functions(name):
+    """Every candidate of every pair, and every join-preserving table where the
+    space is small (the all-homs space of the 3-point action included)."""
+    G, actions = ACTION_SETS[name]()
+    mods = [gp.module_from_action(a) for a in actions]
+    seen = set()
+    for am1 in mods:
+        basis = hb.hilbert_sections(am1.module)
+        for am2 in mods:
+            runs = [hb.local_sections(am2.supported).local]
+            if am2.module.n ** am1.action.n_points <= 4096:
+                runs.append(None)
+            for images in runs:
+                tables = gp._enumerate_homs(am1, am2, images)
+                hom, adj, direct = hb.stacked_homs(am1.module, am2.module, tables, basis)
+                for s, table in enumerate(tables):
+                    slow = per_table(am1.module, am2.module, table, basis)
+                    # on valid modules the stack decides every table
+                    assert (hom[s], adj[s], direct[s] if adj[s] else None) == slow
+                    seen.add(slow)
+    assert (True, True, True) in seen
+    if name in ("z3_free", "z3"):             # homs that are not direct images
+        assert (True, True, False) in seen
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_SETS))
+def test_reports_match_the_per_table_loop(name):
+    G, actions = ACTION_SETS[name]()
+    fast = outcome(lambda: gp.verify_equivalence(G, actions))
+    assert fast == outcome(lambda: verify_equivalence_per_table(G, actions))
+    assert isinstance(fast, list) and all(len(p[2]) == len(p[3]) for p in fast)
+
+
+def corrupt_candidates(mp, call: int, mutate):
+    """Make the call-th _enumerate_homs call (from 0) return mutate(tables)."""
+    real = gp._enumerate_homs
+    calls = []
+
+    def spy(am1, am2, images):
+        tables = np.array(real(am1, am2, images))
+        calls.append(None)
+        if len(calls) - 1 == call and len(tables):
+            tables = mutate(tables, am1, am2)
+        return tables
+
+    mp.setattr(gp, "_enumerate_homs", spy)
+
+
+def both_outcomes(name, patch):
+    """(stacked, per-table) outcomes of one run with the same corruption."""
+    G, actions = ACTION_SETS[name]()
+    result = []
+    for run in (gp.verify_equivalence, verify_equivalence_per_table):
+        with pytest.MonkeyPatch.context() as mp:
+            patch(mp)
+            result.append(outcome(lambda: run(G, actions)))
+    return result
+
+
+KINDS = ["cell", "shift", "swap", "bottom"]
+
+
+@SETTINGS
+@given(st.sampled_from(SMALL), st.sampled_from(KINDS), st.integers(0, 7),
+       st.lists(st.integers(0, 2 ** 16), min_size=8, max_size=8))
+def test_a_corrupted_candidate_fails_as_before(name, kind, call, draws):
+    """cell: one cell overwritten (the join law breaks); shift: every value
+    joined with a constant (binary joins kept, the bottom lost); swap: the
+    table of other atom images (join-preserving, often not equivariant, with
+    other supports or sections); bottom: the bottom sent elsewhere.  The
+    same corruption is applied in both runs."""
+    def mutate(tables, am1, am2):
+        tables = tables.copy()
+        r = draws[0] % len(tables)
+        X1, X2 = am1.module.carrier, am2.module.carrier
+        if kind == "cell":
+            tables[r, draws[1] % X1.n] = draws[2] % X2.n
+        elif kind == "shift":
+            tables[r] = X2.join_table[draws[1] % X2.n, tables[r]]
+        elif kind == "swap":
+            images = np.array([d % X2.n for d in draws[1:1 + len(am1.atoms)]], dtype=np.intp)
+            tables[r] = X1.join_extend(images, X2)
+        else:
+            tables[r, X1.bottom] = draws[1] % X2.n
+        return tables
+
+    fast, slow = both_outcomes(name, lambda mp: corrupt_candidates(mp, call, mutate))
+    assert fast == slow
+
+
+@SETTINGS
+@given(st.sampled_from(SMALL), st.data())
+def test_a_corrupted_target_inner_product_fails_as_before(name, data):
+    """One cell of one action module's inner product overwritten, after the
+    module was checked: the stack's premises fail and every table goes
+    through the per-table functions."""
+    G, actions = ACTION_SETS[name]()
+    which = data.draw(st.integers(0, len(actions) - 1))
+    n = gp.module_from_action(actions[which]).module.n
+    cell = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+    value = data.draw(st.integers(0, G.quantale.n - 1))
+    real = gp.module_from_action
+
+    def patched(A):
+        am = real(A)
+        if A is not actions[which]:
+            return am
+        ip = am.module.ip.copy()
+        ip[cell] = value
+        return dataclasses.replace(am, module=hb.PreHilbertModule(am.module.module, ip))
+
+    fast, slow = both_outcomes(name, lambda mp: mp.setattr(gp, "module_from_action", patched))
+    assert fast == slow
+
+
+def test_each_stacked_check_can_leave_a_table_to_the_per_table_functions():
+    """One corruption per check of the stack, each failing only that check, and
+    each ending as the per-table run ends."""
+    G, actions = ACTION_SETS["z3"]()
+    am = gp.module_from_action(actions[0])
+    X = am.module
+    basis = hb.hilbert_sections(X)
+    good = gp._enumerate_homs(am, am, hb.local_sections(am.supported).local)[0]
+    jt = X.carrier.join_table
+    cases = {
+        "join": lambda t: np.where(np.arange(X.n) == 3, X.carrier.top, t),
+        "bottom": lambda t: jt[1, t],
+        "action": lambda t: X.carrier.join_extend(np.array([1, 1, 1]), X.carrier),
+    }
+    for check, mutate in cases.items():
+        table = mutate(good)
+        hom, adj, _ = hb.stacked_homs(X, X, table[None], basis)
+        assert not hom[0] and not adj[0], check
+        assert not hb.is_module_hom(hb.ModuleHom(X, X, table))[0], check
+
+        def patch(mp, mutate=mutate):
+            corrupt_candidates(mp, 0, lambda tables, am1, am2: np.vstack(
+                [mutate(tables[0])[None], tables[1:]]))
+
+        fast, slow = both_outcomes("z3", patch)
+        assert fast == slow and fast[0] == "TheoremViolation", check
+        assert fast[1] == "direct_image_is_sheaf_hom", check
+    # a target whose inner product breaks a law: no table is decided on the stack
+    bad = hb.PreHilbertModule(X.module, np.where(np.eye(X.n, dtype=bool), X.quantale.top, X.ip))
+    assert not bad.prehilbert_report.ok
+    hom, adj, _ = hb.stacked_homs(X, bad, good[None], basis)
+    assert not hom[0] and not adj[0]
