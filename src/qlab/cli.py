@@ -415,7 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate budget (default QLAB_BUDGET or 1e8)")
     p.add_argument("--cap", default=6, help="largest admissible lattice (default 6)")
     p.add_argument("--dedup", action="store_true",
-                   help="emit one model per isomorphism class")
+                   help="emit one model per isomorphism class; involutions conjugate to "
+                        "one already searched and leaves that are not the lex-least of "
+                        "their symmetry orbit are not visited, and are counted as the "
+                        "visited ones they are isomorphic to, so every count is that "
+                        "of the full search")
     p.add_argument("--out", help="directory for model-NNN.json files")
 
     p = add("catalog", cmd_catalog, "list built-in objects or print one as JSON")

@@ -32,11 +32,31 @@ are extended to full tables by joins, and one whole-array kernel
 a quantale and which of the ten classifier flags it has.  Only leaves
 matching the requested flags go on.
 
-The searcher never trusts its own pruning or its kernel: every leaf that
-matches the requested flags is re-validated from scratch by
+Under dedup_iso the search walks only what dedup could emit, and still
+counts as the one-leaf walk does.  An order automorphism pi of the lattice
+that fixes the required unit maps the structures with involution tau onto
+those with involution pi tau pi^-1, preserving every verdict, flag and
+canonical key.  So an involution conjugate to one walked before is not
+walked: its counters are the earlier one's, except that every leaf it
+would accept is deduped.  Within one walk the symmetries are the group H
+of the automorphisms that commute with the involution and fix the unit;
+they permute the leaves, and an orbit shares its verdicts and its key.
+consistent() drops a value prefix that some pi in H maps to a
+lexicographically smaller prefix (the lex-leader rule), so only the
+lex-least leaf of each orbit, which is also its first in walk order,
+reaches the kernel, weighted by the orbit's size |H| / |stabilizer|.  A
+rejected leaf counts its weight; an accepted one is emitted once if its
+key is new and counts the rest of its orbit as deduped; the leaves no
+kernel leaf stands for are the associativity-pruned ones.  A walk that a
+limit or the budget could stop inside keeps every leaf, so that its stop
+and its counters there are the one-leaf walk's.
+
+The searcher never trusts its own pruning or its kernel: every kernel leaf
+that matches the requested flags is re-validated from scratch by
 validate_quantale and re-classified by classify, independent code paths,
 and any disagreement with the kernel is a failed theorem check.  So an
-unsound prune can only lose models, never emit a bad one.  The kernel
+unsound prune can only lose models, never emit a bad one.  The symmetry
+group and each conjugation are re-checked as well.  The kernel
 decides the cubic laws on join-irreducibles, under the premises that
 validate_quantale and modular_law check: the join laws with one
 irreducible argument (no premise), associativity on irreducible triples
@@ -120,17 +140,37 @@ class SearchResult:
     stats: SearchStats
 
 
-def _involution_candidates(lat: SupLattice, fixed) -> list[np.ndarray]:
-    """Self-inverse order automorphisms, or just the fixed one."""
+def _involution_candidates(lat: SupLattice, fixed, autos) -> list[np.ndarray]:
+    """The self-inverse ones of the order automorphisms autos, or just the fixed one."""
+    ar = np.arange(lat.n, dtype=np.intp)
     if fixed is not None:
         perm = np.asarray(fixed, dtype=np.intp)
-        ar = np.arange(lat.n, dtype=np.intp)
         if not (np.array_equal(perm[perm], ar)
                 and (lat.leq == lat.leq[np.ix_(perm, perm)]).all()):
             raise ValueError("fix_involution is not a self-inverse order automorphism")
         return [perm]
-    ar = np.arange(lat.n, dtype=np.intp)
-    return [p for p in lattice_order_isos(lat, lat) if np.array_equal(p[p], ar)]   # in lex order
+    return [p for p in autos if np.array_equal(p[p], ar)]   # in lex order
+
+
+def _symmetries(lat: SupLattice, autos: list, inv: np.ndarray, unit) -> list[np.ndarray]:
+    """The order automorphisms in autos that commute with inv and fix unit (None: any).
+
+    Each maps the structures with involution inv and unit `unit` onto such
+    structures, preserving validity, every flag and the canonical key.  The
+    premises are re-checked on the result: each member preserves and
+    reflects the order, commutes with inv and fixes the unit, and the
+    members are closed under composition, so they form a group.  A failure
+    is a failed theorem check.
+    """
+    group = [p for p in autos
+             if np.array_equal(p[inv], inv[p]) and (unit is None or p[unit] == unit)]
+    members = {p.tobytes() for p in group}
+    for p in group:
+        ok = ((lat.leq[np.ix_(p, p)] == lat.leq).all() and np.array_equal(p[inv], inv[p])
+              and (unit is None or p[unit] == unit)
+              and all(p[q].tobytes() in members for q in group))
+        TheoremViolation.check("symmetry_group", None if ok else tuple(p.tolist()))
+    return group
 
 
 def _full_table(lat: SupLattice, m: np.ndarray) -> np.ndarray:
@@ -350,7 +390,10 @@ def search(spec: SearchSpec) -> SearchResult:
     stats = SearchStats()
     models: list[Quantale] = []
     keys: set[bytes] = set()
-    autos = lattice_order_isos(lat, lat) if spec.dedup_iso else None
+    autos = (lattice_order_isos(lat, lat)
+             if spec.dedup_iso or spec.fix_involution is None else None)
+    # symmetry reduction (see the module docstring); a limit stop needs every leaf
+    reduced = spec.dedup_iso and spec.limit is None
 
     # leaf tables hold elements in the smallest unsigned dtype (uint8 for n <= 256)
     dtype = np.min_scalar_type(n - 1)
@@ -358,25 +401,30 @@ def search(spec: SearchSpec) -> SearchResult:
     below = lat.leq[J].T                     # below[a, t]: J[t] <= a
     bottom = dtype.type(lat.bottom)
 
-    involutions = _involution_candidates(lat, spec.fix_involution)
+    involutions = _involution_candidates(lat, spec.fix_involution, autos)
     stats.involutions = len(involutions)
 
     class _Stop(Exception):
         pass
 
-    def accept(mul: np.ndarray, inv: np.ndarray, unit: int, verdicts: dict) -> None:
-        """Re-check, dedup and emit one leaf whose kernel verdicts match `require`."""
+    def accept(mul: np.ndarray, inv: np.ndarray, unit: int, verdicts: dict,
+               weight: int) -> None:
+        """Re-check, dedup and emit one leaf whose kernel verdicts match `require`.
+
+        The leaf stands for an orbit of `weight` leaves with its key.
+        """
         Q = Quantale(lat, mul, inv, None if unit < 0 else unit)
         valid = validate_quantale(Q).ok
         rechecked = {"valid": valid, **(classify(Q).flags() if valid else {})}
         TheoremViolation.check("leaf_verdicts", {k: v for k, v in rechecked.items()
                                                  if verdicts[k] is not v} or None)
-        if autos is not None:
+        if spec.dedup_iso:
             key = _canonical_key(Q, autos)
             if key in keys:
-                stats.deduped += 1
+                stats.deduped += weight
                 return
             keys.add(key)
+            stats.deduped += weight - 1
         models.append(Q)
         stats.emitted += 1
         if spec.limit is not None and stats.emitted >= spec.limit:
@@ -429,12 +477,58 @@ def search(spec: SearchSpec) -> SearchResult:
                          dtype=np.int64 if total < 2 ** 63 else object)
         stop = spec.budget is not None and first + total > spec.budget
         end = spec.budget - first if stop else total      # leaves this involution walks
-        seen = 0                                          # leaves accounted for
+        pruned = stats.pruned_assoc
+        counted = 0                                       # leaves the kernel's leaves stand for
         pending: list = []                                # associative leaves not yet decided
 
-        def decide(rows: np.ndarray, leaves: np.ndarray) -> None:
+        # The symmetries of this walk act on the free values: pi maps free
+        # cell src[t], or its partner, onto free cell t, so position t of pi.x
+        # is val[t, x[src[t]]], with val[t] = pi, or pi o inv for the partner.
+        # Position t of pi.x is known once positions 0..reach[t] are placed.
+        group = (_symmetries(lat, autos, inv, spec.fix_unit) if reduced and not stop
+                 else [np.arange(n)])
+        slot = {c: (s, False) for s, c in enumerate(free)}
+        for s, (i, j) in enumerate(free):
+            slot.setdefault((inv_j[j], inv_j[i]), (s, True))
+        maps = []
+        for p in group:
+            if np.array_equal(p, np.arange(n)):
+                continue
+            back = np.argsort([pos[int(p[q])] for q in J]).tolist()   # pi^-1 on positions of J
+            sources = [slot[back[i], back[j]] for i, j in free]
+            src = np.array([s for s, _ in sources], dtype=np.intp)
+            val = np.array([p[inv] if partner else p for _, partner in sources],
+                           dtype=np.intp).reshape(K, n)
+            maps.append((src, val, np.maximum.accumulate(src)))
+
+        def leaders(ext: np.ndarray, c: int) -> np.ndarray:
+            """Which prefixes (R, c + 1) no symmetry maps to a lex-smaller prefix.
+
+            Each image is compared with the prefix on the positions before
+            its first unknown one; a smaller image there makes every leaf
+            below the prefix larger than its image, so none is its orbit's
+            lex-least leaf.  At the last level every position is known.
+            """
+            keep = np.ones(len(ext), dtype=bool)
+            rows = np.arange(len(ext))
+            for src, val, reach in maps:
+                L = int(np.searchsorted(reach[:c + 1], c, side="right"))
+                if L:
+                    img, own = val[np.arange(L), ext[:, src[:L]]], ext[:, :L]
+                    t = (img != own).argmax(axis=1)          # the first difference, or 0
+                    keep &= img[rows, t] >= own[rows, t]
+            return keep
+
+        def weights(S: np.ndarray) -> np.ndarray:
+            """The orbit size |H| / |stabilizer| of each leaf of S (S, K)."""
+            stab = np.ones(len(S), dtype=np.int64)
+            for src, val, _ in maps:
+                stab += (val[np.arange(K), S[:, src]] == S).all(axis=1)
+            return len(group) // stab
+
+        def decide(rows: np.ndarray, leaves: np.ndarray, weight: np.ndarray) -> None:
             """Decide a chunk of associative leaves, in order, as a leaf walk would."""
-            nonlocal seen
+            nonlocal counted
             muls = np.ascontiguousarray(_full_table(lat, rows.reshape(len(rows), k, k)))
             units = (np.full(len(rows), spec.fix_unit) if spec.fix_unit is not None
                      else _detect_unit(lat, muls))
@@ -442,30 +536,30 @@ def search(spec: SearchSpec) -> SearchResult:
             wanted = valid.copy()
             for name, want in spec.require.items():
                 wanted &= (flags[name] == want) & ((units >= 0) | (name not in _UNIT_RUNGS))
-            for t, b in enumerate(leaves.tolist()):
-                stats.candidates = first + b + 1
-                stats.pruned_assoc += b - seen
-                seen = b + 1
+            for t, (b, w) in enumerate(zip(leaves.tolist(), weight.tolist())):
+                if spec.limit is not None:       # a limit stop reads the counters here
+                    stats.candidates = first + b + 1
+                    stats.pruned_assoc = pruned + b - counted
+                counted += w
                 if not valid[t]:
-                    stats.rejected_quantale += 1
+                    stats.rejected_quantale += w
                 elif not wanted[t]:
-                    stats.rejected_require += 1
+                    stats.rejected_require += w
                 else:
                     verdicts = {"valid": True, **{
                         name: None if units[t] < 0 and name in _UNIT_RUNGS
                         else bool(flags[name][t]) for name in _FLAG_NAMES}}
-                    accept(muls[t], inv, int(units[t]), verdicts)
+                    accept(muls[t], inv, int(units[t]), verdicts, w)
 
         def flush(final: bool) -> None:
             """Decide the pending leaves in full chunks; at the end, the rest too."""
-            rows = np.concatenate([r for r, _ in pending])
-            leaves = np.concatenate([b for _, b in pending])
+            parts = [np.concatenate(part) for part in zip(*pending)]
             pending.clear()
-            done = len(rows) if final else len(rows) - len(rows) % _LEAF_CHUNK
+            done = len(parts[0]) if final else len(parts[0]) - len(parts[0]) % _LEAF_CHUNK
             for c in range(0, done, _LEAF_CHUNK):
-                decide(rows[c:c + _LEAF_CHUNK], leaves[c:c + _LEAF_CHUNK])
-            if done < len(rows):
-                pending.append((rows[done:], leaves[done:]))
+                decide(*(part[c:c + _LEAF_CHUNK] for part in parts))
+            if done < len(parts[0]):
+                pending.append([part[done:] for part in parts])
 
         def associative(rows: np.ndarray, c: int) -> np.ndarray:
             """Indices of the rows that pass every triple they decide at level c.
@@ -498,8 +592,8 @@ def search(spec: SearchSpec) -> SearchResult:
             return alive
 
         # The walk: lex_blocks over the free values.  consistent() keeps the
-        # extensions whose first leaf lies before `end` and that pass the
-        # triples they first decide.
+        # extensions whose first leaf lies before `end`, that no symmetry maps
+        # to a smaller prefix and that pass the triples they first decide.
         root = np.where(m < 0, 0, m).astype(dtype).reshape(1, k * k)
 
         def tables(S: np.ndarray) -> np.ndarray:
@@ -512,27 +606,59 @@ def search(spec: SearchSpec) -> SearchResult:
         def consistent(c: int, P: np.ndarray, v: np.ndarray) -> np.ndarray:
             ext = np.column_stack([np.repeat(P, len(v), axis=0), np.tile(v, len(P))])
             live = np.flatnonzero(ext @ radix[:c + 1] < end) if stop else np.arange(len(ext))
+            if maps:
+                live = live[leaders(ext[live], c)]
             ok = np.zeros(len(ext), dtype=bool)
             ok[live[associative(tables(ext[live]), c)]] = True
             return ok.reshape(len(P), len(v))
 
         if end > 0 and len(associative(root, -1)):
             for S in lex_blocks([np.arange(n)] * K, consistent):
-                pending.append((tables(S), S @ radix))
-                if sum(len(r) for r, _ in pending) >= _LEAF_CHUNK:
+                pending.append([tables(S), S @ radix, weights(S)])
+                if sum(len(r) for r, _, _ in pending) >= _LEAF_CHUNK:
                     flush(False)
         if pending:
             flush(True)
-        stats.pruned_assoc += end - seen
+        stats.pruned_assoc = pruned + end - counted
         stats.candidates = first + end
         if stop:
             stats.candidates += 1
             stats.exhausted = False
             raise BudgetExceeded(stats, models)
 
+    # The involutions walked so far, with what each added to the counters.
+    # With no limit, an involution conjugate to one of them by an automorphism
+    # that fixes the unit adds the same, all its accepted leaves deduped.
+    counters = ("candidates", "pruned_assoc", "rejected_quantale", "rejected_require",
+                "emitted", "deduped")
+    walked: list = []
+    unit_autos = (_symmetries(lat, autos, np.arange(n), spec.fix_unit)
+                  if reduced and len(involutions) > 1 else [])
+
+    def conjugate(inv: np.ndarray):
+        """What a walked tau added to the counters, for some pi with pi tau = inv pi, or None."""
+        for tau, added in walked:
+            for p in unit_autos:
+                if np.array_equal(p[tau], inv[p]):
+                    back = np.argsort(p)
+                    TheoremViolation.check("conjugate_involution", None if np.array_equal(
+                        p[tau[back]], inv) else (tuple(tau.tolist()), tuple(p.tolist())))
+                    return added
+        return None
+
     try:
         for inv in involutions:
+            added = conjugate(inv)
+            if added is not None and (spec.budget is None
+                                      or stats.candidates + added["candidates"] <= spec.budget):
+                for name in counters[:4]:
+                    setattr(stats, name, getattr(stats, name) + added[name])
+                stats.deduped += added["emitted"] + added["deduped"]
+                continue
+            before = [getattr(stats, name) for name in counters]
             run_involution(inv)
+            walked.append((inv, {name: getattr(stats, name) - was
+                                 for name, was in zip(counters, before)}))
     except _Stop:
         pass
     return SearchResult(models, stats)

@@ -13,9 +13,11 @@ hand-written cascade that classify's table of rungs replaced, and the
 search over every involution of egger8's lattice from the block search
 that the propagation walk replaced, and the searches on the pentagon and
 M3, which are not frames, from the leaf kernel that decided every law on
-every cell, so a kernel that changes one byte of a report fails here.
+every cell, and the dedup search over every involution of M4 from the
+search that walked every involution and every leaf before the symmetry
+reduction, so a kernel that changes one byte of a report fails here.
 Every command reads only catalog entries, two fixed Q-set files, one
-fixed quantale file and two fixed lattice files, named by relative paths
+fixed quantale file and three fixed lattice files, named by relative paths
 so that the echoed ref is the same on every run.
 """
 
@@ -47,6 +49,10 @@ PENTAGON = {"kind": "lattice", "payload": {
     "n": 5, "covers": [[0, 1], [0, 3], [1, 2], [2, 4], [3, 4]], "labels": list("01234")}}
 M3 = {"kind": "lattice", "payload": {
     "n": 5, "covers": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]], "labels": list("01234")}}
+# M4, whose 24 automorphisms permute the four atoms
+M4 = {"kind": "lattice", "payload": {
+    "n": 6, "covers": [[0, a] for a in range(1, 5)] + [[a, 5] for a in range(1, 5)],
+    "labels": list("012345")}}
 
 GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
     "classify": (("classify", "catalog:relq3"),
@@ -100,6 +106,9 @@ GOLDEN = {   # test id -> (argv, exit code, SHA-256 of stdout)
     "search-m3-involutions": (   # 4 involutions
         ("search", "--lattice", "m3.json", "--dedup", "--require", "!modular"),
         0, "d2904e05180f3f1717e0a1d669cc4ec3b25d82ad4cf0f80a68d4d90d32160669"),
+    "search-m4-dedup": (   # 10 involutions, 604,661,760 leaves
+        ("search", "--lattice", "m4.json", "--dedup", "--budget", "1e12"),
+        0, "9c8668c39a297180b3632293b76c95bd694947730c548babf62072b7585b61d3"),
 }
 
 
@@ -109,6 +118,7 @@ def write_inputs(tmp_path, monkeypatch):
     (tmp_path / "zero4.json").write_text(json.dumps(ZERO4))
     (tmp_path / "pentagon.json").write_text(json.dumps(PENTAGON))
     (tmp_path / "m3.json").write_text(json.dumps(M3))
+    (tmp_path / "m4.json").write_text(json.dumps(M4))
     monkeypatch.chdir(tmp_path)
 
 

@@ -17,6 +17,12 @@ every law on every cell from its definition, is kept here as
 leaf_verdicts_by_definition, and both must give equal arrays on every
 chunk of a search and on random stacks of tables that are not
 join-extensions, where the premises of the reductions fail.
+
+Under dedup_iso the search skips involutions conjugate to one it walked and
+hands the kernel one leaf per symmetry orbit.  It is compared with the
+one-leaf walk where that walk visits at most ONE_LEAF_MAX leaves, and
+beyond that with full_walk, the block search with its symmetry group cut to
+the identity, which the tests above compare with the one-leaf walk.
 """
 
 import contextlib
@@ -64,12 +70,12 @@ def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
     stats = SearchStats()
     models: list[Quantale] = []
     keys: set[bytes] = set()
-    autos = lattice_order_isos(lat, lat) if spec.dedup_iso else None
+    autos = lattice_order_isos(lat, lat)
 
     # irr_below[a] = indices into J of the irreducibles below element a
     irr_below = [[i for i, q in enumerate(J) if lat.leq[q, a]] for a in range(n)]
 
-    involutions = _involution_candidates(lat, spec.fix_involution)
+    involutions = _involution_candidates(lat, spec.fix_involution, autos)
     stats.involutions = len(involutions)
 
     class _Stop(Exception):
@@ -136,7 +142,7 @@ def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
                 if flags.flag(name) is not want:
                     stats.rejected_require += 1
                     return
-            if autos is not None:
+            if spec.dedup_iso:
                 key = _canonical_key(Q, autos)
                 if key in keys:
                     stats.deduped += 1
@@ -240,7 +246,7 @@ def specs(draw):
     lat = draw(lattices())
     args = {"lattice": lat, "cap": 8, "dedup_iso": draw(st.booleans())}
     if draw(st.booleans()):
-        invs = _involution_candidates(lat, None)
+        invs = _involution_candidates(lat, None, lattice_order_isos(lat, lat))
         args["fix_involution"] = invs[draw(st.integers(0, len(invs) - 1))]
     if draw(st.booleans()):
         args["fix_unit"] = draw(st.integers(0, lat.n - 1))
@@ -361,6 +367,106 @@ def test_blocks_hold_the_leaf_tables_in_walk_order(spec_args, block):
         with contextlib.suppress(BudgetExceeded):
             search_mod.search(SearchSpec(**spec_args))
     assert walked and extended == walked
+
+
+# ---------------------------------------------------------------- symmetry reduction
+
+def full_walk(spec: SearchSpec) -> SearchResult:
+    """The block search of every involution and every leaf: no symmetry but the identity."""
+    with mock.patch.object(search_mod, "_symmetries",
+                           lambda lat, autos, inv, unit: [np.arange(lat.n)]):
+        return search_mod.search(spec)
+
+
+ONE_LEAF_MAX = 1 << 14          # about a tenth of a second of the one-leaf walk
+
+
+def against_the_walk_of_every_leaf(spec_args: dict) -> tuple:
+    """The reduced search's outcome, required equal to the one-leaf or the full walk."""
+    reduced = outcome(search_mod.search, SearchSpec(**spec_args))
+    oracle = (search_one_leaf_at_a_time if reduced[2].candidates <= ONE_LEAF_MAX
+              else full_walk)
+    assert reduced == outcome(oracle, SearchSpec(**spec_args))
+    return reduced
+
+
+SYMMETRIC = {   # every lattice with at most 5 elements, and three with 6 or 8
+    **{name: NAMED[name] for name in ("chain1", "chain2", "chain3", "chain4", "diamond",
+                                      "pentagon", "m3")},
+    "chain5": chain_lattice(5),
+    "chain_diamond": build_lattice(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),
+    "diamond_chain": build_lattice(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]),
+    "cube": CUBE,
+    "m4": build_lattice(6, [(0, a) for a in range(1, 5)] + [(a, 5) for a in range(1, 5)]),
+    "grid23": build_lattice(6, [(0, 1), (1, 2), (0, 3), (1, 4), (3, 4), (2, 5), (4, 5)]),
+}
+REQUIRES = {"any": {}, "supported_nonmodular": {"stably_supported": True, "modular": False},
+            "gelfand": {"gelfand": True}}
+
+
+def symmetry_cases() -> list:
+    """(lattice name, unit, require name): no unit, the top and the first atom as unit.
+
+    Chain 5 without a unit runs `supported_nonmodular` only: its other two
+    searches re-check about 16,000 accepted leaves each, five seconds, and
+    its only symmetry is the identity.
+    """
+    cases = []
+    for name, lat in SYMMETRIC.items():
+        atoms = [a for a in range(lat.n) if lat.leq[:, a].sum() == 2]   # only 0 below
+        for unit in (None, lat.top, *atoms[:1]):
+            for req in REQUIRES:
+                if name != "chain5" or unit is not None or req == "supported_nonmodular":
+                    cases.append((name, unit, req))
+    return cases
+
+
+SYMMETRY_CASES = symmetry_cases()
+
+
+@pytest.mark.parametrize("name, unit, req", SYMMETRY_CASES,
+                         ids=[f"{n}-{u}-{r}" for n, u, r in SYMMETRY_CASES])
+def test_symmetry_reduced_search_matches_the_walk_of_every_leaf(name, unit, req):
+    against_the_walk_of_every_leaf({"lattice": SYMMETRIC[name], "cap": 8, "dedup_iso": True,
+                                    "fix_unit": unit, "require": REQUIRES[req]})
+
+
+@pytest.mark.parametrize("name", ("m3", "cube", "m4"))
+def test_stops_of_a_dedup_search_match_the_walk_of_every_leaf(name):
+    # Without a unit every involution has n ** (k (k + 1) / 2) leaves: its k
+    # self-linked cells (i, i*) and the pairs of the other cells.  A budget
+    # inside an involution walks that one in full and skips nothing; so does
+    # every limit.
+    lat = SYMMETRIC[name]
+    k = len(lat.join_irreducibles)
+    leaves = lat.n ** (k * (k + 1) // 2)
+    for budget in (leaves - 1, leaves, 2 * leaves + 5):
+        raised, _, stats = against_the_walk_of_every_leaf(
+            {"lattice": lat, "cap": 8, "dedup_iso": True, "budget": budget,
+             "require": REQUIRES["supported_nonmodular"]})
+        assert raised and stats.candidates == budget + 1
+    for limit in (1, 12):
+        raised, models, stats = against_the_walk_of_every_leaf(
+            {"lattice": lat, "cap": 8, "dedup_iso": True, "limit": limit})
+        assert stats.truncated and len(models) == limit
+
+
+def test_a_symmetry_group_that_fails_its_premises_is_a_failed_theorem_check():
+    lat = SYMMETRIC["m3"]
+    ar, swap, cycle = np.arange(5), np.array([0, 2, 1, 3, 4]), np.array([0, 2, 3, 1, 4])
+    autos = lattice_order_isos(lat, lat)
+    assert len(autos) == 6
+    assert len(search_mod._symmetries(lat, autos, swap, None)) == 2       # id and the swap
+    assert len(search_mod._symmetries(lat, autos, ar, 1)) == 2            # fixing atom 1
+    not_monotone = np.array([1, 0, 2, 3, 4])                              # swaps 0 and an atom
+    for bad in ([ar, not_monotone], [ar, cycle]):                        # the cycle's square is missing
+        with pytest.raises(TheoremViolation) as ei:
+            search_mod._symmetries(lat, bad, ar, None)
+        assert ei.value.law == "symmetry_group" and ei.value.witness == tuple(bad[1].tolist())
+    # the search re-checks the group of every walk
+    with mock.patch.object(search_mod, "lattice_order_isos", lambda src, dst: [ar, cycle]), \
+            pytest.raises(TheoremViolation):
+        search_mod.search(SearchSpec(lat, dedup_iso=True))
 
 
 # ---------------------------------------------------------------- leaf kernel
@@ -522,22 +628,29 @@ def kernel_against_scratch(spec_args: dict, chunk: int) -> tuple:
             mock.patch.object(search_mod, "_leaf_verdicts", spy):
         raised, _, stats = outcome(search_mod.search, SearchSpec(**spec_args))
     # every associative leaf went through the kernel, except the one that
-    # tripped the budget
-    assert compared == stats.candidates - stats.pruned_assoc - raised
+    # tripped the budget; under dedup_iso, one leaf per orbit
+    if not spec_args.get("dedup_iso"):
+        assert compared == stats.candidates - stats.pruned_assoc - raised
     return compared, stats
 
 
 CUBE_SEARCH = {"lattice": CUBE, "cap": 8, "dedup_iso": True,       # as the benchmark's
                "require": {"stably_supported": True, "modular": False}}
+# Without dedup_iso every associative leaf of the cube search reaches the
+# kernel; with it, one leaf per orbit of the symmetries of each walk.
+CUBE_EVERY_LEAF = {**CUBE_SEARCH, "dedup_iso": False}
 R4_SEARCH = {"lattice": DIAMOND, "fix_involution": np.arange(4), "fix_unit": 1,
              "require": {"stably_supported": True, "inverse_quantal_frame": False}}
-# (name, spec, chunk).  The egger8 search is the identity-involution part
-# of the cube search, with the same blocks.  Both run at the default chunk
-# only: at chunk 1 they make 7,028 and 4,067 kernel calls, several seconds
-# each, and chunk 1 is covered by the r4 search and the hypothesis test.
+# (name, spec, chunk).  The egger8 searches are the identity-involution part
+# of the cube searches, with the same blocks.  They run at the default chunk
+# only: at chunk 1 the searches of every leaf make 7,028 and 4,067 kernel
+# calls, several seconds each, and chunk 1 is covered by the r4 search and
+# the hypothesis test.
 KERNEL_SEARCHES = [
-    ("cube", CUBE_SEARCH, search_mod._LEAF_CHUNK),
-    ("egger8", {**CUBE_SEARCH, "fix_involution": np.arange(8)}, search_mod._LEAF_CHUNK),
+    ("cube", CUBE_EVERY_LEAF, search_mod._LEAF_CHUNK),
+    ("egger8", {**CUBE_EVERY_LEAF, "fix_involution": np.arange(8)}, search_mod._LEAF_CHUNK),
+    ("cube_dedup", CUBE_SEARCH, search_mod._LEAF_CHUNK),
+    ("egger8_dedup", {**CUBE_SEARCH, "fix_involution": np.arange(8)}, search_mod._LEAF_CHUNK),
     ("r4", R4_SEARCH, 1),
     ("r4", R4_SEARCH, search_mod._LEAF_CHUNK),
 ]
@@ -548,10 +661,13 @@ KERNEL_SEARCHES = [
 def test_leaf_verdicts_match_validate_and_classify(name, spec_args, chunk):
     compared, stats = kernel_against_scratch(spec_args, chunk)
     assert (compared, stats.rejected_quantale, stats.emitted) == {
-        "cube": (7028, 1710, 12), "egger8": (4067, 0, 9), "r4": (4, 0, 1)}[name]
+        "cube": (7028, 1710, 54), "egger8": (4067, 0, 45),
+        "cube_dedup": (1337, 1710, 12), "egger8_dedup": (751, 0, 9),
+        "r4": (4, 0, 1)}[name]
 
 
-def test_the_kernel_gets_full_chunks_of_each_involution():
+def kernel_calls(spec_args: dict) -> list:
+    """(involution bytes, leaves) of each kernel call of a search."""
     real = search_mod._leaf_verdicts
     calls = []
 
@@ -560,11 +676,28 @@ def test_the_kernel_gets_full_chunks_of_each_involution():
         return real(lat, muls, inv, units, fixed)
 
     with mock.patch.object(search_mod, "_leaf_verdicts", spy):
-        search_mod.search(SearchSpec(**CUBE_SEARCH))
-    # 4,067 + 2,961 associative leaves; only the last chunk of an involution is short
+        search_mod.search(SearchSpec(**spec_args))
+    # only the last chunk of an involution is short
     for here, after in zip(calls, calls[1:] + [(None, 0)]):
         assert here[1] == search_mod._LEAF_CHUNK or here[0] != after[0]
+    return calls
+
+
+def test_the_kernel_gets_full_chunks_of_each_involution():
+    calls = kernel_calls(CUBE_EVERY_LEAF)
+    # 4,067 + 2,961 associative leaves
     assert len(calls) == 28 and sum(size for _, size in calls) == 7028
+
+
+def test_the_kernel_gets_one_leaf_per_orbit_under_dedup():
+    # Two of the cube's four involutions are conjugate to a third and are
+    # not walked; the identity's walk keeps 751 of its 4,067 associative
+    # leaves and the other walk 586 of its 987.
+    calls = kernel_calls(CUBE_SEARCH)
+    per_involution: dict = {}
+    for inv, size in calls:
+        per_involution[inv] = per_involution.get(inv, 0) + size
+    assert len(calls) == 6 and list(per_involution.values()) == [751, 586]
 
 
 @settings(SETTINGS, max_examples=25)
