@@ -311,7 +311,7 @@ def cmd_search(args) -> int:
     try:
         res = search(spec)
     except BudgetExceeded as exc:
-        print(f"budget exceeded after {exc.stats.candidates} candidates "
+        print(f"budget exceeded after {exc.tested} tested tables "
               f"({exc.stats.emitted} models found so far)", file=sys.stderr)
         return 2
 
@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fix the involution to the identity")
     p.add_argument("--limit", type=int, help="stop after this many models")
     p.add_argument("--budget", default=None,
-                   help="candidate budget (default QLAB_BUDGET or 1e8)")
+                   help="budget of partial tables the search may test "
+                        "(default QLAB_BUDGET or 1e8)")
     p.add_argument("--cap", default=6, help="largest admissible lattice (default 6)")
     p.add_argument("--dedup", action="store_true",
                    help="emit one model per isomorphism class; involutions conjugate to "

@@ -11,22 +11,34 @@ backtracking walk of qlab, one position per cell, in lexicographic order
 of their values.  Its consistent() writes a block of surviving value
 prefixes, each extended by all n values of the next free cell, into
 partial tables (a cell's involution partner gets inv[v] before the cell
-gets v), and then tests each irreducible associativity triple that has
-just become decidable: both of its products are placed, and so is every
-cell their join-extensions read.  Which cells those are depends on the
-products, so a triple becomes decidable at a level that depends on the
-row; each row tests each triple once, at that level (propagation, as in
-Mace4).  The triples of one level are tested a group at a time, each group
-on every surviving row in one array step.  A partial table that fails a
-triple is dropped with all the leaves below it.
+gets v).  It first tests monotonicity, m[t, s] <= m[i, j] whenever
+J[t] <= J[i] and J[s] <= J[j], on each pair of cells whose later one was
+just placed: every join-preserving product is monotone, and a table that
+is not can join-extend to the same full table as one that is, so without
+the test one quantale would be reached from several leaves.  It then tests
+each irreducible associativity triple that has just become decidable: both
+of its products are placed, and so is every cell their join-extensions
+read.  Which cells those are depends on the products, so a triple becomes
+decidable at a level that depends on the row; each row tests each triple
+once, at that level (propagation, as in Mace4).  The triples of one level
+are tested a group at a time, each group on every surviving row in one
+array step.  A partial table that fails a pair or a triple is dropped with
+all the leaves below it.
+
+The budget bounds the work of the walks, not the size of the space they
+could visit: it counts tested tables, one per (prefix, value) pair that
+consistent() examines, over every walk of the search.  Before it tests a
+block, consistent() raises BudgetExceeded if the block would take the
+count past the budget, so a search never tests more tables than its
+budget.
 
 Each leaf (complete assignment) is numbered by its free values in mixed
 radix n, a Python int when n**K does not fit in int64.  The statistics
-count leaves as a walk that takes one leaf at a time would: a surviving
-leaf advances `candidates` to its number and adds the pruned leaves before
-it to `pruned_assoc` in bulk, so the counters, the order of the models and
-the budget and limit stops are exactly those of that walk.  No prefix whose
-first leaf lies at or past the budget passes consistent().  The surviving leaves
+count leaves as a walk that takes one leaf at a time would, a leaf that
+is not monotone or not associative counting as pruned: a surviving leaf
+advances `candidates` to its number and adds the pruned leaves before it
+to `pruned_assoc` in bulk, so the counters, the order of the models and
+the limit stop are exactly those of that walk.  The surviving leaves
 are extended to full tables by joins, and one whole-array kernel
 (_leaf_verdicts) decides, for a full chunk of them at once, whether each is
 a quantale and which of the ten classifier flags it has.  Only leaves
@@ -47,9 +59,9 @@ lex-least leaf of each orbit, which is also its first in walk order,
 reaches the kernel, weighted by the orbit's size |H| / |stabilizer|.  A
 rejected leaf counts its weight; an accepted one is emitted once if its
 key is new and counts the rest of its orbit as deduped; the leaves no
-kernel leaf stands for are the associativity-pruned ones.  A walk that a
-limit or the budget could stop inside keeps every leaf, so that its stop
-and its counters there are the one-leaf walk's.
+kernel leaf stands for are the pruned ones.  A walk that a limit could
+stop keeps every leaf, so that its stop and its counters there are the
+one-leaf walk's.
 
 The searcher never trusts its own pruning or its kernel: every kernel leaf
 that matches the requested flags is re-validated from scratch by
@@ -83,10 +95,14 @@ _LEAF_CHUNK = 1 << 8
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when the candidate count passes the budget; carries partials."""
+    """Raised before a block of tables would take the tested count past the budget.
 
-    def __init__(self, stats: "SearchStats", models: list):
-        super().__init__(f"search budget exhausted after {stats.candidates} candidates")
+    Carries the count, the statistics so far and the models found so far.
+    """
+
+    def __init__(self, tested: int, stats: "SearchStats", models: list):
+        super().__init__(f"search budget exhausted after {tested} tested tables")
+        self.tested = tested
         self.stats = stats
         self.models = models
 
@@ -99,7 +115,7 @@ class SearchStats:
                                  # leaf at a time; a pruned prefix adds its leaves
                                  # in bulk
     emitted: int = 0
-    pruned_assoc: int = 0
+    pruned_assoc: int = 0        # leaves that are not monotone or not associative
     rejected_quantale: int = 0
     rejected_require: int = 0
     deduped: int = 0
@@ -196,11 +212,10 @@ def _detect_unit(lat: SupLattice, mul: np.ndarray):
 def _fixed_verdicts(lat: SupLattice, inv: np.ndarray) -> tuple[bool, bool]:
     """(the involution laws hold, the lattice is a frame): the facts no product changes."""
     ar = np.arange(lat.n)
-    jt, mt = lat.join_table, lat.meet_table
+    jt = lat.join_table
     involution = bool((inv[inv] == ar).all() and (inv[jt] == jt[np.ix_(inv, inv)]).all()
                       and inv[lat.bottom] == lat.bottom)
-    frame = bool((mt[ar[:, None, None], jt] == jt[mt[:, :, None], mt[:, None, :]]).all())
-    return involution, frame
+    return involution, lat.is_frame()[0]
 
 
 def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
@@ -378,8 +393,8 @@ def _triple_levels(lat: SupLattice, J: list[int], level: np.ndarray) -> list[tup
 def search(spec: SearchSpec) -> SearchResult:
     """Enumerate every quantale structure matching the spec, in a fixed order.
 
-    Raises BudgetExceeded when more complete candidate tables would have to
-    be examined than `budget` allows; the exception carries the statistics
+    Raises BudgetExceeded before the walks would test more tables than
+    `budget` allows; the exception carries the tested count, the statistics
     and the models found so far.
     """
     lat = spec.lattice
@@ -394,6 +409,7 @@ def search(spec: SearchSpec) -> SearchResult:
              if spec.dedup_iso or spec.fix_involution is None else None)
     # symmetry reduction (see the module docstring); a limit stop needs every leaf
     reduced = spec.dedup_iso and spec.limit is None
+    tested = 0                               # tables consistent() examined, for the budget
 
     # leaf tables hold elements in the smallest unsigned dtype (uint8 for n <= 256)
     dtype = np.min_scalar_type(n - 1)
@@ -467,6 +483,14 @@ def search(spec: SearchSpec) -> SearchResult:
         level = np.full(k * k, -1, dtype=np.intp)
         level[partner_cols] = level[free_cols] = np.arange(K)
         triples = _triple_levels(lat, J, level.reshape(k, k))
+        # monotone[c + 1]: the flat cell pairs (lo, hi) with m[lo] <= m[hi]
+        # required (J[t] <= J[i] and J[s] <= J[j] for lo = (t, s), hi = (i, j))
+        # whose later cell is placed at level c
+        JJ = lat.leq[np.ix_(J, J)]
+        lo, hi = np.nonzero((JJ[:, None, :, None] & JJ[None, :, None, :]).reshape(k * k, k * k)
+                            & ~np.eye(k * k, dtype=bool))
+        at = np.maximum(level[lo], level[hi])
+        monotone = [(lo[at == c], hi[at == c]) for c in range(-1, K)]
         inv_t = inv.astype(dtype)
         fixed = _fixed_verdicts(lat, inv)
 
@@ -475,8 +499,6 @@ def search(spec: SearchSpec) -> SearchResult:
         first, total = stats.candidates, n ** K
         radix = np.array([n ** (K - 1 - c) for c in range(K)],   # leaves below a value of cell c
                          dtype=np.int64 if total < 2 ** 63 else object)
-        stop = spec.budget is not None and first + total > spec.budget
-        end = spec.budget - first if stop else total      # leaves this involution walks
         pruned = stats.pruned_assoc
         counted = 0                                       # leaves the kernel's leaves stand for
         pending: list = []                                # associative leaves not yet decided
@@ -485,8 +507,7 @@ def search(spec: SearchSpec) -> SearchResult:
         # cell src[t], or its partner, onto free cell t, so position t of pi.x
         # is val[t, x[src[t]]], with val[t] = pi, or pi o inv for the partner.
         # Position t of pi.x is known once positions 0..reach[t] are placed.
-        group = (_symmetries(lat, autos, inv, spec.fix_unit) if reduced and not stop
-                 else [np.arange(n)])
+        group = _symmetries(lat, autos, inv, spec.fix_unit) if reduced else [np.arange(n)]
         slot = {c: (s, False) for s, c in enumerate(free)}
         for s, (i, j) in enumerate(free):
             slot.setdefault((inv_j[j], inv_j[i]), (s, True))
@@ -561,20 +582,23 @@ def search(spec: SearchSpec) -> SearchResult:
             if done < len(parts[0]):
                 pending.append([part[done:] for part in parts])
 
-        def associative(rows: np.ndarray, c: int) -> np.ndarray:
-            """Indices of the rows that pass every triple they decide at level c.
+        def passing(rows: np.ndarray, c: int) -> np.ndarray:
+            """Indices of the rows that pass the monotone pairs and the triples of level c.
 
-            The triples are tested a group at a time, each group in one array
-            step on the rows that passed the groups before it.  Both products
-            are computed on every (row, triple) pair of a group, and count only
-            where the row decides the triple.  The first group holds
-            max(1, triples // rows) triples and each later one twice as many,
-            up to about laws._LEX_BLOCK pairs: a level on few rows takes one or
-            two steps, and on many rows, which mostly fail their first triples,
-            few pairs are computed for rows that are already dropped.
+            The pairs are tested first, in one array step.  The triples that
+            a row decides at level c are tested a group at a time, each group
+            in one array step on the rows that passed the groups before it.
+            Both products are computed on every (row, triple) pair of a group,
+            and count only where the row decides the triple.  The first group
+            holds max(1, triples // rows) triples and each later one twice as
+            many, up to about laws._LEX_BLOCK pairs: a level on few rows takes
+            one or two steps, and on many rows, which mostly fail their first
+            triples, few pairs are computed for rows that are already dropped.
             """
             ij, jl, now, l_cells, i_cells = triples[c + 1]
-            alive = np.arange(len(rows))
+            lo, hi = monotone[c + 1]
+            alive = np.flatnonzero(lat.leq[rows[:, lo], rows[:, hi]].all(axis=1))
+            rows = rows[alive]
             start, size = 0, max(1, len(ij) // max(1, len(rows)))
             while start < len(ij) and len(alive):
                 stop = min(len(ij), start + max(1, min(size, laws._LEX_BLOCK // len(alive))))
@@ -592,8 +616,8 @@ def search(spec: SearchSpec) -> SearchResult:
             return alive
 
         # The walk: lex_blocks over the free values.  consistent() keeps the
-        # extensions whose first leaf lies before `end`, that no symmetry maps
-        # to a smaller prefix and that pass the triples they first decide.
+        # extensions that no symmetry maps to a smaller prefix and that pass
+        # the pairs and triples they first decide.
         root = np.where(m < 0, 0, m).astype(dtype).reshape(1, k * k)
 
         def tables(S: np.ndarray) -> np.ndarray:
@@ -604,27 +628,26 @@ def search(spec: SearchSpec) -> SearchResult:
             return rows
 
         def consistent(c: int, P: np.ndarray, v: np.ndarray) -> np.ndarray:
+            nonlocal tested
+            if spec.budget is not None and tested + len(P) * len(v) > spec.budget:
+                stats.exhausted = False
+                raise BudgetExceeded(tested, stats, models)
+            tested += len(P) * len(v)
             ext = np.column_stack([np.repeat(P, len(v), axis=0), np.tile(v, len(P))])
-            live = np.flatnonzero(ext @ radix[:c + 1] < end) if stop else np.arange(len(ext))
-            if maps:
-                live = live[leaders(ext[live], c)]
+            live = np.flatnonzero(leaders(ext, c))
             ok = np.zeros(len(ext), dtype=bool)
-            ok[live[associative(tables(ext[live]), c)]] = True
+            ok[live[passing(tables(ext[live]), c)]] = True
             return ok.reshape(len(P), len(v))
 
-        if end > 0 and len(associative(root, -1)):
+        if len(passing(root, -1)):
             for S in lex_blocks([np.arange(n)] * K, consistent):
                 pending.append([tables(S), S @ radix, weights(S)])
                 if sum(len(r) for r, _, _ in pending) >= _LEAF_CHUNK:
                     flush(False)
         if pending:
             flush(True)
-        stats.pruned_assoc = pruned + end - counted
-        stats.candidates = first + end
-        if stop:
-            stats.candidates += 1
-            stats.exhausted = False
-            raise BudgetExceeded(stats, models)
+        stats.pruned_assoc = pruned + total - counted
+        stats.candidates = first + total
 
     # The involutions walked so far, with what each added to the counters.
     # With no limit, an involution conjugate to one of them by an automorphism
@@ -649,8 +672,7 @@ def search(spec: SearchSpec) -> SearchResult:
     try:
         for inv in involutions:
             added = conjugate(inv)
-            if added is not None and (spec.budget is None
-                                      or stats.candidates + added["candidates"] <= spec.budget):
+            if added is not None:
                 for name in counters[:4]:
                     setattr(stats, name, getattr(stats, name) + added[name])
                 stats.deduped += added["emitted"] + added["deduped"]

@@ -207,7 +207,7 @@ def test_search_budget_exhaustion(tmp_path, capsys):
                        "--trivial-involution", "--fix-unit", "1",
                        "--budget", "2")
     assert code == 2
-    assert "budget exceeded" in err
+    assert err == "budget exceeded after 0 tested tables (0 models found so far)\n"
 
 
 def test_search_env_budget(tmp_path, capsys, monkeypatch):

@@ -49,13 +49,15 @@ def test_limit_truncates():
     assert not res.stats.exhausted
 
 
-def test_budget_exceeded_carries_partial_results():
-    spec = SearchSpec(DIAMOND, fix_involution=np.arange(4), fix_unit=1, budget=2)
+def test_budget_counts_tested_tables():
+    # one block: the empty prefix extended by the 4 values of the free cell
+    spec = SearchSpec(DIAMOND, fix_involution=np.arange(4), fix_unit=1, budget=3)
     with pytest.raises(BudgetExceeded) as ei:
         search(spec)
-    assert ei.value.stats.candidates == 3  # the constraint trips on candidate 3
+    assert ei.value.tested == 0 and ei.value.models == []
     assert not ei.value.stats.exhausted
-    assert all(validate_quantale(Q).ok for Q in ei.value.models)
+    res = search(SearchSpec(DIAMOND, fix_involution=np.arange(4), fix_unit=1, budget=4))
+    assert res.stats.exhausted and len(res.models) == 4
 
 
 def test_search_is_deterministic():

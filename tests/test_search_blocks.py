@@ -5,9 +5,12 @@ assigns one free cell at a time, and every leaf runs `assoc_ok`, the
 Python triple loop over irreducibles.  The search, which tests each triple
 as soon as a partial table decides it, must give the same models in the
 same order, hand on the same associative leaves and keep an equal
-SearchStats, also when it stops on `limit` or raises BudgetExceeded, and
-for every block size of laws.lex_blocks (_LEX_BLOCK), which the search walks
-and which also bounds the groups of triples it tests in one array step.
+SearchStats, also when it stops on `limit`, and for every block size of
+laws.lex_blocks (_LEX_BLOCK), which the search walks and which also bounds
+the groups of triples it tests in one array step.  Both walks take a leaf
+that is not monotone as pruned.  The budget counts the tables the search
+tests, which the one-leaf walk does not share: a budgeted search is
+compared with the same search without a budget.
 
 The leaf kernel, which validates and classifies a stack of associative
 leaves at once, is compared leaf by leaf with validate_quantale and
@@ -25,7 +28,6 @@ beyond that with full_walk, the block search with its symmetry group cut to
 the identity, which the tests above compare with the one-leaf walk.
 """
 
-import contextlib
 import functools
 import importlib
 import os
@@ -56,16 +58,62 @@ SETTINGS = settings(max_examples=40, deadline=None,
 
 # ---------------------------------------------------------------- oracle
 
+def free_cells(lat: SupLattice, inv: np.ndarray, fix_unit) -> tuple | None:
+    """(pinned table m, free cells, inv_j) of the one-leaf walk of involution inv.
+
+    None when the walk visits nothing: a fixed irreducible unit that inv moves.
+    """
+    J = lat.join_irreducibles
+    k = len(J)
+    pos = {q: i for i, q in enumerate(J)}
+    # the involution permutes the irreducibles; map cell (p,q) -> (q*,p*)
+    inv_j = {i: pos[int(inv[J[i]])] for i in range(k)}
+    m = np.full((k, k), -1, dtype=np.intp)
+
+    if fix_unit is not None and fix_unit in pos:
+        e = fix_unit
+        if inv[e] != e:
+            return None
+        ei = pos[e]
+        for i in range(k):
+            m[ei, i] = J[i]
+            m[i, ei] = J[i]
+
+    cells = [(i, j) for i in range(k) for j in range(k) if m[i, j] < 0]
+    free = []
+    linked = set()
+    for c in cells:
+        if c in linked:
+            continue
+        free.append(c)
+        partner = (inv_j[c[1]], inv_j[c[0]])
+        if partner != c:
+            linked.add(partner)
+    return m, free, inv_j
+
+
+ONE_LEAF_MAX = 1 << 14          # about a tenth of a second of the one-leaf walk
+
+
+def leaves(spec_args: dict) -> int:
+    """The leaves the one-leaf walk of a spec visits."""
+    spec = SearchSpec(**spec_args)
+    lat = spec.lattice
+    walks = [free_cells(lat, inv, spec.fix_unit) for inv in
+             _involution_candidates(lat, spec.fix_involution, lattice_order_isos(lat, lat))]
+    return sum(lat.n ** len(walk[1]) for walk in walks if walk is not None)
+
+
 def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
     """The recursive search: one free cell per level, `assoc_ok` per leaf.
 
-    `visit`, when given, sees the irreducible table of every associative leaf.
+    `visit`, when given, sees the irreducible table of every monotone
+    associative leaf.
     """
     lat = spec.lattice
     n = lat.n
     J = lat.join_irreducibles
     k = len(J)
-    pos = {q: i for i, q in enumerate(J)}
     jt = lat.join_table
     stats = SearchStats()
     models: list[Quantale] = []
@@ -82,29 +130,17 @@ def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
         pass
 
     def run_involution(inv: np.ndarray) -> None:
-        inv_j = {i: pos[int(inv[J[i]])] for i in range(k)}
-        m = np.full((k, k), -1, dtype=np.intp)
-
-        if spec.fix_unit is not None and spec.fix_unit in pos:
-            e = spec.fix_unit
-            if inv[e] != e:
-                return
-            ei = pos[e]
-            for i in range(k):
-                m[ei, i] = J[i]
-                m[i, ei] = J[i]
-
-        cells = [(i, j) for i in range(k) for j in range(k) if m[i, j] < 0]
-        free = []
-        linked = set()
-        for c in cells:
-            if c in linked:
-                continue
-            free.append(c)
-            partner = (inv_j[c[1]], inv_j[c[0]])
-            if partner != c:
-                linked.add(partner)
+        walk = free_cells(lat, inv, spec.fix_unit)
+        if walk is None:
+            return
+        m, free, inv_j = walk
         stats.free_cells = max(stats.free_cells, len(free))
+
+        def monotone() -> bool:
+            # m[t, s] <= m[i, j] whenever J[t] <= J[i] and J[s] <= J[j]
+            return all(lat.leq[m[t, s], m[i, j]]
+                       for i in range(k) for j in range(k) for t in range(k) for s in range(k)
+                       if lat.leq[J[t], J[i]] and lat.leq[J[s], J[j]])
 
         def assoc_ok() -> bool:
             # (pq)r = p(qr) through the join-extension, irreducibles only
@@ -123,10 +159,7 @@ def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
 
         def leaf() -> None:
             stats.candidates += 1
-            if spec.budget is not None and stats.candidates > spec.budget:
-                stats.exhausted = False
-                raise BudgetExceeded(stats, models)
-            if not assoc_ok():
+            if not (monotone() and assoc_ok()):
                 stats.pruned_assoc += 1
                 return
             if visit is not None:
@@ -182,16 +215,17 @@ def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
 
 # ---------------------------------------------------------------- helpers
 
+def model_keys(models: list) -> list:
+    return [(Q.mul.tobytes(), Q.inv.tobytes(), Q.unit) for Q in models]
+
+
 def outcome(run, spec: SearchSpec):
     """(raised budget?, model bytes in order, stats) of one search."""
     try:
         res = run(spec)
     except BudgetExceeded as exc:
-        raised, models, stats = True, exc.models, exc.stats
-    else:
-        raised, models, stats = False, res.models, res.stats
-    keys = [(Q.mul.tobytes(), Q.inv.tobytes(), Q.unit) for Q in models]
-    return raised, keys, stats
+        return True, model_keys(exc.models), exc.stats
+    return False, model_keys(res.models), res.stats
 
 
 def assert_same(spec_args: dict, block: int, chunk: int = search_mod._LEAF_CHUNK) -> tuple:
@@ -253,7 +287,7 @@ def specs(draw):
     flags = draw(st.lists(st.sampled_from(sorted(_FLAG_NAMES)), max_size=2, unique=True))
     args["require"] = {name: draw(st.booleans()) for name in flags}
     args["limit"] = draw(st.none() | st.integers(1, 4))
-    args["budget"] = draw(st.integers(0, 1500))
+    assume(leaves(args) <= ONE_LEAF_MAX)
     return args
 
 
@@ -289,29 +323,13 @@ def test_exhaustive_searches_match_the_one_leaf_walk(name, block):
     assert not raised and stats.exhausted
 
 
-# (spec, leaves in the whole search, patched block size, leaves per block).
-# One consistent() call at the last free cell tests block // n prefixes, which
-# cover (block // n) * n leaves: 4 and 64 on the diamond, 96 on the cube at
-# block 100.  Each involution is a walk of its own, so at the default block,
-# which covers 2 * 8**5 leaves, the cube's blocks with unit a are its two
-# involutions that fix a, 8**3 leaves each.
-BOUNDARY = [
-    ({"lattice": DIAMOND}, 2 * 4 ** 3, 7, 4),      # two involutions, 3 free cells each
-    ({"lattice": DIAMOND}, 2 * 4 ** 3, 64, 64),
-    ({"lattice": CUBE, "cap": 8, "fix_involution": np.arange(8)}, 8 ** 6, 100, 96),
-    ({"lattice": CUBE, "cap": 8, "fix_unit": 1}, 2 * 8 ** 3, laws._LEX_BLOCK, 8 ** 3),
-]
-
-
-@pytest.mark.parametrize("spec_args, total, block, leaves", BOUNDARY,
-                         ids=("diamond-7", "diamond-64", "cube-100", "cube-default"))
-def test_budget_stops_at_block_edges_match_the_one_leaf_walk(spec_args, total, block,
-                                                             leaves):
-    for budget in (0, 1, leaves - 1, leaves, leaves + 1, leaves + leaves // 2,
-                   2 * leaves - 1, 2 * leaves, 2 * leaves + 1):
-        raised, _, stats = assert_same({**spec_args, "budget": budget}, block)
-        assert raised is (budget < total)
-        assert stats.candidates == (budget + 1 if raised else total)
+@pytest.mark.parametrize("dedup", (False, True), ids=("all", "dedup"))
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_each_table_is_emitted_once(name, dedup):
+    # A leaf that is not monotone on the irreducibles can join-extend to the
+    # full table of a monotone one; the walk prunes it, so no table repeats.
+    res = search_mod.search(SearchSpec(NAMED[name], cap=8, dedup_iso=dedup))
+    assert res.stats.emitted == len(set(model_keys(res.models)))
 
 
 @pytest.mark.parametrize("block", (1, 7, 64, 256))
@@ -321,41 +339,16 @@ def test_limit_stops_inside_a_block_match_the_one_leaf_walk(block, limit):
     assert not raised and stats.truncated and len(models) == limit
 
 
-def test_budget_on_a_search_wider_than_int64():
-    # 28 free cells over 8 values: 8**28 = 2**84 leaves.
-    spec = SearchSpec(chain_lattice(8), cap=8, budget=10)
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceeded) as ei:
-            search_mod.search(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ei.value.stats.free_cells == 28
-    assert ei.value.stats.candidates == 11
-    assert len(ei.value.models) == 10
-    assert peak < 16 * 2 ** 20          # the budget keeps a few prefixes per level
-
-
-@pytest.mark.parametrize("block", (7, 1 << 14, laws._LEX_BLOCK))
-def test_budget_stops_inside_the_second_involution_match_the_one_leaf_walk(block):
-    # The atom swap is the diamond's second involution (leaves 65-128), and
-    # its cells a.b and b.a are self-linked.
-    for budget in range(64, 130, 5):
-        assert_same({"lattice": DIAMOND, "budget": budget}, block)
-
-
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("spec_args", [
     {"lattice": DIAMOND},                                   # a.b and b.a self-linked
-    {"lattice": NAMED["m3"], "fix_unit": 1, "budget": 3000},
+    {"lattice": NAMED["m3"], "fix_unit": 1},
     {"lattice": CUBE, "cap": 8, "fix_unit": 1},
 ], ids=("diamond", "m3", "cube"))
 def test_blocks_hold_the_leaf_tables_in_walk_order(spec_args, block):
     walked, extended = [], []
-    with contextlib.suppress(BudgetExceeded):
-        search_one_leaf_at_a_time(SearchSpec(**spec_args),
-                                  visit=lambda m: walked.append(m.tobytes()))
+    search_one_leaf_at_a_time(SearchSpec(**spec_args),
+                              visit=lambda m: walked.append(m.tobytes()))
     real = search_mod._full_table
 
     def spy(lat, ms):
@@ -364,8 +357,7 @@ def test_blocks_hold_the_leaf_tables_in_walk_order(spec_args, block):
 
     with mock.patch.object(laws, "_LEX_BLOCK", block), \
             mock.patch.object(search_mod, "_full_table", spy):
-        with contextlib.suppress(BudgetExceeded):
-            search_mod.search(SearchSpec(**spec_args))
+        search_mod.search(SearchSpec(**spec_args))
     assert walked and extended == walked
 
 
@@ -376,9 +368,6 @@ def full_walk(spec: SearchSpec) -> SearchResult:
     with mock.patch.object(search_mod, "_symmetries",
                            lambda lat, autos, inv, unit: [np.arange(lat.n)]):
         return search_mod.search(spec)
-
-
-ONE_LEAF_MAX = 1 << 14          # about a tenth of a second of the one-leaf walk
 
 
 def against_the_walk_of_every_leaf(spec_args: dict) -> tuple:
@@ -433,21 +422,10 @@ def test_symmetry_reduced_search_matches_the_walk_of_every_leaf(name, unit, req)
 
 @pytest.mark.parametrize("name", ("m3", "cube", "m4"))
 def test_stops_of_a_dedup_search_match_the_walk_of_every_leaf(name):
-    # Without a unit every involution has n ** (k (k + 1) / 2) leaves: its k
-    # self-linked cells (i, i*) and the pairs of the other cells.  A budget
-    # inside an involution walks that one in full and skips nothing; so does
-    # every limit.
-    lat = SYMMETRIC[name]
-    k = len(lat.join_irreducibles)
-    leaves = lat.n ** (k * (k + 1) // 2)
-    for budget in (leaves - 1, leaves, 2 * leaves + 5):
-        raised, _, stats = against_the_walk_of_every_leaf(
-            {"lattice": lat, "cap": 8, "dedup_iso": True, "budget": budget,
-             "require": REQUIRES["supported_nonmodular"]})
-        assert raised and stats.candidates == budget + 1
+    # a limit stop walks every leaf of the involution it stops in
     for limit in (1, 12):
         raised, models, stats = against_the_walk_of_every_leaf(
-            {"lattice": lat, "cap": 8, "dedup_iso": True, "limit": limit})
+            {"lattice": SYMMETRIC[name], "cap": 8, "dedup_iso": True, "limit": limit})
         assert stats.truncated and len(models) == limit
 
 
@@ -467,6 +445,85 @@ def test_a_symmetry_group_that_fails_its_premises_is_a_failed_theorem_check():
     with mock.patch.object(search_mod, "lattice_order_isos", lambda src, dst: [ar, cycle]), \
             pytest.raises(TheoremViolation):
         search_mod.search(SearchSpec(lat, dedup_iso=True))
+
+
+# ---------------------------------------------------------------- budget
+
+def blocks_tested(spec_args: dict) -> tuple:
+    """(outcome of the search without a budget, the tables of each block it tested)."""
+    sizes = []
+    real = search_mod.lex_blocks
+
+    def counting(values, consistent):
+        def spy(c, P, v):
+            sizes.append(len(P) * len(v))
+            return consistent(c, P, v)
+        return real(values, spy)
+
+    with mock.patch.object(search_mod, "lex_blocks", counting):
+        whole = outcome(search_mod.search, SearchSpec(**spec_args))
+    return whole, sizes
+
+
+# (spec, patched block size).  The diamond's second involution, the atom
+# swap, is walked after the first one's 64 leaves, and its cells a.b and
+# b.a are self-linked; at block 100 the cube's last level tests 12
+# prefixes per block.
+BUDGETED = [
+    ({"lattice": DIAMOND}, 7),
+    ({"lattice": DIAMOND}, 64),
+    ({"lattice": DIAMOND, "fix_involution": np.array([0, 2, 1, 3])}, laws._LEX_BLOCK),
+    ({"lattice": CUBE, "cap": 8, "fix_involution": np.arange(8)}, 100),
+    ({"lattice": CUBE, "cap": 8, "fix_unit": 1}, laws._LEX_BLOCK),
+    ({"lattice": SYMMETRIC["m3"], "dedup_iso": True}, laws._LEX_BLOCK),
+    ({"lattice": CUBE, "cap": 8, "dedup_iso": True,
+      "require": {"stably_supported": True, "modular": False}}, laws._LEX_BLOCK),
+    ({"lattice": SYMMETRIC["m4"], "dedup_iso": True}, laws._LEX_BLOCK),
+]
+
+
+@pytest.mark.parametrize("spec_args, block", BUDGETED,
+                         ids=("diamond-7", "diamond-64", "diamond-swap", "cube-100",
+                              "cube-unit", "m3-dedup", "cube-dedup", "m4-dedup"))
+def test_budget_counts_the_tables_the_walk_tests(spec_args, block):
+    # A search stops before the first block that would take its tested
+    # count past the budget; with budget T, the count of the whole search,
+    # nothing changes.  The budgets are T, T - 1 and both sides of the
+    # edges after blocks 1, 2, 4, ..., 32, where a stop is cheap.
+    with mock.patch.object(laws, "_LEX_BLOCK", block):
+        whole, sizes = blocks_tested(spec_args)
+        edges = np.cumsum([0] + sizes)          # tables tested before each block, then T
+        T = int(edges[-1])
+        picks = [int(edges[2 ** i]) for i in range(min(6, len(edges).bit_length() - 1))] + [T]
+        assert not whole[0] and T > 0
+        for budget in sorted({b for e in picks for b in (e - 1, e) if b >= 0}):
+            try:
+                res = search_mod.search(SearchSpec(**spec_args, budget=budget))
+            except BudgetExceeded as exc:
+                assert budget < T and not exc.stats.exhausted
+                assert exc.tested == edges[edges <= budget].max()
+                models = model_keys(exc.models)
+                assert models == whole[1][:len(models)]
+            else:
+                assert budget >= T
+                assert (False, model_keys(res.models), res.stats) == whole
+
+
+def test_budget_on_a_search_wider_than_int64():
+    # 28 free cells over 8 values: 8**28 = 2**84 leaves.  The first level
+    # tests 8 tables and the second at least 8 more.
+    spec = SearchSpec(chain_lattice(8), cap=8, budget=10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as ei:
+            search_mod.search(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.stats.free_cells == 28
+    assert ei.value.tested == 8 and not ei.value.stats.exhausted
+    assert str(ei.value) == "search budget exhausted after 8 tested tables"
+    assert peak < 16 * 2 ** 20          # the budget keeps a few prefixes per level
 
 
 # ---------------------------------------------------------------- leaf kernel
@@ -626,11 +683,11 @@ def kernel_against_scratch(spec_args: dict, chunk: int) -> tuple:
 
     with mock.patch.object(search_mod, "_LEAF_CHUNK", chunk), \
             mock.patch.object(search_mod, "_leaf_verdicts", spy):
-        raised, _, stats = outcome(search_mod.search, SearchSpec(**spec_args))
-    # every associative leaf went through the kernel, except the one that
-    # tripped the budget; under dedup_iso, one leaf per orbit
+        stats = search_mod.search(SearchSpec(**spec_args)).stats
+    # every monotone associative leaf went through the kernel; under
+    # dedup_iso, one leaf per orbit
     if not spec_args.get("dedup_iso"):
-        assert compared == stats.candidates - stats.pruned_assoc - raised
+        assert compared == stats.candidates - stats.pruned_assoc
     return compared, stats
 
 
@@ -705,9 +762,10 @@ def test_the_kernel_gets_one_leaf_per_orbit_under_dedup():
 def test_leaf_verdicts_match_on_leaves_without_a_unit(lat, data, chunk):
     # no fixed unit, so most leaves have none and the unit rungs are n/a;
     # or a fixed element that is usually not a unit, so its leaves are invalid
-    args = {"lattice": lat, "cap": 8, "budget": 1500}
+    args = {"lattice": lat, "cap": 8}
     if data.draw(st.booleans()):
         args["fix_unit"] = data.draw(st.integers(0, lat.n - 1))
+    assume(leaves(args) <= ONE_LEAF_MAX)
     kernel_against_scratch(args, chunk)
 
 
