@@ -42,17 +42,9 @@ def _count(name: str, raw) -> int:
     return int(value)
 
 
-def _env_budget() -> int | None:
-    raw = os.environ.get("QLAB_BUDGET")
-    return _count("QLAB_BUDGET", raw) if raw else None
-
-
 def _cap(args) -> int:
-    """The carrier-closure cap: --cap, else QLAB_BUDGET, else hilbert.CARRIER_CAP."""
-    if args.cap is not None:
-        return _count("--cap", args.cap)
-    env = _env_budget()
-    return env if env is not None else CARRIER_CAP
+    """The carrier-closure cap: --cap, else hilbert.CARRIER_CAP."""
+    return _count("--cap", args.cap) if args.cap is not None else CARRIER_CAP
 
 
 def _out(args, lines: list[str], doc: dict) -> None:
@@ -295,9 +287,9 @@ def cmd_search(args) -> int:
         lat = obj.lattice
     else:
         lat = quantale_of(obj).lattice
-    budget = _count("--budget", args.budget) if args.budget is not None else _env_budget()
-    if budget is None:
-        budget = 10 ** 8
+    env = os.environ.get("QLAB_BUDGET")
+    budget = (_count("--budget", args.budget) if args.budget is not None
+              else _count("QLAB_BUDGET", env) if env else 10 ** 8)
     try:
         spec = SearchSpec(lat,
                           fix_involution=np.arange(lat.n) if args.trivial_involution else None,
@@ -384,16 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sections", cmd_sections, "Hilbert sections of a module")
     p.add_argument("ref", help="module, action, or qset")
-    p.add_argument("--cap", help="carrier-closure cap (default 2^13 or QLAB_BUDGET)")
+    p.add_argument("--cap", help="carrier-closure cap (default 2^13)")
 
     p = add("basis-check", cmd_basis_check, "does a section family reconstruct the module?")
     p.add_argument("ref", help="module, action, or qset")
     p.add_argument("--sigma", help="comma-separated carrier indices (default: all sections)")
-    p.add_argument("--cap", help="carrier-closure cap (default 2^13 or QLAB_BUDGET)")
+    p.add_argument("--cap", help="carrier-closure cap (default 2^13)")
 
     p = add("sheafify", cmd_sheafify, "section Q-set of an etale Q-locale")
     p.add_argument("ref", help="action or module")
-    p.add_argument("--cap", help="carrier-closure cap (default 2^13 or QLAB_BUDGET)")
+    p.add_argument("--cap", help="carrier-closure cap (default 2^13)")
     p.add_argument("--out", help="write the section q-set to this file")
 
     p = add("verify-equivalence", cmd_verify_equivalence,

@@ -482,7 +482,8 @@ def module_from_qset(Q: Quantale, X: QSet, cap: int = CARRIER_CAP) -> MatrixModu
     (CarrierTooLarge(size, cap) past the cap); then for i = 0, 1, ... the
     new joins of vector i with vectors 0..i, each where it first occurs
     (CarrierTooLarge(cap + 1, cap)).  Where each of those joins lands is
-    the carrier's join table, so x <= y iff x OR y = y.  The tables are
+    the carrier's join table, so x <= y iff x OR y = y; SupLattice checks
+    that it is the lub table rather than search it again.  The tables are
     built on generators, which needs the product to be bilinear and the
     involution to preserve finite joins (NotAQuantale otherwise): a . v is
     looked up for join-irreducible a only, and join-extended over Q; the
@@ -516,7 +517,7 @@ def module_from_qset(Q: Quantale, X: QSet, cap: int = CARRIER_CAP) -> MatrixModu
     jt = np.empty((m, m), dtype=np.intp)
     for i, pos in enumerate(joins):
         jt[i, :i + 1] = jt[:i + 1, i] = pos
-    carrier = SupLattice(jt == np.arange(m), _vector_labels(Q, arr))
+    carrier = SupLattice(jt == np.arange(m), _vector_labels(Q, arr), join_table=jt)
 
     JQ, JX = lat.join_irreducibles, carrier.join_irreducibles
     act = np.array([index.find(mul[a][arr]) for a in JQ], dtype=np.intp).reshape(len(JQ), m)

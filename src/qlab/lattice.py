@@ -58,46 +58,49 @@ def relation_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                          bitorder="little").astype(bool)
 
 
-def _bound_table(leq: np.ndarray, upper: bool) -> np.ndarray:
+def _bound_table(leq: np.ndarray, upper: bool, table: np.ndarray | None = None) -> np.ndarray:
     """Table of least upper (or greatest lower) bounds for all pairs.
 
-    The lub of i and j, when it exists, is the unique common upper bound
-    whose up-set U(c) contains every common upper bound, so it is the one
-    whose up-set is largest.  The elements are ranked by descending up-set
-    size (bottom-most first, ties by index) and every up-set is packed into
-    uint64 words in rank order.  The candidate for (i, j) is then the first
-    set bit of U(i) AND U(j), the same element an argmax over up-set sizes
-    would pick, and it is the lub iff U(i) AND U(j) is contained in its
-    packed up-set.  Pairs with no common bound or a failed containment
-    raise NotALattice with the lex-first pair, as a row-by-row scan would.
-    Rows are processed in blocks of at most _BLOCK_WORDS words.
+    t[i, j] is the lub of i and j iff U(i) AND U(j) = U(t[i, j]), U(c)
+    being the up-set of c.  A handed-over `table` is checked cell by cell
+    against this test and returned as given.  Otherwise each candidate is
+    found first: the lub, when it exists, is the common upper bound with the
+    largest up-set, so the elements are ranked by descending up-set size
+    (ties by index), the up-sets are packed into uint64 words in rank order,
+    and the candidate is the first set bit of U(i) AND U(j).  Every cell
+    then takes the same test, which also fails a pair with no common bound;
+    a failure raises NotALattice with the lex-first pair, as a row-by-row
+    scan would.  Rows are processed in blocks of at most _BLOCK_WORDS words.
     """
     rel = leq if upper else leq.T
     n = rel.shape[0]
     order = np.argsort(-rel.sum(axis=1), kind="stable")
     packed = _pack(rel[:, order])
-    table = np.empty((n, n), dtype=np.intp)
+    out = np.empty((n, n), dtype=np.intp) if table is None else table
     step = max(1, _BLOCK_WORDS // (n * packed.shape[1]))
-    one = np.uint64(1)
     for r in range(0, n, step):
         common = packed[r:r + step, None, :] & packed[None, :, :]
-        word = np.argmax(common != 0, axis=2)
-        w = np.take_along_axis(common, word[..., None], axis=2)[..., 0]
-        low = (w & (~w + one)).astype(np.float64)     # lowest set bit, exactly 2**b
-        rank = 64 * word + np.frexp(low)[1] - 1        # frexp(2**b) = (0.5, b + 1)
-        cand = order[np.clip(rank, 0, n - 1)]
-        bad = (w == 0) | (common & ~packed[cand]).any(axis=2)
-        cell = first_bad(bad)
+        if table is None:
+            word = np.argmax(common != 0, axis=2)
+            w = np.take_along_axis(common, word[..., None], axis=2)[..., 0]
+            low = (w & (~w + np.uint64(1))).astype(np.float64)  # lowest set bit, exactly 2**b
+            rank = 64 * word + np.frexp(low)[1] - 1             # frexp(2**b) = (0.5, b + 1)
+            out[r:r + step] = order[np.clip(rank, 0, n - 1)]
+        cell = first_bad((common != packed[out[r:r + step]]).any(axis=2))
         if cell is not None:
             raise NotALattice("join" if upper else "meet", (r + cell[0], cell[1]))
-        table[r:r + step] = cand
-    return table
+    return out
 
 
 class SupLattice:
-    """A finite lattice; all joins and meets exist, including empty ones."""
+    """A finite lattice; all joins and meets exist, including empty ones.
 
-    def __init__(self, leq: np.ndarray, labels: Sequence[str] | None = None):
+    Bound tables handed over together are stored as given; otherwise the
+    order is validated and _bound_table computes or checks each table.
+    """
+
+    def __init__(self, leq: np.ndarray, labels: Sequence[str] | None = None,
+                 join_table: np.ndarray | None = None, meet_table: np.ndarray | None = None):
         leq = np.asarray(leq, dtype=bool)
         n = leq.shape[0]
         if n == 0 or leq.shape != (n, n):
@@ -107,9 +110,11 @@ class SupLattice:
         self.labels = [str(x) for x in labels] if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("label count does not match n")
-        self._validate_order()
-        self.join_table = _bound_table(leq, upper=True)
-        self.meet_table = _bound_table(leq, upper=False)
+        if join_table is None or meet_table is None:
+            self._validate_order()
+            join_table = _bound_table(leq, True, join_table)
+            meet_table = _bound_table(leq, False, meet_table)
+        self.join_table, self.meet_table = join_table, meet_table
         self.bottom = int(np.argmax(leq.sum(axis=1)))
         self.top = int(np.argmax(leq.sum(axis=0)))
         if not leq[self.bottom].all() or not leq[:, self.top].all():
@@ -335,18 +340,10 @@ def powerset_lattice(atoms: Sequence[str]) -> SupLattice:
     """Boolean lattice of all subsets of the given atoms, indexed by bitmask."""
     k = len(atoms)
     n = 1 << k
-    masks = np.arange(n)
+    masks = np.arange(n, dtype=np.intp)
     leq = (masks[:, None] & ~masks[None, :]) == 0
     labels = ["{" + ",".join(atoms[b] for b in range(k) if m >> b & 1) + "}" for m in masks]
-    lat = SupLattice.__new__(SupLattice)
-    lat.n = n
-    lat.leq = leq
-    lat.labels = labels
-    lat.join_table = (masks[:, None] | masks[None, :]).astype(np.intp)
-    lat.meet_table = (masks[:, None] & masks[None, :]).astype(np.intp)
-    lat.bottom = 0
-    lat.top = n - 1
-    return lat
+    return SupLattice(leq, labels, masks[:, None] | masks, masks[:, None] & masks)
 
 
 def chain_lattice(n: int, labels: Sequence[str] | None = None) -> SupLattice:

@@ -8,10 +8,13 @@ half before any value is tried.
 
 The free cells are placed by laws.lex_blocks, the enumerator behind every
 backtracking walk of qlab, one position per cell, in lexicographic order
-of their values.  Its consistent() writes a block of surviving value
-prefixes, each extended by all n values of the next free cell, into
-partial tables (a cell's involution partner gets inv[v] before the cell
-gets v).  It first tests monotonicity, m[t, s] <= m[i, j] whenever
+of their values.  A cell takes all n values, except a self-linked cell
+(p, p*), its own involution partner, which takes only the self-adjoint
+ones: (J[p]J[p*])* = J[p]J[p*], so no other value can be a quantale's.
+Its consistent() writes a block of surviving value prefixes, each
+extended by every value of the next free cell, into partial tables (a
+cell's involution partner gets inv[v] before the cell gets v).  It first
+tests monotonicity, m[t, s] <= m[i, j] whenever
 J[t] <= J[i] and J[s] <= J[j], on each pair of cells whose later one was
 just placed: every join-preserving product is monotone, and a table that
 is not can join-extend to the same full table as one that is, so without
@@ -35,7 +38,8 @@ budget.
 Each leaf (complete assignment) is numbered by its free values in mixed
 radix n, a Python int when n**K does not fit in int64.  The statistics
 count leaves as a walk that takes one leaf at a time would, a leaf that
-is not monotone or not associative counting as pruned: a surviving leaf
+has a value its self-linked cell does not take, or is not monotone or
+not associative, counting as pruned: a surviving leaf
 advances `candidates` to its number and adds the pruned leaves before it
 to `pruned_assoc` in bulk, so the counters, the order of the models and
 the limit stop are exactly those of that walk.  The surviving leaves
@@ -115,7 +119,8 @@ class SearchStats:
                                  # leaf at a time; a pruned prefix adds its leaves
                                  # in bulk
     emitted: int = 0
-    pruned_assoc: int = 0        # leaves that are not monotone or not associative
+    pruned_assoc: int = 0        # leaves with a self-linked cell not self-adjoint, or
+                                 # not monotone or not associative
     rejected_quantale: int = 0
     rejected_require: int = 0
     deduped: int = 0
@@ -476,10 +481,12 @@ def search(spec: SearchSpec) -> SearchResult:
 
         # Flat cells of a k*k table: each free cell and its involution
         # partner.  The partner gets inv[v] before the cell gets v, so a
-        # self-linked cell keeps v.
+        # self-linked cell keeps v, and it takes only self-adjoint values.
         K = len(free)
         free_cols, partner_cols = np.array([(i * k + j, inv_j[j] * k + inv_j[i])
                                             for i, j in free], dtype=np.intp).reshape(K, 2).T
+        values = [np.flatnonzero(inv == np.arange(n)) if f == p else np.arange(n)
+                  for f, p in zip(free_cols, partner_cols)]
         level = np.full(k * k, -1, dtype=np.intp)
         level[partner_cols] = level[free_cols] = np.arange(K)
         triples = _triple_levels(lat, J, level.reshape(k, k))
@@ -640,7 +647,7 @@ def search(spec: SearchSpec) -> SearchResult:
             return ok.reshape(len(P), len(v))
 
         if len(passing(root, -1)):
-            for S in lex_blocks([np.arange(n)] * K, consistent):
+            for S in lex_blocks(values, consistent):
                 pending.append([tables(S), S @ radix, weights(S)])
                 if sum(len(r) for r, _, _ in pending) >= _LEAF_CHUNK:
                     flush(False)

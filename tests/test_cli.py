@@ -239,11 +239,19 @@ def test_search_rejects_bad_budget_and_cap(tmp_path, capsys, option, value):
 def test_env_budget_rejects_infinite_and_negative(tmp_path, capsys, monkeypatch, value):
     lat = write(tmp_path, "d.json", quantale_r4().lattice)
     monkeypatch.setenv("QLAB_BUDGET", value)
-    for argv in (["search", "--lattice", lat], ["sections", "catalog:z2_regular"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: QLAB_BUDGET ")
+    code, out, err = run(capsys, "search", "--lattice", lat)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: QLAB_BUDGET ")
+
+
+def test_env_budget_leaves_the_carrier_cap_alone(tmp_path, capsys, monkeypatch):
+    # QLAB_BUDGET counts the tables a search tests; a carrier is capped by --cap only
+    pt = write(tmp_path, "pt.json", QSet(relq(2), [[relq(2).unit]]))
+    monkeypatch.setenv("QLAB_BUDGET", "1")
+    code, out, _ = run(capsys, "sections", pt)
+    assert code == 0
+    assert "hilbert sections: 9" in out
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400", "-5"])

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from qlab import hilbert
+from qlab.catalog import relq
 from qlab.lattice import (NotALattice, NotAPoset, SupLattice, build_lattice,
                           chain_lattice, powerset_lattice)
+from qlab.qmatrix import QSet
 
 
 def diamond():
@@ -140,3 +145,66 @@ def test_equality_ignores_labels():
     b = chain_lattice(3)
     assert a == b
     assert a != chain_lattice(4)
+
+
+# ------------------------------------------------------------- handed-over tables
+
+@pytest.mark.parametrize("k", range(7))
+def test_powerset_tables_equal_the_computed_ones(k):
+    lat = powerset_lattice([f"a{i}" for i in range(k)])
+    computed = SupLattice(lat.leq)
+    assert np.array_equal(lat.join_table, computed.join_table)
+    assert np.array_equal(lat.meet_table, computed.meet_table)
+    assert (lat.bottom, lat.top) == (computed.bottom, computed.top)
+
+
+def with_wrong_cells(table, cells):
+    """A copy of a bound table with each cell (i, j), and (j, i), moved to another value."""
+    bad = table.copy()
+    for i, j in cells:
+        bad[i, j] = bad[j, i] = (table[i, j] + 1) % len(table)
+    return bad
+
+
+@pytest.mark.parametrize("cells, first", [
+    ([(3, 5)], (3, 5)),
+    ([(6, 6)], (6, 6)),
+    ([(4, 7), (1, 2)], (1, 2)),      # the lex-first of two wrong pairs
+    ([(0, 0), (2, 5)], (0, 0)),
+])
+def test_a_wrong_handed_over_table_fails_at_its_lex_first_pair(cells, first):
+    lat = powerset_lattice(["a", "b", "c"])
+    for kind, tables in (("join", {"join_table": with_wrong_cells(lat.join_table, cells)}),
+                         ("meet", {"meet_table": with_wrong_cells(lat.meet_table, cells)})):
+        with pytest.raises(NotALattice) as ei:
+            SupLattice(lat.leq, **tables)
+        assert (ei.value.kind, ei.value.witness) == (kind, first)
+    # a right table is stored as given
+    handed = lat.join_table.copy()
+    assert SupLattice(lat.leq, join_table=handed).join_table is handed
+
+
+def test_a_wrong_carrier_join_table_fails_at_its_lex_first_pair():
+    # module_from_qset hands SupLattice the join table its closure found;
+    # one wrong pair of cells in it is caught there
+    X = QSet(relq(2), [[9, 0, 8, 1], [0, 15, 5, 0], [8, 3, 9, 0], [1, 0, 0, 1]])
+    carrier = hilbert.module_from_qset(relq(2), X).module.carrier
+    i, j = 2, carrier.n - 3
+    real = hilbert.SupLattice
+
+    def spoiled(leq, labels, join_table):
+        return real(leq, labels, join_table=with_wrong_cells(join_table, [(i, j)]))
+
+    with mock.patch.object(hilbert, "SupLattice", spoiled), \
+            pytest.raises(NotALattice) as ei:
+        hilbert.module_from_qset(relq(2), X)
+    assert (ei.value.kind, ei.value.witness) == ("join", (i, j))
+
+
+def test_a_poset_without_a_least_element_has_no_meet():
+    leq = np.eye(3, dtype=bool)
+    leq[:, 2] = True                   # two incomparable elements under a top
+    with pytest.raises(NotALattice) as ei:
+        SupLattice(leq)
+    assert (ei.value.kind, ei.value.witness) == ("meet", (0, 1))
+    assert str(ei.value) == "not a lattice: no meet for pair (0, 1)"

@@ -8,7 +8,8 @@ same order, hand on the same associative leaves and keep an equal
 SearchStats, also when it stops on `limit`, and for every block size of
 laws.lex_blocks (_LEX_BLOCK), which the search walks and which also bounds
 the groups of triples it tests in one array step.  Both walks take a leaf
-that is not monotone as pruned.  The budget counts the tables the search
+that is not monotone, or whose self-linked cell (p, p*) holds a value that
+is not self-adjoint, as pruned.  The budget counts the tables the search
 tests, which the one-leaf walk does not share: a budgeted search is
 compared with the same search without a budget.
 
@@ -107,8 +108,8 @@ def leaves(spec_args: dict) -> int:
 def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
     """The recursive search: one free cell per level, `assoc_ok` per leaf.
 
-    `visit`, when given, sees the irreducible table of every monotone
-    associative leaf.
+    `visit`, when given, sees the irreducible table of every leaf that is
+    not pruned.
     """
     lat = spec.lattice
     n = lat.n
@@ -136,6 +137,11 @@ def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
         m, free, inv_j = walk
         stats.free_cells = max(stats.free_cells, len(free))
 
+        def self_adjoint() -> bool:
+            # a self-linked cell (i, j), J[j]* = J[i], holds (J[i]J[j])* = J[i]J[j]
+            return all(inv[m[i, j]] == m[i, j] for i, j in free
+                       if (inv_j[j], inv_j[i]) == (i, j))
+
         def monotone() -> bool:
             # m[t, s] <= m[i, j] whenever J[t] <= J[i] and J[s] <= J[j]
             return all(lat.leq[m[t, s], m[i, j]]
@@ -159,7 +165,7 @@ def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
 
         def leaf() -> None:
             stats.candidates += 1
-            if not (monotone() and assoc_ok()):
+            if not (self_adjoint() and monotone() and assoc_ok()):
                 stats.pruned_assoc += 1
                 return
             if visit is not None:
@@ -700,7 +706,7 @@ R4_SEARCH = {"lattice": DIAMOND, "fix_involution": np.arange(4), "fix_unit": 1,
              "require": {"stably_supported": True, "inverse_quantal_frame": False}}
 # (name, spec, chunk).  The egger8 searches are the identity-involution part
 # of the cube searches, with the same blocks.  They run at the default chunk
-# only: at chunk 1 the searches of every leaf make 7,028 and 4,067 kernel
+# only: at chunk 1 the searches of every leaf make 5,318 and 4,067 kernel
 # calls, several seconds each, and chunk 1 is covered by the r4 search and
 # the hypothesis test.
 KERNEL_SEARCHES = [
@@ -718,8 +724,8 @@ KERNEL_SEARCHES = [
 def test_leaf_verdicts_match_validate_and_classify(name, spec_args, chunk):
     compared, stats = kernel_against_scratch(spec_args, chunk)
     assert (compared, stats.rejected_quantale, stats.emitted) == {
-        "cube": (7028, 1710, 54), "egger8": (4067, 0, 45),
-        "cube_dedup": (1337, 1710, 12), "egger8_dedup": (751, 0, 9),
+        "cube": (5318, 0, 54), "egger8": (4067, 0, 45),
+        "cube_dedup": (1028, 0, 12), "egger8_dedup": (751, 0, 9),
         "r4": (4, 0, 1)}[name]
 
 
@@ -742,19 +748,19 @@ def kernel_calls(spec_args: dict) -> list:
 
 def test_the_kernel_gets_full_chunks_of_each_involution():
     calls = kernel_calls(CUBE_EVERY_LEAF)
-    # 4,067 + 2,961 associative leaves
-    assert len(calls) == 28 and sum(size for _, size in calls) == 7028
+    # 4,067 + 3 * 417 associative leaves
+    assert len(calls) == 22 and sum(size for _, size in calls) == 5318
 
 
 def test_the_kernel_gets_one_leaf_per_orbit_under_dedup():
     # Two of the cube's four involutions are conjugate to a third and are
     # not walked; the identity's walk keeps 751 of its 4,067 associative
-    # leaves and the other walk 586 of its 987.
+    # leaves and the other walk 277 of its 417.
     calls = kernel_calls(CUBE_SEARCH)
     per_involution: dict = {}
     for inv, size in calls:
         per_involution[inv] = per_involution.get(inv, 0) + size
-    assert len(calls) == 6 and list(per_involution.values()) == [751, 586]
+    assert len(calls) == 5 and list(per_involution.values()) == [751, 277]
 
 
 @settings(SETTINGS, max_examples=25)
