@@ -55,6 +55,18 @@ def _out(args, lines: list[str], doc: dict) -> None:
             print(line)
 
 
+def _write(path: str, text: str, makedirs: bool = False) -> None:
+    """Write an --out file, making its directory first if asked; a path that
+    cannot be written is an InputError (exit 2)."""
+    try:
+        if makedirs:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _labels(obj, items) -> list:
     """Witness tuples mix element indices and law names; label the indices."""
     out = []
@@ -146,8 +158,7 @@ def cmd_complete(args) -> int:
              f"singletons: {len(comp.singleton_list)}",
              f"complete: {str(comp.is_complete).lower()}"]
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(objio.dump_object(comp.qset))
+        _write(args.out, objio.dump_object(comp.qset))
         lines.append(f"wrote completion to {args.out}")
     _out(args, lines, {"command": "complete", "ref": args.ref, "size": X.size,
                        "singletons": len(comp.singleton_list),
@@ -218,8 +229,7 @@ def cmd_sheafify(args) -> int:
              + ", ".join(f"{k}={str(v).lower()}" for k, v in rep.checks.items()),
              f"isomorphic: {str(rep.ok).lower()}"]
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(objio.dump_object(rep.qset))
+        _write(args.out, objio.dump_object(rep.qset))
         lines.append(f"wrote section q-set to {args.out}")
     _out(args, lines, {"command": "sheafify", "ref": args.ref, "etale": True,
                        "n": X.n, "sections": [int(s) for s in rep.sections],
@@ -320,10 +330,9 @@ def cmd_search(args) -> int:
         rows = ["[" + " ".join(Q.label(int(v)) for v in row) + "]" for row in Q.mul]
         lines.append(f"model {i}: unit {unit}, mul " + " ".join(rows))
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"model-{i:03d}.json")
-            with open(path, "w") as fh:
-                fh.write(canonical_dumps({"kind": "quantale", "payload": payloads[-1]}))
+            _write(path, canonical_dumps({"kind": "quantale", "payload": payloads[-1]}),
+                   makedirs=True)
             lines.append(f"  wrote {path}")
     _out(args, lines, {"command": "search", "lattice": args.lattice,
                        "stats": vars(st).copy(), "models": payloads})
@@ -340,8 +349,8 @@ def cmd_catalog(args) -> int:
     kind, obj = objio.resolve(f"catalog:{args.name}")
     text = objio.dump_object(obj)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
+    if args.out and not args.json:
         print(f"wrote {kind} {args.name} to {args.out}")
     else:
         sys.stdout.write(text)

@@ -430,29 +430,18 @@ def _enumerate_homs(am1: ActionModule, am2: ActionModule,
 
 def _hom_verdicts(am1: ActionModule, am2: ActionModule, tables: np.ndarray, basis,
                   loc1: np.ndarray, loc2: np.ndarray):
-    """(hom, sheaf, direct_image) of a stack of candidate tables, one boolean per row.
+    """(hom, sheaf, direct) of a stack of candidate tables, one boolean per row.
 
-    hb.stacked_homs decides the stack on generators; a row it leaves open
-    goes through is_module_hom, or adjoint and is_direct_image, unchanged.
-    A sheaf hom is a hom that preserves supports and local sections;
-    direct_image(s) runs only when asked, since adjoint may raise.
+    hb.stacked_homs decides hom and direct (the homs that are direct
+    images) for every row, or raises TheoremViolation; a sheaf hom is a hom
+    that preserves supports and local sections.
     """
-    X1, X2 = am1.module, am2.module
-    hom, adj, direct = hb.stacked_homs(X1, X2, tables, basis)
-    for s in np.flatnonzero(~hom):
-        hom[s] = hb.is_module_hom(hb.ModuleHom(X1, X2, tables[s]))[0]
-    local = np.zeros(X2.n, dtype=bool)
+    hom, direct = hb.stacked_homs(am1.module, am2.module, tables, basis)
+    local = np.zeros(am2.module.n, dtype=bool)
     local[loc2] = True
     sheaf = (hom & (am2.supported.sup[tables] == am1.supported.sup).all(axis=1)
              & local[tables[:, loc1]].all(axis=1))
-
-    def direct_image(s: int) -> bool:
-        if adj[s]:
-            return bool(direct[s])
-        phi = hb.ModuleHom(X1, X2, tables[s])
-        return hb.is_direct_image(phi, hb.adjoint(phi, basis))
-
-    return hom, sheaf, direct_image
+    return hom, sheaf, direct
 
 
 def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> EquivalenceReport:
@@ -463,28 +452,32 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
     direct image f |-> f_!.  When the full space of join-preserving tables
     is small enough, all module homs are enumerated and the two sheaf-hom
     characterizations (support+section preserving vs the Galois pair
-    phi.phi+ <= id <= phi+.phi) are checked to coincide on it.  Each pair's
-    candidate tables are decided as one stack (_hom_verdicts).
+    phi.phi+ <= id <= phi+.phi) are checked to coincide on it.  Each
+    source's pre-Hilbert laws (a theorem) and Hilbert basis (else
+    NotEnoughSections) are checked once, and each pair's candidate tables
+    are decided as one stack (_hom_verdicts).
     """
     mods = [module_from_action(a) for a in actions]
     locs = [hb.local_sections(am.supported).local for am in mods]
     pairs = []
     for i, am1 in enumerate(mods):
-        basis = hb.hilbert_sections(am1.module)
+        X1 = am1.module
+        TheoremViolation.check("prehilbert_laws", X1.prehilbert_report.failures() or None)
+        basis = hb.hilbert_sections(X1)
+        hb.NotEnoughSections.check("hilbert_basis", hb.is_hilbert_basis(X1, basis)[1])
         for j, am2 in enumerate(mods):
             equiv = _equivariant_maps(actions[i], actions[j])
             cands = _enumerate_homs(am1, am2, locs[j])
-            _, sheaf, direct_image = _hom_verdicts(am1, am2, cands, basis, locs[i], locs[j])
+            _, sheaf, direct = _hom_verdicts(am1, am2, cands, basis, locs[i], locs[j])
             sheaf_rows = np.flatnonzero(sheaf)
             keyed = {cands[s].tobytes(): pos for pos, s in enumerate(sheaf_rows)}
 
             # every sheaf hom is a direct image hom
-            for pos, s in enumerate(sheaf_rows):
-                TheoremViolation.check("sheaf_hom_is_direct_image",
-                                       None if direct_image(s) else (i, j, pos))
+            w = first_bad(~direct[sheaf_rows])
+            TheoremViolation.check("sheaf_hom_is_direct_image", None if w is None else (i, j) + w)
 
             images = np.array(equiv, dtype=np.intp).reshape(len(equiv), actions[i].n_points)
-            pushed = am1.module.carrier.join_extend(am2.atoms[images].T, am2.module.carrier).T
+            pushed = X1.carrier.join_extend(am2.atoms[images].T, am2.module.carrier).T
             bij = []
             for f, table in zip(equiv, pushed):          # f_! for every equivariant f
                 key = table.tobytes()
@@ -498,11 +491,10 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
             space = am2.module.n ** am1.action.n_points
             if space <= all_hom_cap:
                 every = _enumerate_homs(am1, am2, None)
-                hom, sheaf, direct_image = _hom_verdicts(am1, am2, every, basis,
-                                                         locs[i], locs[j])
+                hom, sheaf, direct = _hom_verdicts(am1, am2, every, basis, locs[i], locs[j])
                 total = int(hom.sum())
                 subset = {every[s].tobytes() for s in np.flatnonzero(sheaf)}
-                galois = {every[s].tobytes() for s in np.flatnonzero(hom) if direct_image(s)}
+                galois = {every[s].tobytes() for s in np.flatnonzero(direct)}
                 TheoremViolation.check("sheaf_hom_characterizations_agree",
                                        None if subset == set(keyed) == galois else (i, j))
             pairs.append(PairReport(i, j, equiv, [tuple(t) for t in cands[sheaf_rows].tolist()],

@@ -10,8 +10,8 @@ is built on top of it.  Its carrier is an array of vectors in closure order (zer
 scaled rows, joins of vector i with 0..i); _RowIndex tells rows apart by searchsorted,
 and the closure's joins give the carrier's order.  Its action and inner product
 are computed on join-irreducible scalars and vectors and join-extended.
-stacked_homs decides is_module_hom, adjoint and is_direct_image for a whole
-stack of tables on generators, leaving any table it cannot prove to them.
+stacked_homs decides which tables of a stack are module homs and direct
+images; its premises and the adjoint identity are re-checked theorems.
 """
 
 from __future__ import annotations
@@ -146,7 +146,6 @@ class PreHilbertModule:
             raise ValueError("inner product entries out of range")
         self.module = module
         self.ip = ip
-        self._basis_witnesses: dict = {}
 
     @property
     def quantale(self) -> Quantale:
@@ -182,13 +181,6 @@ class PreHilbertModule:
     def prehilbert_report(self) -> "PreHilbertReport":
         """validate_prehilbert(self), computed once per module; every validation reads it."""
         return validate_prehilbert(self)
-
-    def basis_witness(self, sigma: np.ndarray) -> int | None:
-        """is_hilbert_basis(self, sigma)'s witness, computed once per module and basis."""
-        key = sigma.tobytes()
-        if key not in self._basis_witnesses:
-            self._basis_witnesses[key] = is_hilbert_basis(self, sigma)[1]
-        return self._basis_witnesses[key]
 
     def __repr__(self) -> str:
         return f"PreHilbertModule(|Q|={self.quantale.n}, |X|={self.n})"
@@ -364,12 +356,12 @@ def adjoint(phi: ModuleHom, sigma=None) -> ModuleHom:
     satisfy ip_join_left and ip_bottom_left (PreHilbertModule.left_linearity,
     memoized).  Then the identity is checked on join-irreducible x only;
     otherwise, or when that check fails, every x is scanned for the
-    lex-first witness (x, y) of AdjointIdentityFails.  Whether sigma is a
-    Hilbert basis is decided once per module and basis (basis_witness).
+    lex-first witness (x, y) of AdjointIdentityFails.  NotEnoughSections
+    when sigma is not a Hilbert basis of the source.
     """
     Xs, Xt = phi.source, phi.target
     sigma = hilbert_sections(Xs) if sigma is None else np.asarray(sigma, dtype=np.intp)
-    NotEnoughSections.check("hilbert_basis", Xs.basis_witness(sigma))
+    NotEnoughSections.check("hilbert_basis", is_hilbert_basis(Xs, sigma)[1])
     f = phi.map
     out = Xs.carrier.join_products(Xs.action, Xt.ip[:, f[sigma]], sigma)
 
@@ -400,31 +392,27 @@ _STACK_CELLS = 1 << 20    # cells of stacked_homs' largest temporary per chunk o
 
 
 def stacked_homs(Xs: PreHilbertModule, Xt: PreHilbertModule, tables, sigma):
-    """is_module_hom, adjoint and is_direct_image on a stack of tables Xs -> Xt.
+    """(hom, direct): which tables Xs -> Xt are module homs, and direct images.
 
-    Returns boolean arrays (hom, adj, direct) over the rows of tables: hom
-    marks the tables proved to be module homs, adj the homs whose
-    adjoint(phi, sigma) is proved to succeed, and direct those among them
-    for which is_direct_image(phi, adjoint) is true.  A row left unmarked
-    is not decided here; the per-table functions decide it, with their
-    exceptions and witnesses.  The premises are a distributive source
-    carrier, both modules passing validate_prehilbert and sigma a Hilbert
-    basis.  Then a table preserves binary joins iff it equals its
-    extension (SupLattice.extension); f(ax) = af(x) is bilinear and is
-    checked on join-irreducible a and x; the adjoint adj(y) = join over t
-    in sigma of <y, f(t)> t preserves finite joins in y, so it is computed
-    on join-irreducible y and join-extended; its identity is checked on
-    join-irreducible x, as adjoint does; and f adj <= id <= adj f holds iff
-    it holds on join-irreducibles, both sides preserving finite joins.
-    Tables are taken in chunks of at most _STACK_CELLS cells per temporary.
+    hom is is_module_hom and direct is_direct_image, row by row, for sigma a
+    Hilbert basis of Xs (the caller checks it).  The premises, a
+    distributive source carrier and both modules passing
+    validate_prehilbert, are theorem checks.  Then a table preserves binary
+    joins iff it equals its extension (SupLattice.extension); f(ax) = af(x)
+    is bilinear and is checked on join-irreducible a and x; every hom has
+    the adjoint adj(y) = join over t in sigma of <y, f(t)> t, computed on
+    join-irreducible y and join-extended, and its identity (a theorem,
+    witness (row, x, y)) is checked on join-irreducible x, as adjoint does;
+    f adj <= id <= adj f holds iff it holds on join-irreducibles.  Tables
+    are taken in chunks of at most _STACK_CELLS cells per temporary.
     """
-    tables = np.asarray(tables, dtype=np.intp)
-    hom, adj, direct = (np.zeros(len(tables), dtype=bool) for _ in range(3))
     S, T = Xs.carrier, Xt.carrier
-    if not (S.distributive and Xs.prehilbert_report.ok and Xt.prehilbert_report.ok):
-        return hom, adj, direct
+    TheoremViolation.check("distributive_source", None if S.distributive else S.is_frame()[1])
+    for X in (Xs, Xt):
+        TheoremViolation.check("prehilbert_laws", X.prehilbert_report.failures() or None)
+    tables = np.asarray(tables, dtype=np.intp)
+    hom, direct = np.zeros(len(tables), dtype=bool), np.zeros(len(tables), dtype=bool)
     sigma = np.asarray(sigma, dtype=np.intp)
-    basis = Xs.basis_witness(sigma) is None
     JQ = np.asarray(Xs.quantale.lattice.join_irreducibles, dtype=np.intp)
     JS = np.asarray(S.join_irreducibles, dtype=np.intp)
     JT = np.asarray(T.join_irreducibles, dtype=np.intp)
@@ -438,17 +426,16 @@ def stacked_homs(Xs: PreHilbertModule, Xt: PreHilbertModule, tables, sigma):
               & (f[:, S.bottom] == T.bottom)
               & (f[:, gen_act] == Xt.action[JQ[:, None], f[:, None, JS]]).all(axis=(1, 2)))
         hom[r:r + step] = ok
-        if not basis:
-            continue
         coeffs = Xt.ip[JT[None, :, None], f[:, None, sigma]]          # [., y, t] = <y, f(t)>
         dag = S.join_products(Xs.action, coeffs.reshape(len(f) * len(JT), len(sigma)), sigma)
         dag = T.join_extend(dag.reshape(len(f), len(JT)).T, S).T
-        identity = Xt.ip[f[:, JS]] == Xs.ip[JS[None, :, None], dag[:, None, :]]    # [., x, y]
-        proved = ok & identity.all(axis=(1, 2))
-        adj[r:r + step] = proved
-        direct[r:r + step] = (proved & T.leq[f[c, dag[:, JT]], JT].all(axis=1)
+        w = first_bad(ok[:, None, None]                               # [., x, y]
+                      & (Xt.ip[f[:, JS]] != Xs.ip[JS[None, :, None], dag[:, None, :]]))
+        TheoremViolation.check("adjoint_identity",
+                               None if w is None else (r + w[0], int(JS[w[1]]), w[2]))
+        direct[r:r + step] = (ok & T.leq[f[c, dag[:, JT]], JT].all(axis=1)
                               & S.leq[JS, dag[c, f[:, JS]]].all(axis=1))
-    return hom, adj, direct
+    return hom, direct
 
 
 @dataclass(eq=False)

@@ -118,10 +118,10 @@ def _need(payload: dict, key: str, kind: str):
 
 def _table(raw, kind: str, key: str) -> np.ndarray:
     try:
-        arr = np.asarray(raw, dtype=np.intp)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{kind}.{key} is not an integer table: {exc}") from None
-    return arr
+        return np.asarray(raw, dtype=np.intp)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed {kind} payload: {key} is not an integer table: "
+                         f"{exc}") from None
 
 
 # ---------------------------------------------------------------- builders
@@ -359,10 +359,12 @@ def build_object(kind: str, payload: dict):
 
 def load_path(path: str) -> tuple[str, object]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from None

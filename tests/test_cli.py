@@ -289,6 +289,10 @@ MALFORMED = {   # name -> (object to dump, in-place edit of its payload)
     "qset-entry-out-of-range": ("qset", lambda p: p["matrix"][0].__setitem__(0, 99)),
     "action-of-the-wrong-shape": ("module", lambda p: p["action"].pop()),
     "ip-out-of-range": ("module", lambda p: p["ip"][0].__setitem__(0, 99)),
+    # a table entry past intp, and a file that is not UTF-8: a label whose
+    # lone surrogate is written as the byte 0xff
+    "mul-cell-past-intp": ("r4", lambda p: p["mul"][0].__setitem__(0, 10 ** 30)),
+    "not-utf-8": ("lattice", lambda p: p["labels"].__setitem__(0, "\udcff")),
 }
 
 
@@ -302,10 +306,37 @@ def test_malformed_payloads_exit_2(tmp_path, capsys, name):
     doc = json.loads(objio.dump_object(obj))
     edit(doc["payload"])
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(doc))
+    p.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8", "surrogateescape"))
     code, out, err = run(capsys, "check", str(p))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: malformed {doc['kind']} payload: ") and err.count("\n") == 1
+    start = (f"error: {p}: not UTF-8 text at byte " if name == "not-utf-8"
+             else f"error: malformed {doc['kind']} payload: ")
+    assert err.startswith(start) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "r4"], ["complete", "PT"], ["sheafify", "catalog:z2_regular"],
+    ["search", "--lattice", "catalog:r4", "--trivial-involution", "--limit", "1"]])
+def test_an_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"                   # a file where a directory should be
+    blocker.write_text("")
+    pt = write(tmp_path, "pt.json", QSet(relq(2), [[relq(2).unit]]))
+    argv = [pt if a == "PT" else a for a in argv]
+    for flags in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *flags, "--out", str(blocker / "out"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {blocker / 'out'}") and err.count("\n") == 1
+
+
+def test_catalog_out_with_json_prints_the_object(tmp_path, capsys):
+    out_path = tmp_path / "r4.json"
+    code, printed, _ = run(capsys, "catalog", "r4", "--json")
+    assert code == 0
+    code, out, err = run(capsys, "catalog", "r4", "--out", str(out_path), "--json")
+    assert (code, out, err) == (0, printed, "")
+    assert out_path.read_text() == printed
+    code, out, _ = run(capsys, "catalog", "r4", "--out", str(out_path))
+    assert (code, out) == (0, f"wrote quantale r4 to {out_path}\n")
 
 
 @pytest.mark.parametrize("kind,command", [

@@ -4,7 +4,7 @@ import pytest
 from qlab import hilbert as hb
 from qlab.catalog import (catalog_entries, catalog_get, cyclic_table, egger8,
                           frame_quantale, group_quantale, quantale_r4, relq)
-from qlab.groupoid import module_from_action
+from qlab.groupoid import module_from_action, verify_equivalence
 from qlab.laws import Violation
 from qlab.lattice import chain_lattice, powerset_lattice
 from qlab.hilbert import (AdjointIdentityFails, CarrierTooLarge, ModuleHom,
@@ -200,21 +200,20 @@ def test_adjoint_rejects_non_homs_and_empty_bases():
         adjoint(identity_hom(X), sigma=[])
 
 
-def test_adjoint_checks_each_basis_once_per_module(monkeypatch):
-    X = module_over_self(R2)
-    basis = hilbert_sections(X)
+@pytest.mark.parametrize("name", ["z2", "z3", "pair2"])
+def test_verify_equivalence_checks_each_basis_once_and_no_table_alone(monkeypatch, name):
+    """The stack decides every table: verify_equivalence checks each source's
+    Hilbert sections once and never calls the per-table functions."""
+    G = catalog_get(name)[1]
+    actions = [catalog_get(f"{name}_{kind}")[1] for kind in ("regular", "objects")]
     calls = []
     real = hb.is_hilbert_basis
-    monkeypatch.setattr(hb, "is_hilbert_basis", lambda *a: calls.append(1) or real(*a))
-    for _ in range(3):
-        adjoint(identity_hom(X), basis)
-        adjoint(identity_hom(X))                 # the same basis, found again
-        with pytest.raises(NotEnoughSections) as ei:
-            adjoint(identity_hom(X), sigma=[])
-        assert ei.value.witness == 1
-    assert len(calls) == 2                       # the Hilbert sections and the empty basis
-    adjoint(identity_hom(module_over_self(R2)), basis)
-    assert len(calls) == 3                       # a new module checks again
+    monkeypatch.setattr(hb, "is_hilbert_basis", lambda *a: calls.append(a[0]) or real(*a))
+    for fn in ("is_module_hom", "adjoint", "is_direct_image"):
+        monkeypatch.setattr(hb, fn, lambda *a, fn=fn: pytest.fail(f"{fn} was called"))
+    rep = verify_equivalence(G, actions)
+    assert rep.ok and len(rep.pairs) == 4
+    assert len(calls) == len(actions) and calls[0] is not calls[1]
 
 
 def test_representation_round_trip_over_relq2():

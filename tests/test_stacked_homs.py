@@ -1,12 +1,15 @@
 """Differential tests: the stacked hom verdicts against the per-table functions.
 
 verify_equivalence decides each action pair's candidate tables as one stack
-(hilbert.stacked_homs).  The oracles are the per-table functions it
-replaced on the success path, is_module_hom, adjoint and is_direct_image,
-and verify_equivalence_per_table, the loop that called them once per
-table.  The stack must give the same verdict for every table, and a run in
-which a candidate table or a target's inner product is corrupted must end
-with the same report, or the same exception, law and witness.
+(hilbert.stacked_homs), and nothing else decides them.  The oracles are the
+per-table functions is_module_hom, adjoint and is_direct_image, and
+verify_equivalence_per_table, the loop that called them once per table.
+The stack must give their verdict for every table, adjoint must succeed on
+every hom, and a run in which a candidate table is corrupted must end with
+the same report, or the same exception, law and witness.  The stack's two
+theorem checks are tested directly: its premises (a distributive source
+carrier, both modules passing validate_prehilbert) and the adjoint identity
+of every hom raise TheoremViolation instead of leaving a table undecided.
 """
 
 import dataclasses
@@ -21,6 +24,8 @@ from qlab import groupoid as gp
 from qlab import hilbert as hb
 from qlab import laws
 from qlab.catalog import catalog_get
+from qlab.lattice import build_lattice
+from qlab.quantale import Quantale
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -116,15 +121,11 @@ def outcome(run):
 
 
 def per_table(X1, X2, table, basis):
-    """(is_module_hom, adjoint succeeds, is_direct_image) of one table."""
+    """(is_module_hom, is_direct_image) of one table; adjoint must succeed on a hom."""
     phi = hb.ModuleHom(X1, X2, table)
     if not hb.is_module_hom(phi)[0]:
-        return False, None, None
-    try:
-        dag = hb.adjoint(phi, basis)
-    except laws.Violation:
-        return True, False, None
-    return True, True, hb.is_direct_image(phi, dag)
+        return False, False
+    return True, hb.is_direct_image(phi, hb.adjoint(phi, basis))
 
 
 @pytest.mark.parametrize("name", sorted(ACTION_SETS))
@@ -142,15 +143,14 @@ def test_stacked_verdicts_match_the_per_table_functions(name):
                 runs.append(None)
             for images in runs:
                 tables = gp._enumerate_homs(am1, am2, images)
-                hom, adj, direct = hb.stacked_homs(am1.module, am2.module, tables, basis)
+                hom, direct = hb.stacked_homs(am1.module, am2.module, tables, basis)
                 for s, table in enumerate(tables):
                     slow = per_table(am1.module, am2.module, table, basis)
-                    # on valid modules the stack decides every table
-                    assert (hom[s], adj[s], direct[s] if adj[s] else None) == slow
+                    assert (hom[s], direct[s]) == slow
                     seen.add(slow)
-    assert (True, True, True) in seen
+    assert (True, True) in seen
     if name in ("z3_free", "z3"):             # homs that are not direct images
-        assert (True, True, False) in seen
+        assert (True, False) in seen
 
 
 @pytest.mark.parametrize("name", sorted(ACTION_SETS))
@@ -218,32 +218,64 @@ def test_a_corrupted_candidate_fails_as_before(name, kind, call, draws):
     assert fast == slow
 
 
-@SETTINGS
-@given(st.sampled_from(SMALL), st.data())
-def test_a_corrupted_target_inner_product_fails_as_before(name, data):
-    """One cell of one action module's inner product overwritten, after the
-    module was checked: the stack's premises fail and every table goes
-    through the per-table functions."""
-    G, actions = ACTION_SETS[name]()
-    which = data.draw(st.integers(0, len(actions) - 1))
-    n = gp.module_from_action(actions[which]).module.n
-    cell = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
-    value = data.draw(st.integers(0, G.quantale.n - 1))
+def corrupt_module(actions, which: int, edit):
+    """A patch that makes module_from_action give actions[which] the inner
+    product edit(ip), after the module was checked."""
     real = gp.module_from_action
 
     def patched(A):
         am = real(A)
         if A is not actions[which]:
             return am
-        ip = am.module.ip.copy()
-        ip[cell] = value
+        ip = edit(am.module.ip.copy(), am.module)
         return dataclasses.replace(am, module=hb.PreHilbertModule(am.module.module, ip))
 
-    fast, slow = both_outcomes(name, lambda mp: mp.setattr(gp, "module_from_action", patched))
-    assert fast == slow
+    return lambda mp: mp.setattr(gp, "module_from_action", patched)
 
 
-def test_each_stacked_check_can_leave_a_table_to_the_per_table_functions():
+@SETTINGS
+@given(st.sampled_from(SMALL), st.data())
+def test_a_corrupted_target_inner_product_fails_as_before(name, data):
+    """One cell of one action module's inner product overwritten, after the
+    module was checked.  If the module still passes validate_prehilbert, the
+    run ends as the per-table run ends; otherwise it ends in the premise."""
+    G, actions = ACTION_SETS[name]()
+    which = data.draw(st.integers(0, len(actions) - 1))
+    n = gp.module_from_action(actions[which]).module.n
+    cell = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+    value = data.draw(st.integers(0, G.quantale.n - 1))
+
+    def edit(ip, X):
+        ip[cell] = value
+        return ip
+
+    fast, slow = both_outcomes(name, corrupt_module(actions, which, edit))
+    X = gp.module_from_action(actions[which]).module
+    if hb.validate_prehilbert(hb.PreHilbertModule(X.module, edit(X.ip.copy(), X))).ok:
+        assert fast == slow
+    else:
+        assert fast[:2] == ("TheoremViolation", "prehilbert_laws")
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_a_module_corrupted_after_its_check_fails_the_premise(which):
+    """z3's regular or object module with the top on the diagonal of its inner
+    product: it breaks the pre-Hilbert laws, so the run stops at the premise
+    of its Hilbert sections or of the stack instead of deciding tables."""
+    G, actions = ACTION_SETS["z3"]()
+
+    def edit(ip, X):
+        return np.where(np.eye(X.n, dtype=bool), X.quantale.top, ip)
+
+    with pytest.MonkeyPatch.context() as mp:
+        corrupt_module(actions, which, edit)(mp)
+        with pytest.raises(laws.TheoremViolation) as exc:
+            gp.verify_equivalence(G, actions)
+    assert exc.value.law == "prehilbert_laws"
+    assert "ip_scalar_left" in exc.value.witness
+
+
+def test_each_stacked_check_rejects_its_corruption():
     """One corruption per check of the stack, each failing only that check, and
     each ending as the per-table run ends."""
     G, actions = ACTION_SETS["z3"]()
@@ -259,8 +291,8 @@ def test_each_stacked_check_can_leave_a_table_to_the_per_table_functions():
     }
     for check, mutate in cases.items():
         table = mutate(good)
-        hom, adj, _ = hb.stacked_homs(X, X, table[None], basis)
-        assert not hom[0] and not adj[0], check
+        hom, direct = hb.stacked_homs(X, X, table[None], basis)
+        assert not hom[0] and not direct[0], check
         assert not hb.is_module_hom(hb.ModuleHom(X, X, table))[0], check
 
         def patch(mp, mutate=mutate):
@@ -270,8 +302,35 @@ def test_each_stacked_check_can_leave_a_table_to_the_per_table_functions():
         fast, slow = both_outcomes("z3", patch)
         assert fast == slow and fast[0] == "TheoremViolation", check
         assert fast[1] == "direct_image_is_sheaf_hom", check
-    # a target whose inner product breaks a law: no table is decided on the stack
+
+
+def test_the_premises_and_the_adjoint_identity_are_theorem_checks():
+    """A target whose inner product breaks a law, a source carrier that is not
+    distributive, and a sigma that is not a Hilbert basis (so the adjoint
+    identity fails on a hom) each raise TheoremViolation; no table is left
+    undecided."""
+    G, actions = ACTION_SETS["z3"]()
+    am = gp.module_from_action(actions[0])
+    X = am.module
+    basis = hb.hilbert_sections(X)
+    good = gp._enumerate_homs(am, am, hb.local_sections(am.supported).local)[0]
     bad = hb.PreHilbertModule(X.module, np.where(np.eye(X.n, dtype=bool), X.quantale.top, X.ip))
     assert not bad.prehilbert_report.ok
-    hom, adj, _ = hb.stacked_homs(X, bad, good[None], basis)
-    assert not hom[0] and not adj[0]
+    with pytest.raises(laws.TheoremViolation) as exc:
+        hb.stacked_homs(X, bad, good[None], basis)
+    assert exc.value.law == "prehilbert_laws"
+    assert exc.value.witness == bad.prehilbert_report.failures()
+
+    m3 = build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    zero = hb.module_over_self(Quantale(m3, np.zeros((5, 5), dtype=np.intp), np.arange(5)))
+    assert zero.prehilbert_report.ok and not m3.distributive
+    with pytest.raises(laws.TheoremViolation) as exc:
+        hb.stacked_homs(zero, zero, np.arange(5)[None], np.arange(5))
+    assert (exc.value.law, exc.value.witness) == ("distributive_source", m3.is_frame()[1])
+
+    ident = np.arange(X.n)
+    with pytest.raises(laws.TheoremViolation) as exc:   # dag = bottom: <x, dag(y)> = 0
+        hb.stacked_homs(X, X, np.stack([good, ident]), basis[:0])
+    row, x, y = exc.value.witness
+    assert exc.value.law == "adjoint_identity" and row == 0
+    assert X.ip[good[x], y] != X.ip[x, X.carrier.bottom]
