@@ -1,41 +1,25 @@
-"""Named quantale instances and the constructors behind them.
+"""Every object addressable as catalog:NAME, and the constructors behind them.
 
-Powerset-style quantales are generated from atom-level data: products and
-involutes of single atoms extend to all subsets by joins, which makes join
-preservation hold by construction and keeps the table build linear in the
-number of atoms.  Relations and groups are groupoids, so relq(n) and
+_QUANTALES and _GROUPOIDS map names to constructors; a groupoid NAME also
+gives its actions NAME_regular and NAME_objects.  A quantale is built on
+every catalog_get, a groupoid or action once, so an action's .groupoid is
+the catalog's groupoid.  Relations and groups are groupoids: relq(n) and
 group_quantale are O(G) of the pair groupoid and of the group, built by
 groupoid.groupoid_quantale.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .groupoid import (FiniteGroupoid, GroupoidAction, disjoint_union, group_groupoid,
+                       groupoid_quantale, objects_action, pair_groupoid, powerset_quantale,
+                       regular_action)
 from .lattice import SupLattice, build_lattice, powerset_lattice
 from .quantale import Quantale
-
-
-def powerset_quantale(atom_mul: np.ndarray, atom_inv: Sequence[int], unit_mask: int,
-                      atom_labels: Sequence[str], name: str | None = None,
-                      labels: Sequence[str] | None = None) -> Quantale:
-    """Quantale on the powerset of k atoms.
-
-    atom_mul[g, h] is the bitmask of the product of atoms g and h (0 when the
-    product is empty), atom_inv is a permutation of atoms, and elements of the
-    quantale are subset bitmasks, which double as lattice indices.
-    """
-    atom_mul = np.asarray(atom_mul, dtype=np.intp)
-    lat = powerset_lattice(list(atom_labels))
-    if labels is not None:
-        lat.labels = [str(x) for x in labels]
-    # the atoms are the join-irreducibles; row[V, g] = g . V, then mul[U, V] = U . V
-    row = lat.join_extend(atom_mul.T, lat)
-    mul = lat.join_extend(row.T, lat)
-    inv = lat.join_extend(1 << np.asarray(atom_inv, dtype=np.intp), lat)
-    return Quantale(lat, mul, inv, unit=int(unit_mask), name=name)
 
 
 def relq(n: int) -> Quantale:
@@ -45,8 +29,6 @@ def relq(n: int) -> Quantale:
     diagrammatic ((i,j);(j,k) = (i,k)), involution is the converse and the
     unit is the diagonal.
     """
-    from .groupoid import groupoid_quantale, pair_groupoid
-
     return groupoid_quantale(pair_groupoid(n), name=f"relq{n}")
 
 
@@ -86,34 +68,15 @@ def frame_quantale(lat: SupLattice, name: str | None = None) -> Quantale:
     return Quantale(lat, lat.meet_table, np.arange(lat.n), unit=lat.top, name=name)
 
 
-def group_identity_and_inverses(table) -> tuple[int, np.ndarray]:
-    """The identity of a finite group's multiplication table and each element's inverse."""
-    t = np.asarray(table, dtype=np.intp)
-    ar = np.arange(t.shape[0])
-    ident = next(g for g in ar if (t[g] == ar).all() and (t[:, g] == ar).all())
-    return int(ident), np.array([next(h for h in ar if t[g, h] == ident) for g in ar],
-                                dtype=np.intp)
-
-
 def group_quantale(table: Sequence[Sequence[int]], labels: Sequence[str] | None = None,
                    name: str | None = None) -> Quantale:
     """Powerset quantale of a finite group given by its multiplication table: O(G)."""
-    from .groupoid import group_groupoid, groupoid_quantale
-
     labels = list(labels) if labels is not None else [f"g{i}" for i in range(len(table))]
     return groupoid_quantale(group_groupoid(table, labels), name=name)
 
 
 def cyclic_table(n: int) -> np.ndarray:
     return (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-
-
-def _chain2_frame() -> Quantale:
-    return frame_quantale(build_lattice(2, [(0, 1)], ["0", "1"]), name="chain2")
-
-
-def _pow2_frame() -> Quantale:
-    return frame_quantale(powerset_lattice(["u", "v"]), name="pow2")
 
 
 _QUANTALES: dict[str, Callable[[], Quantale]] = {
@@ -123,19 +86,40 @@ _QUANTALES: dict[str, Callable[[], Quantale]] = {
     "r4": quantale_r4,
     "zmod2": lambda: group_quantale(cyclic_table(2), ["e", "g"], name="zmod2"),
     "zmod3": lambda: group_quantale(cyclic_table(3), ["e", "g", "h"], name="zmod3"),
-    "chain2": _chain2_frame,
-    "pow2": _pow2_frame,
+    "chain2": lambda: frame_quantale(build_lattice(2, [(0, 1)], ["0", "1"]), name="chain2"),
+    "pow2": lambda: frame_quantale(powerset_lattice(["u", "v"]), name="pow2"),
 }
+
+
+_GROUPOIDS: dict[str, Callable[[], FiniteGroupoid]] = {
+    "z2": lambda: group_groupoid(cyclic_table(2), ["e", "g"], "z2"),
+    "z3": lambda: group_groupoid(cyclic_table(3), ["e", "g", "gg"], "z3"),
+    "pair2": lambda: pair_groupoid(2),
+    "pair3": lambda: pair_groupoid(3),
+    "z2_plus_pair2": lambda: disjoint_union(_GROUPOIDS["z2"](), pair_groupoid(2),
+                                            name="z2_plus_pair2"),
+}
+GROUPOID_NAMES = tuple(_GROUPOIDS)
+_ACTIONS = {"regular": regular_action, "objects": objects_action}   # entry suffix -> action
+
+
+@lru_cache(maxsize=None)
+def _groupoid(name: str) -> FiniteGroupoid:
+    return _GROUPOIDS[name]()
+
+
+@lru_cache(maxsize=None)
+def _action(name: str, suffix: str) -> GroupoidAction:
+    return _ACTIONS[suffix](_groupoid(name))
 
 
 def catalog_entries() -> dict[str, tuple[str, Callable[[], object]]]:
     """Name -> (kind, constructor) for everything addressable as catalog:NAME."""
-    from . import groupoid as _g
-
-    entries: dict[str, tuple[str, Callable[[], object]]] = {
-        name: ("quantale", fn) for name, fn in _QUANTALES.items()
-    }
-    entries.update(_g.catalog_groupoid_entries())
+    entries = {name: ("quantale", fn) for name, fn in _QUANTALES.items()}
+    for name in _GROUPOIDS:
+        entries[name] = ("groupoid", partial(_groupoid, name))
+        for suffix in _ACTIONS:
+            entries[f"{name}_{suffix}"] = ("action", partial(_action, name, suffix))
     return entries
 
 

@@ -1,5 +1,9 @@
 """Finite etale groupoids: quantales, action modules, sheafification.
 
+O(G) is built by powerset_quantale: products and involutes of single
+arrows extend to all subsets by joins, so join preservation holds by
+construction.  The named groupoids and actions are in catalog.
+
 A finite discrete groupoid is stored as label lists plus dense tables
 (domain, range, composition with -1 for undefined, inverse, units).
 Composition is diagrammatic: m(g, h) is defined when r(g) = d(h) and runs
@@ -17,12 +21,12 @@ and, within sheafify, against the section matrix m_st, rather than assuming.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from . import hilbert as hb
-from .catalog import cyclic_table, group_identity_and_inverses, powerset_quantale
 from .lattice import powerset_lattice
 from .laws import TheoremViolation, Violation, first_bad, lex_solutions
 from .qmatrix import QSet, is_qset
@@ -131,6 +135,26 @@ class FiniteGroupoid:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"FiniteGroupoid(objects={self.n_objects}, arrows={self.n_arrows}{tag})"
+
+
+def powerset_quantale(atom_mul: np.ndarray, atom_inv: Sequence[int], unit_mask: int,
+                      atom_labels: Sequence[str], name: str | None = None,
+                      labels: Sequence[str] | None = None) -> Quantale:
+    """Quantale on the powerset of k atoms.
+
+    atom_mul[g, h] is the bitmask of the product of atoms g and h (0 when the
+    product is empty), atom_inv is a permutation of atoms, and elements of the
+    quantale are subset bitmasks, which double as lattice indices.
+    """
+    atom_mul = np.asarray(atom_mul, dtype=np.intp)
+    lat = powerset_lattice(list(atom_labels))
+    if labels is not None:
+        lat.labels = [str(x) for x in labels]
+    # the atoms are the join-irreducibles; row[V, g] = g . V, then mul[U, V] = U . V
+    row = lat.join_extend(atom_mul.T, lat)
+    mul = lat.join_extend(row.T, lat)
+    inv = lat.join_extend(1 << np.asarray(atom_inv, dtype=np.intp), lat)
+    return Quantale(lat, mul, inv, unit=int(unit_mask), name=name)
 
 
 def groupoid_quantale(G: FiniteGroupoid, name: str | None = None) -> Quantale:
@@ -502,6 +526,15 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
     return EquivalenceReport(G, pairs)
 
 
+def group_identity_and_inverses(table) -> tuple[int, np.ndarray]:
+    """The identity of a finite group's multiplication table and each element's inverse."""
+    t = np.asarray(table, dtype=np.intp)
+    ar = np.arange(t.shape[0])
+    ident = next(g for g in ar if (t[g] == ar).all() and (t[:, g] == ar).all())
+    return int(ident), np.array([next(h for h in ar if t[g, h] == ident) for g in ar],
+                                dtype=np.intp)
+
+
 def group_groupoid(table, labels, name: str | None = None) -> FiniteGroupoid:
     """A finite group as a one-object groupoid."""
     table = np.asarray(table, dtype=np.intp)
@@ -565,38 +598,3 @@ def objects_action(G: FiniteGroupoid) -> GroupoidAction:
         act[g, G.d[g]] = G.r[g]
     return GroupoidAction(G, G.objects, np.arange(G.n_objects), act,
                           name=f"{G.name}_objects" if G.name else None)
-
-
-@lru_cache(maxsize=None)
-def _groupoid(name: str) -> FiniteGroupoid:
-    if name == "z2":
-        return group_groupoid(cyclic_table(2), ["e", "g"], "z2")
-    if name == "z3":
-        return group_groupoid(cyclic_table(3), ["e", "g", "gg"], "z3")
-    if name == "pair2":
-        return pair_groupoid(2)
-    if name == "pair3":
-        return pair_groupoid(3)
-    if name == "z2_plus_pair2":
-        z2 = group_groupoid(cyclic_table(2), ["e", "g"], "z2")
-        return disjoint_union(z2, pair_groupoid(2), name="z2_plus_pair2")
-    raise KeyError(name)
-
-
-GROUPOID_NAMES = ("z2", "z3", "pair2", "pair3", "z2_plus_pair2")
-
-
-@lru_cache(maxsize=None)
-def _action(name: str) -> GroupoidAction:
-    base, kind = name.rsplit("_", 1)
-    G = _groupoid(base)
-    return regular_action(G) if kind == "regular" else objects_action(G)
-
-
-def catalog_groupoid_entries() -> dict:
-    entries: dict = {}
-    for name in GROUPOID_NAMES:
-        entries[name] = ("groupoid", (lambda n=name: _groupoid(n)))
-        entries[f"{name}_regular"] = ("action", (lambda n=name: _action(f"{n}_regular")))
-        entries[f"{name}_objects"] = ("action", (lambda n=name: _action(f"{n}_objects")))
-    return entries

@@ -24,12 +24,6 @@ from .lattice import SupLattice, build_lattice
 from .qmatrix import QSet
 from .quantale import NotAQuantale, Quantale, validate_quantale
 
-KINDS = ("lattice", "quantale", "qset", "module", "groupoid", "action")
-
-_INFER = [("covers", "lattice"), ("mul", "quantale"), ("matrix", "qset"),
-          ("ip", "module"), ("arrows", "groupoid"), ("act", "action")]
-
-
 class InputError(ValueError):
     """Malformed file, schema mismatch, or unresolvable reference."""
 
@@ -116,9 +110,19 @@ def _need(payload: dict, key: str, kind: str):
     return payload[key]
 
 
+def _integer(value, kind: str, key: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"malformed {kind} payload: {key} is not an integer: {value!r}")
+    return value
+
+
 def _table(raw, kind: str, key: str) -> np.ndarray:
+    """raw as an intp array; a table that is not empty must hold only integers."""
     try:
-        return np.asarray(raw, dtype=np.intp)
+        table = np.asarray(raw)
+        if table.size and table.dtype.kind != "i":   # float, bool, or past int64
+            raise TypeError(f"its entries are {table.dtype}")
+        return table.astype(np.intp, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed {kind} payload: {key} is not an integer table: "
                          f"{exc}") from None
@@ -127,11 +131,11 @@ def _table(raw, kind: str, key: str) -> np.ndarray:
 # ---------------------------------------------------------------- builders
 
 def lattice_from_payload(p: dict) -> SupLattice:
-    n = _need(p, "n", "lattice")
+    n = _integer(_need(p, "n", "lattice"), "lattice", "n")
     covers = [tuple(c) for c in _need(p, "covers", "lattice")]
     labels = p.get("labels")
     try:
-        return build_lattice(int(n), covers, labels)
+        return build_lattice(n, covers, labels)
     except Exception as exc:
         raise InputError(f"bad lattice payload: {exc}") from None
 
@@ -141,7 +145,7 @@ def quantale_from_payload(p: dict) -> Quantale:
     mul = _table(_need(p, "mul", "quantale"), "quantale", "mul")
     inv = _table(_need(p, "inv", "quantale"), "quantale", "inv")
     unit = p.get("unit")
-    return Quantale(lat, mul, inv, None if unit is None else int(unit),
+    return Quantale(lat, mul, inv, None if unit is None else _integer(unit, "quantale", "unit"),
                     name=p.get("name"))
 
 
@@ -235,16 +239,6 @@ def action_from_payload(p: dict) -> GroupoidAction:
     return GroupoidAction(G, points, anchor, act, name=p.get("name"))
 
 
-_BUILDERS = {
-    "lattice": lattice_from_payload,
-    "quantale": quantale_from_payload,
-    "qset": qset_from_payload,
-    "module": module_from_payload,
-    "groupoid": groupoid_from_payload,
-    "action": action_from_payload,
-}
-
-
 # -------------------------------------------------------------- serializers
 
 def lattice_to_payload(lat: SupLattice) -> dict:
@@ -300,19 +294,22 @@ def action_to_payload(A: GroupoidAction) -> dict:
             "name": A.name}
 
 
+# kind -> (class, the key that marks a bare payload of the kind, builder,
+# serializer); bare-payload inference tries the keys in this order
+_KINDS = {
+    "lattice": (SupLattice, "covers", lattice_from_payload, lattice_to_payload),
+    "quantale": (Quantale, "mul", quantale_from_payload, quantale_to_payload),
+    "qset": (QSet, "matrix", qset_from_payload, qset_to_payload),
+    "module": (PreHilbertModule, "ip", module_from_payload, module_to_payload),
+    "groupoid": (FiniteGroupoid, "arrows", groupoid_from_payload, groupoid_to_payload),
+    "action": (GroupoidAction, "act", action_from_payload, action_to_payload),
+}
+
+
 def to_payload(obj) -> tuple[str, dict]:
-    if isinstance(obj, SupLattice):
-        return "lattice", lattice_to_payload(obj)
-    if isinstance(obj, Quantale):
-        return "quantale", quantale_to_payload(obj)
-    if isinstance(obj, QSet):
-        return "qset", qset_to_payload(obj)
-    if isinstance(obj, PreHilbertModule):
-        return "module", module_to_payload(obj)
-    if isinstance(obj, FiniteGroupoid):
-        return "groupoid", groupoid_to_payload(obj)
-    if isinstance(obj, GroupoidAction):
-        return "action", action_to_payload(obj)
+    for kind, (cls, _, _, serialize) in _KINDS.items():
+        if isinstance(obj, cls):
+            return kind, serialize(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -329,12 +326,12 @@ def parse_document(doc) -> tuple[str, dict]:
         raise InputError("top-level JSON value must be an object")
     if set(doc) == {"kind", "payload"}:
         kind = doc["kind"]
-        if kind not in KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise InputError(f"unknown kind {kind!r}")
         if not isinstance(doc["payload"], dict):
             raise InputError("payload must be an object")
         return kind, doc["payload"]
-    for key, kind in _INFER:
+    for kind, (_, key, _, _) in _KINDS.items():
         if key in doc:
             return kind, doc
     raise InputError("cannot infer object kind from payload keys")
@@ -347,10 +344,10 @@ def build_object(kind: str, payload: dict):
     other error a builder meets, such as unpacking a short entry or calling
     .items() on a list, means the payload does not follow its schema.
     """
-    if kind not in _BUILDERS:
+    if kind not in _KINDS:
         raise InputError(f"unknown kind {kind!r}")
     try:
-        return _BUILDERS[kind](payload)
+        return _KINDS[kind][2](payload)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         if type(exc).__module__.startswith("qlab."):
             raise
@@ -368,6 +365,8 @@ def load_path(path: str) -> tuple[str, object]:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     kind, payload = parse_document(doc)
     return kind, build_object(kind, payload)
 

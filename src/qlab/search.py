@@ -44,9 +44,10 @@ advances `candidates` to its number and adds the pruned leaves before it
 to `pruned_assoc` in bulk, so the counters, the order of the models and
 the limit stop are exactly those of that walk.  The surviving leaves
 are extended to full tables by joins, and one whole-array kernel
-(_leaf_verdicts) decides, for a full chunk of them at once, whether each is
-a quantale and which of the ten classifier flags it has.  Only leaves
-matching the requested flags go on.
+(_leaf_verdicts) decides, for the leaves of one block that lex_blocks
+yields, at most _LEAF_CHUNK at a time, whether each is a quantale and
+which of the ten classifier flags it has.  Only leaves matching the
+requested flags go on.
 
 Under dedup_iso the search walks only what dedup could emit, and still
 counts as the one-leaf walk does.  An order automorphism pi of the lattice
@@ -92,9 +93,9 @@ from .laws import TheoremViolation, first_bad, lex_blocks
 from .quantale import (BUILDS_ON, LADDER, Quantale, _FLAG_NAMES, _UNIT_RUNGS, classify,
                        lattice_order_isos, validate_quantale)
 
-# Associative leaves per _leaf_verdicts call.  Its largest temporaries hold
-# n**2 * k cells per leaf (k join-irreducibles), and n**3 for the modular
-# rung on a lattice that is not a frame.
+# Most associative leaves per _leaf_verdicts call.  Its largest
+# temporaries hold n**2 * k cells per leaf (k join-irreducibles), and n**3
+# for the modular rung on a lattice that is not a frame.
 _LEAF_CHUNK = 1 << 8
 
 
@@ -508,7 +509,6 @@ def search(spec: SearchSpec) -> SearchResult:
                          dtype=np.int64 if total < 2 ** 63 else object)
         pruned = stats.pruned_assoc
         counted = 0                                       # leaves the kernel's leaves stand for
-        pending: list = []                                # associative leaves not yet decided
 
         # The symmetries of this walk act on the free values: pi maps free
         # cell src[t], or its partner, onto free cell t, so position t of pi.x
@@ -579,16 +579,6 @@ def search(spec: SearchSpec) -> SearchResult:
                         else bool(flags[name][t]) for name in _FLAG_NAMES}}
                     accept(muls[t], inv, int(units[t]), verdicts, w)
 
-        def flush(final: bool) -> None:
-            """Decide the pending leaves in full chunks; at the end, the rest too."""
-            parts = [np.concatenate(part) for part in zip(*pending)]
-            pending.clear()
-            done = len(parts[0]) if final else len(parts[0]) - len(parts[0]) % _LEAF_CHUNK
-            for c in range(0, done, _LEAF_CHUNK):
-                decide(*(part[c:c + _LEAF_CHUNK] for part in parts))
-            if done < len(parts[0]):
-                pending.append([part[done:] for part in parts])
-
         def passing(rows: np.ndarray, c: int) -> np.ndarray:
             """Indices of the rows that pass the monotone pairs and the triples of level c.
 
@@ -648,11 +638,9 @@ def search(spec: SearchSpec) -> SearchResult:
 
         if len(passing(root, -1)):
             for S in lex_blocks(values, consistent):
-                pending.append([tables(S), S @ radix, weights(S)])
-                if sum(len(r) for r, _, _ in pending) >= _LEAF_CHUNK:
-                    flush(False)
-        if pending:
-            flush(True)
+                for c in range(0, len(S), _LEAF_CHUNK):
+                    chunk = S[c:c + _LEAF_CHUNK]
+                    decide(tables(chunk), chunk @ radix, weights(chunk))
         stats.pruned_assoc = pruned + total - counted
         stats.candidates = first + total
 

@@ -9,10 +9,10 @@ import time
 
 import numpy as np
 
-from qlab.catalog import (catalog_get, cyclic_table, egger8, group_quantale,
+from qlab.catalog import (GROUPOID_NAMES, catalog_get, cyclic_table, egger8, group_quantale,
                           quantale_r4, relq)
-from qlab.groupoid import (GROUPOID_NAMES, check_section_lemmas,
-                           module_from_action, sheafify, verify_equivalence)
+from qlab.groupoid import (check_section_lemmas, module_from_action, sheafify,
+                           verify_equivalence)
 from qlab.hilbert import (ModuleHom, adjoint, hilbert_sections, hom_compose,
                           hom_from_relation, identity_hom, is_hilbert_basis,
                           is_module_hom, module_from_qset, module_over_self,

@@ -293,6 +293,14 @@ MALFORMED = {   # name -> (object to dump, in-place edit of its payload)
     # lone surrogate is written as the byte 0xff
     "mul-cell-past-intp": ("r4", lambda p: p["mul"][0].__setitem__(0, 10 ** 30)),
     "not-utf-8": ("lattice", lambda p: p["labels"].__setitem__(0, "\udcff")),
+    # numbers that are not integers, which int() and numpy would truncate
+    "unit-a-float": ("r4", lambda p: p.update(unit=1.5)),
+    "unit-a-bool": ("r4", lambda p: p.update(unit=True)),
+    "n-a-float": ("lattice", lambda p: p.update(n=4.0)),
+    "mul-cell-a-float": ("r4", lambda p: p["mul"][1].__setitem__(1, 1.5)),
+    "inv-of-bools": ("r4", lambda p: p.update(inv=[False, True, True, True])),
+    # the file is 100,000 [ instead, which json nests one call deep each
+    "nested-too-deeply": ("lattice", lambda p: None),
 }
 
 
@@ -306,11 +314,13 @@ def test_malformed_payloads_exit_2(tmp_path, capsys, name):
     doc = json.loads(objio.dump_object(obj))
     edit(doc["payload"])
     p = tmp_path / "bad.json"
-    p.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8", "surrogateescape"))
+    p.write_bytes(b"[" * 100_000 if name == "nested-too-deeply" else
+                  json.dumps(doc, ensure_ascii=False).encode("utf-8", "surrogateescape"))
     code, out, err = run(capsys, "check", str(p))
     assert (code, out) == (2, "")
-    start = (f"error: {p}: not UTF-8 text at byte " if name == "not-utf-8"
-             else f"error: malformed {doc['kind']} payload: ")
+    start = {"not-utf-8": f"error: {p}: not UTF-8 text at byte ",
+             "nested-too-deeply": f"error: {p}: JSON nested too deeply"}.get(
+                 name, f"error: malformed {doc['kind']} payload: ")
     assert err.startswith(start) and err.count("\n") == 1
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from qlab import groupoid as gp
 from qlab import hilbert as hb
-from qlab.catalog import (catalog_get, cyclic_table, egger8, group_quantale,
+from qlab.catalog import (GROUPOID_NAMES, catalog_get, cyclic_table, egger8, group_quantale,
                           quantale_r4, relq)
 from qlab.quantale import partial_units, support
 
@@ -76,7 +76,7 @@ def groupoid_support(G: gp.FiniteGroupoid) -> np.ndarray:
     return sup
 
 
-@pytest.mark.parametrize("name", gp.GROUPOID_NAMES)
+@pytest.mark.parametrize("name", GROUPOID_NAMES)
 def test_support_is_the_unit_of_the_domain(name):
     G = catalog_get(name)[1]
     assert np.array_equal(support(G.quantale).sup, groupoid_support(G))
@@ -160,7 +160,15 @@ def test_pair2_equivalence_counts():
 
 
 def test_catalog_groupoid_names_resolve():
-    for name in gp.GROUPOID_NAMES:
+    for name in GROUPOID_NAMES:
         kind, G = catalog_get(name)
         assert kind == "groupoid"
         assert G.n_arrows >= G.n_objects
+
+
+def test_catalog_actions_act_through_the_catalog_groupoid():
+    # groupoids and their actions are built once; quantales on every call
+    for name in GROUPOID_NAMES:
+        for suffix in ("regular", "objects"):
+            assert catalog_get(f"{name}_{suffix}")[1].groupoid is catalog_get(name)[1]
+    assert catalog_get("relq2")[1] is not catalog_get("relq2")[1]
