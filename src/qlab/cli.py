@@ -417,11 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default QLAB_BUDGET or 1e8)")
     p.add_argument("--cap", default=6, help="largest admissible lattice (default 6)")
     p.add_argument("--dedup", action="store_true",
-                   help="emit one model per isomorphism class; involutions conjugate to "
-                        "one already searched and leaves that are not the lex-least of "
-                        "their symmetry orbit are not visited, and are counted as the "
-                        "visited ones they are isomorphic to, so every count is that "
-                        "of the full search")
+                   help="emit one model per isomorphism class: a model whose involution "
+                        "is conjugate to one already searched, or that is not the "
+                        "lex-least of its symmetry orbit, is a copy; without --limit "
+                        "copies are not visited, and every count is that of the full "
+                        "search")
     p.add_argument("--out", help="directory for model-NNN.json files")
 
     p = add("catalog", cmd_catalog, "list built-in objects or print one as JSON")

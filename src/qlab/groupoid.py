@@ -432,8 +432,8 @@ def _enumerate_homs(am1: ActionModule, am2: ActionModule,
     Atom x may go to any element of `images` (None: any carrier element)
     with the support of {x}.  The quantale atoms prune: an arrow g carries
     atom x to either bottom or another atom, and the image assignment must
-    commute.  Survivors are re-checked with the generic module-hom test, so
-    the pruning only has to be sound, not complete.  Returns the candidate
+    commute.  Survivors are re-checked by hilbert.stacked_homs, so the
+    pruning only has to be sound, not complete.  Returns the candidate
     tables as the rows of one array, in lex order of the atom images.
     """
     X1, X2 = am1.module, am2.module

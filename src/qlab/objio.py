@@ -133,11 +133,7 @@ def _table(raw, kind: str, key: str) -> np.ndarray:
 def lattice_from_payload(p: dict) -> SupLattice:
     n = _integer(_need(p, "n", "lattice"), "lattice", "n")
     covers = [tuple(c) for c in _need(p, "covers", "lattice")]
-    labels = p.get("labels")
-    try:
-        return build_lattice(n, covers, labels)
-    except Exception as exc:
-        raise InputError(f"bad lattice payload: {exc}") from None
+    return build_lattice(n, covers, p.get("labels"))
 
 
 def quantale_from_payload(p: dict) -> Quantale:
@@ -341,14 +337,15 @@ def build_object(kind: str, payload: dict):
     """Build one object; a payload of the wrong shape is an InputError.
 
     qlab's own errors (a failed axiom, a bad reference) pass unchanged; any
-    other error a builder meets, such as unpacking a short entry or calling
-    .items() on a list, means the payload does not follow its schema.
+    other error a builder meets, such as unpacking a short entry, calling
+    .items() on a list or sizing a table past memory, means the payload
+    does not follow its schema.
     """
     if kind not in _KINDS:
         raise InputError(f"unknown kind {kind!r}")
     try:
         return _KINDS[kind][2](payload)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, MemoryError, TypeError, ValueError) as exc:
         if type(exc).__module__.startswith("qlab."):
             raise
         raise InputError(f"malformed {kind} payload: {exc}") from None

@@ -49,24 +49,26 @@ yields, at most _LEAF_CHUNK at a time, whether each is a quantale and
 which of the ten classifier flags it has.  Only leaves matching the
 requested flags go on.
 
-Under dedup_iso the search walks only what dedup could emit, and still
-counts as the one-leaf walk does.  An order automorphism pi of the lattice
-that fixes the required unit maps the structures with involution tau onto
-those with involution pi tau pi^-1, preserving every verdict, flag and
-canonical key.  So an involution conjugate to one walked before is not
-walked: its counters are the earlier one's, except that every leaf it
-would accept is deduped.  Within one walk the symmetries are the group H
-of the automorphisms that commute with the involution and fix the unit;
-they permute the leaves, and an orbit shares its verdicts and its key.
-consistent() drops a value prefix that some pi in H maps to a
-lexicographically smaller prefix (the lex-leader rule), so only the
-lex-least leaf of each orbit, which is also its first in walk order,
-reaches the kernel, weighted by the orbit's size |H| / |stabilizer|.  A
-rejected leaf counts its weight; an accepted one is emitted once if its
-key is new and counts the rest of its orbit as deduped; the leaves no
-kernel leaf stands for are the pruned ones.  A walk that a limit could
-stop keeps every leaf, so that its stop and its counters there are the
-one-leaf walk's.
+Under dedup_iso the search emits one model per isomorphism class.  Every
+isomorphism of two leaves is an order automorphism pi of the lattice
+that fixes the required unit, and pi maps the structures with involution
+tau onto those with involution pi tau pi^-1.  Within one walk the
+symmetries are the group H of the automorphisms that commute with the
+involution and fix the unit; they permute the leaves, and an orbit shares
+its verdicts.  So one rule finds the copies: a wanted leaf is deduped when
+its involution is conjugate to one walked before it, or when some pi in H
+maps it to a lexicographically smaller leaf (the lex-leader rule; the
+lex-least leaf of an orbit is its first in walk order).  Under a limit
+every leaf, copies included, is visited and counted, so that the stop and
+its counters are the one-leaf walk's.  With no limit the search walks
+only what dedup could emit, and counts as the one-leaf walk does.  A
+conjugate involution is not walked: its counters are the earlier one's,
+every leaf it would accept deduped.  consistent() drops a value prefix
+that some pi in H maps to a lex-smaller prefix, so only the lex-least
+leaf of each orbit reaches the kernel, weighted by the orbit's size
+|H| / |stabilizer|.  A rejected leaf counts its weight, an accepted one
+is emitted once and counts the rest of its orbit as deduped, and the
+leaves no kernel leaf stands for are the pruned ones.
 
 The searcher never trusts its own pruning or its kernel: every kernel leaf
 that matches the requested flags is re-validated from scratch by
@@ -178,7 +180,7 @@ def _symmetries(lat: SupLattice, autos: list, inv: np.ndarray, unit) -> list[np.
     """The order automorphisms in autos that commute with inv and fix unit (None: any).
 
     Each maps the structures with involution inv and unit `unit` onto such
-    structures, preserving validity, every flag and the canonical key.  The
+    structures isomorphically, preserving validity and every flag.  The
     premises are re-checked on the result: each member preserves and
     reflects the order, commutes with inv and fixes the unit, and the
     members are closed under composition, so they form a group.  A failure
@@ -205,14 +207,11 @@ def _full_table(lat: SupLattice, m: np.ndarray) -> np.ndarray:
     return np.moveaxis(full, (0, 1), (-2, -1))
 
 
-def _detect_unit(lat: SupLattice, mul: np.ndarray):
-    """The two-sided unit of a table, or None; of a stack of tables, their units, -1 for none."""
+def _detect_unit(lat: SupLattice, muls: np.ndarray) -> np.ndarray:
+    """The two-sided unit of each table of a stack muls[t], -1 for none."""
     ar = np.arange(lat.n)
-    is_unit = (mul == ar).all(axis=-1) & (mul.swapaxes(-1, -2) == ar).all(axis=-1)
-    units = np.where(is_unit.any(axis=-1), is_unit.argmax(axis=-1), -1)
-    if mul.ndim == 2:
-        return None if units < 0 else int(units)
-    return units
+    is_unit = (muls == ar).all(axis=-1) & (muls.swapaxes(-1, -2) == ar).all(axis=-1)
+    return np.where(is_unit.any(axis=-1), is_unit.argmax(axis=-1), -1)
 
 
 def _fixed_verdicts(lat: SupLattice, inv: np.ndarray) -> tuple[bool, bool]:
@@ -352,19 +351,6 @@ def _leaf_verdicts(lat: SupLattice, muls: np.ndarray, inv: np.ndarray,
     return valid, flags
 
 
-def _canonical_key(Q: Quantale, autos: list[np.ndarray]) -> bytes:
-    best = None
-    for p in autos:
-        inv_p = np.empty_like(p)
-        inv_p[p] = np.arange(Q.n, dtype=np.intp)
-        key = (p[Q.mul[np.ix_(inv_p, inv_p)]].tobytes()
-               + p[Q.inv[inv_p]].tobytes()
-               + bytes([0 if Q.unit is None else 1 + int(p[Q.unit])]))
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def _triple_levels(lat: SupLattice, J: list[int], level: np.ndarray) -> list[tuple]:
     """The irreducible associativity triples, by the level at which a row decides them.
 
@@ -410,10 +396,9 @@ def search(spec: SearchSpec) -> SearchResult:
     pos = {q: i for i, q in enumerate(J)}
     stats = SearchStats()
     models: list[Quantale] = []
-    keys: set[bytes] = set()
     autos = (lattice_order_isos(lat, lat)
              if spec.dedup_iso or spec.fix_involution is None else None)
-    # symmetry reduction (see the module docstring); a limit stop needs every leaf
+    # symmetry reduction (see the module docstring); a limit stop visits every leaf
     reduced = spec.dedup_iso and spec.limit is None
     tested = 0                               # tables consistent() examined, for the budget
 
@@ -430,23 +415,21 @@ def search(spec: SearchSpec) -> SearchResult:
         pass
 
     def accept(mul: np.ndarray, inv: np.ndarray, unit: int, verdicts: dict,
-               weight: int) -> None:
-        """Re-check, dedup and emit one leaf whose kernel verdicts match `require`.
+               weight: int, copy: bool) -> None:
+        """Re-check one leaf whose kernel verdicts match `require`, and emit it unless a copy.
 
-        The leaf stands for an orbit of `weight` leaves with its key.
+        The leaf stands for an orbit of `weight` isomorphic leaves.  A copy,
+        isomorphic to a leaf before it, counts them all as deduped; any
+        other leaf is emitted and counts the rest of its orbit as deduped.
         """
         Q = Quantale(lat, mul, inv, None if unit < 0 else unit)
         valid = validate_quantale(Q).ok
         rechecked = {"valid": valid, **(classify(Q).flags() if valid else {})}
         TheoremViolation.check("leaf_verdicts", {k: v for k, v in rechecked.items()
                                                  if verdicts[k] is not v} or None)
-        if spec.dedup_iso:
-            key = _canonical_key(Q, autos)
-            if key in keys:
-                stats.deduped += weight
-                return
-            keys.add(key)
-            stats.deduped += weight - 1
+        stats.deduped += weight if copy else weight - 1
+        if copy:
+            return
         models.append(Q)
         stats.emitted += 1
         if spec.limit is not None and stats.emitted >= spec.limit:
@@ -454,7 +437,8 @@ def search(spec: SearchSpec) -> SearchResult:
             stats.exhausted = False
             raise _Stop
 
-    def run_involution(inv: np.ndarray) -> None:
+    def run_involution(inv: np.ndarray, conjugated: bool) -> None:
+        """Walk the leaves of one involution; conjugated: it is conjugate to one walked before."""
         # the involution permutes the irreducibles; map cell (p,q) -> (q*,p*)
         inv_j = {i: pos[int(inv[J[i]])] for i in range(k)}
         m = np.full((k, k), -1, dtype=np.intp)
@@ -514,7 +498,7 @@ def search(spec: SearchSpec) -> SearchResult:
         # cell src[t], or its partner, onto free cell t, so position t of pi.x
         # is val[t, x[src[t]]], with val[t] = pi, or pi o inv for the partner.
         # Position t of pi.x is known once positions 0..reach[t] are placed.
-        group = _symmetries(lat, autos, inv, spec.fix_unit) if reduced else [np.arange(n)]
+        group = _symmetries(lat, autos, inv, spec.fix_unit) if spec.dedup_iso else [np.arange(n)]
         slot = {c: (s, False) for s, c in enumerate(free)}
         for s, (i, j) in enumerate(free):
             slot.setdefault((inv_j[j], inv_j[i]), (s, True))
@@ -554,17 +538,24 @@ def search(spec: SearchSpec) -> SearchResult:
                 stab += (val[np.arange(K), S[:, src]] == S).all(axis=1)
             return len(group) // stab
 
-        def decide(rows: np.ndarray, leaves: np.ndarray, weight: np.ndarray) -> None:
-            """Decide a chunk of associative leaves, in order, as a leaf walk would."""
+        def decide(S: np.ndarray) -> None:
+            """Decide a chunk of associative leaves S (R, K), in order, as a leaf walk would.
+
+            A wanted leaf is a copy when its involution is conjugated or a
+            symmetry of the walk maps it to a lex-smaller leaf.
+            """
             nonlocal counted
-            muls = np.ascontiguousarray(_full_table(lat, rows.reshape(len(rows), k, k)))
-            units = (np.full(len(rows), spec.fix_unit) if spec.fix_unit is not None
+            muls = np.ascontiguousarray(_full_table(lat, tables(S).reshape(len(S), k, k)))
+            units = (np.full(len(S), spec.fix_unit) if spec.fix_unit is not None
                      else _detect_unit(lat, muls))
             valid, flags = _leaf_verdicts(lat, muls, inv, units, fixed)
             wanted = valid.copy()
             for name, want in spec.require.items():
                 wanted &= (flags[name] == want) & ((units >= 0) | (name not in _UNIT_RUNGS))
-            for t, (b, w) in enumerate(zip(leaves.tolist(), weight.tolist())):
+            copy = np.full(len(S), conjugated)
+            copy[wanted] |= ~leaders(S[wanted], K - 1)
+            weight = weights(S) if reduced else np.ones(len(S), dtype=np.int64)
+            for t, (b, w) in enumerate(zip((S @ radix).tolist(), weight.tolist())):
                 if spec.limit is not None:       # a limit stop reads the counters here
                     stats.candidates = first + b + 1
                     stats.pruned_assoc = pruned + b - counted
@@ -577,7 +568,7 @@ def search(spec: SearchSpec) -> SearchResult:
                     verdicts = {"valid": True, **{
                         name: None if units[t] < 0 and name in _UNIT_RUNGS
                         else bool(flags[name][t]) for name in _FLAG_NAMES}}
-                    accept(muls[t], inv, int(units[t]), verdicts, w)
+                    accept(muls[t], inv, int(units[t]), verdicts, w, bool(copy[t]))
 
         def passing(rows: np.ndarray, c: int) -> np.ndarray:
             """Indices of the rows that pass the monotone pairs and the triples of level c.
@@ -631,7 +622,7 @@ def search(spec: SearchSpec) -> SearchResult:
                 raise BudgetExceeded(tested, stats, models)
             tested += len(P) * len(v)
             ext = np.column_stack([np.repeat(P, len(v), axis=0), np.tile(v, len(P))])
-            live = np.flatnonzero(leaders(ext, c))
+            live = np.flatnonzero(leaders(ext, c)) if reduced else np.arange(len(ext))
             ok = np.zeros(len(ext), dtype=bool)
             ok[live[passing(tables(ext[live]), c)]] = True
             return ok.reshape(len(P), len(v))
@@ -639,19 +630,19 @@ def search(spec: SearchSpec) -> SearchResult:
         if len(passing(root, -1)):
             for S in lex_blocks(values, consistent):
                 for c in range(0, len(S), _LEAF_CHUNK):
-                    chunk = S[c:c + _LEAF_CHUNK]
-                    decide(tables(chunk), chunk @ radix, weights(chunk))
+                    decide(S[c:c + _LEAF_CHUNK])
         stats.pruned_assoc = pruned + total - counted
         stats.candidates = first + total
 
     # The involutions walked so far, with what each added to the counters.
-    # With no limit, an involution conjugate to one of them by an automorphism
-    # that fixes the unit adds the same, all its accepted leaves deduped.
+    # An involution conjugate to one of them by an automorphism that fixes
+    # the unit adds the same, all its accepted leaves deduped: with no limit
+    # it is not walked, and under a limit it is walked as a copy.
     counters = ("candidates", "pruned_assoc", "rejected_quantale", "rejected_require",
                 "emitted", "deduped")
     walked: list = []
     unit_autos = (_symmetries(lat, autos, np.arange(n), spec.fix_unit)
-                  if reduced and len(involutions) > 1 else [])
+                  if spec.dedup_iso and len(involutions) > 1 else [])
 
     def conjugate(inv: np.ndarray):
         """What a walked tau added to the counters, for some pi with pi tau = inv pi, or None."""
@@ -667,13 +658,13 @@ def search(spec: SearchSpec) -> SearchResult:
     try:
         for inv in involutions:
             added = conjugate(inv)
-            if added is not None:
+            if added is not None and reduced:
                 for name in counters[:4]:
                     setattr(stats, name, getattr(stats, name) + added[name])
                 stats.deduped += added["emitted"] + added["deduped"]
                 continue
             before = [getattr(stats, name) for name in counters]
-            run_involution(inv)
+            run_involution(inv, added is not None)
             walked.append((inv, {name: getattr(stats, name) - was
                                  for name, was in zip(counters, before)}))
     except _Stop:

@@ -278,6 +278,10 @@ MALFORMED = {   # name -> (object to dump, in-place edit of its payload)
     "act-entry-of-length-2": ("z2_regular", lambda p: p["act"][0].pop()),
     "p-as-a-list": ("z2_regular", lambda p: p.update(p=list(p["p"].values()))),
     "covers-as-a-number": ("lattice", lambda p: p.update(covers=5)),
+    "cover-out-of-range": ("lattice", lambda p: p["covers"].append([0, 5])),
+    # an order table of 9e18 bytes: no address space holds it, so its
+    # allocation fails at once
+    "n-past-memory": ("lattice", lambda p: p.update(n=3 * 10 ** 9)),
     "unit-as-a-string": ("r4", lambda p: p.update(unit="x")),
     "unit-as-a-list": ("r4", lambda p: p.update(unit=[1])),
     "index-as-a-number": ("qset", lambda p: p.update(index=5)),
@@ -322,6 +326,24 @@ def test_malformed_payloads_exit_2(tmp_path, capsys, name):
              "nested-too-deeply": f"error: {p}: JSON nested too deeply"}.get(
                  name, f"error: malformed {doc['kind']} payload: ")
     assert err.startswith(start) and err.count("\n") == 1
+
+
+LATTICE_LAW_FAILURES = {   # covers of an order on 3 elements -> the failed law
+    "not-a-poset": ([[0, 1], [1, 0]], "not a poset: antisymmetry fails at (0, 1)"),
+    "no-join": ([[0, 1], [0, 2]], "not a lattice: no join for pair (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("kind", ("lattice", "quantale"))
+@pytest.mark.parametrize("name", sorted(LATTICE_LAW_FAILURES))
+def test_a_lattice_that_fails_its_laws_is_invalid_input(tmp_path, capsys, name, kind):
+    # a law failure exits 1, also in a lattice nested in another object
+    covers, law = LATTICE_LAW_FAILURES[name]
+    lattice = {"n": 3, "covers": covers}
+    payload = {"lattice": lattice, "mul": [[0] * 3] * 3, "inv": [0, 1, 2]}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"kind": kind, "payload": lattice if kind == "lattice" else payload}))
+    assert run(capsys, "check", str(p)) == (1, f"{p}: invalid: {law}\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -757,7 +757,7 @@ def test_stacked_full_tables_and_units_match_one_table_at_a_time(lat, seed, coun
     for m, table, unit in zip(ms, full, units.tolist()):
         one = search_mod._full_table(lat, m.astype(np.intp))
         assert np.array_equal(table, full_table_loops(lat, J, m)) and np.array_equal(table, one)
-        assert search_mod._detect_unit(lat, one) == (None if unit < 0 else unit)
+        assert search_mod._detect_unit(lat, one[None]).tolist() == [unit]
 
 
 @SETTINGS

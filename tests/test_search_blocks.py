@@ -22,13 +22,18 @@ leaf_verdicts_by_definition, and both must give equal arrays on every
 chunk of a search and on random stacks of tables that are not
 join-extensions, where the premises of the reductions fail.
 
-Under dedup_iso the search skips involutions conjugate to one it walked and
-hands the kernel one leaf per symmetry orbit.  It is compared with the
-one-leaf walk where that walk visits at most ONE_LEAF_MAX leaves, and
-beyond that with full_walk, the block search with its symmetry group cut to
-the identity, which the tests above compare with the one-leaf walk.
+Under dedup_iso the search marks a leaf as a copy by its symmetry orbit
+and the conjugacy class of its involution; with no limit it skips
+involutions conjugate to one it walked and hands the kernel one leaf per
+orbit.  The walks here dedup by an independent rule instead, the canonical
+key of each model: the least relabelling of its tables by an order
+automorphism.  The search is compared with the one-leaf walk where that
+walk visits at most ONE_LEAF_MAX leaves, and beyond that with full_walk,
+which dedups by canonical keys the block search of every leaf that the
+tests above compare with the one-leaf walk.
 """
 
+import dataclasses
 import functools
 import importlib
 import os
@@ -47,8 +52,7 @@ from qlab.laws import TheoremViolation, first_bad
 from qlab.quantale import (BUILDS_ON, LADDER, _FLAG_NAMES, Quantale, classify,
                            lattice_order_isos, validate_quantale)
 from qlab.search import (BudgetExceeded, SearchResult, SearchSpec, SearchStats,
-                         _canonical_key, _detect_unit, _fixed_verdicts, _full_table,
-                         _involution_candidates)
+                         _detect_unit, _fixed_verdicts, _full_table, _involution_candidates)
 
 search_mod = importlib.import_module("qlab.search")    # qlab.search is also a function
 
@@ -91,6 +95,24 @@ def free_cells(lat: SupLattice, inv: np.ndarray, fix_unit) -> tuple | None:
         if partner != c:
             linked.add(partner)
     return m, free, inv_j
+
+
+def _canonical_key(Q: Quantale, autos: list[np.ndarray]) -> bytes:
+    """The least image of Q's tables and unit under the order automorphisms autos.
+
+    Two quantales on one lattice are isomorphic exactly when their keys
+    are equal.
+    """
+    best = None
+    for p in autos:
+        inv_p = np.empty_like(p)
+        inv_p[p] = np.arange(Q.n, dtype=np.intp)
+        key = (p[Q.mul[np.ix_(inv_p, inv_p)]].tobytes()
+               + p[Q.inv[inv_p]].tobytes()
+               + bytes([0 if Q.unit is None else 1 + int(p[Q.unit])]))
+        if best is None or key < best:
+            best = key
+    return best
 
 
 ONE_LEAF_MAX = 1 << 14          # about a tenth of a second of the one-leaf walk
@@ -171,8 +193,9 @@ def search_one_leaf_at_a_time(spec: SearchSpec, visit=None) -> SearchResult:
             if visit is not None:
                 visit(m)
             mul = _full_table(lat, m)
-            unit = spec.fix_unit if spec.fix_unit is not None else _detect_unit(lat, mul)
-            Q = Quantale(lat, mul, inv, unit)
+            unit = (spec.fix_unit if spec.fix_unit is not None
+                    else int(_detect_unit(lat, mul[None])[0]))
+            Q = Quantale(lat, mul, inv, None if unit < 0 else unit)
             if not validate_quantale(Q).ok:
                 stats.rejected_quantale += 1
                 return
@@ -370,10 +393,36 @@ def test_blocks_hold_the_leaf_tables_in_walk_order(spec_args, block):
 # ---------------------------------------------------------------- symmetry reduction
 
 def full_walk(spec: SearchSpec) -> SearchResult:
-    """The block search of every involution and every leaf: no symmetry but the identity."""
-    with mock.patch.object(search_mod, "_symmetries",
-                           lambda lat, autos, inv, unit: [np.arange(lat.n)]):
-        return search_mod.search(spec)
+    """A dedup search by canonical keys over the block search of every leaf.
+
+    The search without dedup_iso emits every wanted leaf; the first of each
+    canonical key is a model and the others are deduped.  Under a limit it
+    runs with the limit, doubled until the limit-th key is among its
+    models; the dedup search stops at that key's leaf, so the search
+    without dedup_iso whose limit stops there gives every counter but
+    `emitted` and `deduped`.
+    """
+    plain = dataclasses.replace(spec, dedup_iso=False)
+    autos = lattice_order_isos(spec.lattice, spec.lattice)
+    while True:
+        every = search_mod.search(plain)
+        keys: set[bytes] = set()
+        firsts = []                             # the wanted leaf of each first key
+        for t, Q in enumerate(every.models):
+            key = _canonical_key(Q, autos)
+            if key not in keys:
+                keys.add(key)
+                firsts.append(t)
+        if not every.stats.truncated or len(firsts) >= spec.limit:
+            break
+        plain = dataclasses.replace(plain, limit=2 * plain.limit)
+    stats, wanted = every.stats, len(every.models)
+    if spec.limit is not None and len(firsts) >= spec.limit:
+        firsts = firsts[:spec.limit]
+        wanted = firsts[-1] + 1
+        stats = search_mod.search(dataclasses.replace(plain, limit=wanted)).stats
+    stats.emitted, stats.deduped = len(firsts), wanted - len(firsts)
+    return SearchResult([every.models[t] for t in firsts], stats)
 
 
 def against_the_walk_of_every_leaf(spec_args: dict) -> tuple:
@@ -428,11 +477,17 @@ def test_symmetry_reduced_search_matches_the_walk_of_every_leaf(name, unit, req)
 
 @pytest.mark.parametrize("name", ("m3", "cube", "m4"))
 def test_stops_of_a_dedup_search_match_the_walk_of_every_leaf(name):
-    # a limit stop walks every leaf of the involution it stops in
+    # A limit stop walks every leaf of the involution it stops in.  A limit
+    # never reached walks every leaf of every involution, the conjugate ones
+    # as copies, and ends as the search without a limit does, which the
+    # test above compares with the walk of every leaf.
+    spec_args = {"lattice": SYMMETRIC[name], "cap": 8, "dedup_iso": True}
     for limit in (1, 12):
-        raised, models, stats = against_the_walk_of_every_leaf(
-            {"lattice": SYMMETRIC[name], "cap": 8, "dedup_iso": True, "limit": limit})
+        raised, models, stats = against_the_walk_of_every_leaf({**spec_args, "limit": limit})
         assert stats.truncated and len(models) == limit
+    never = outcome(search_mod.search, SearchSpec(**spec_args, limit=10 ** 9))
+    assert never == outcome(search_mod.search, SearchSpec(**spec_args))
+    assert not never[2].truncated and never[2].exhausted
 
 
 def test_a_symmetry_group_that_fails_its_premises_is_a_failed_theorem_check():
