@@ -12,7 +12,7 @@ from .hilbert import (ModuleHom, PreHilbertModule, QModule, adjoint,
                       module_support, validate_prehilbert)
 from .groupoid import (FiniteGroupoid, GroupoidAction, bisections,
                        disjoint_union, group_groupoid, module_from_action,
-                       objects_action, pair_groupoid, quantale_of,
+                       objects_action, pair_groupoid,
                        regular_action, sheafify, verify_equivalence)
 from .search import BudgetExceeded, SearchSpec, search
 from .catalog import catalog_entries, catalog_get, egger8, group_quantale, quantale_r4, relq

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import objio
 from .catalog import catalog_entries
-from .groupoid import (FiniteGroupoid, NotEtale, module_from_action, quantale_of, sheafify,
-                       verify_equivalence)
+from .groupoid import FiniteGroupoid, NotEtale, module_from_action, sheafify, verify_equivalence
 from .hilbert import (CARRIER_CAP, CarrierTooLarge, PreHilbertModule, has_enough_sections,
                       hilbert_sections, is_hilbert_basis, module_from_qset,
                       parseval_check)
@@ -129,7 +128,7 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     kind, obj = objio.resolve(args.ref, expect=("quantale", "groupoid"))
-    Q = obj if kind == "quantale" else quantale_of(obj)
+    Q = obj if kind == "quantale" else obj.quantale
     valid = validate_quantale(Q)
     if not valid.ok:
         law, wit, detail = _failure(Q, valid)
@@ -296,16 +295,13 @@ def cmd_search(args) -> int:
         validate_quantale(obj).require(NotAQuantale)
         lat = obj.lattice
     else:
-        lat = quantale_of(obj).lattice
-    env = os.environ.get("QLAB_BUDGET")
-    budget = (_count("--budget", args.budget) if args.budget is not None
-              else _count("QLAB_BUDGET", env) if env else 10 ** 8)
+        lat = obj.quantale.lattice
     try:
         spec = SearchSpec(lat,
                           fix_involution=np.arange(lat.n) if args.trivial_involution else None,
                           fix_unit=args.fix_unit,
                           require=_parse_require(args.require),
-                          limit=args.limit, budget=budget,
+                          limit=args.limit, budget=_count("--budget", args.budget),
                           dedup_iso=args.dedup, cap=_count("--cap", args.cap))
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -412,9 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trivial-involution", action="store_true",
                    help="fix the involution to the identity")
     p.add_argument("--limit", type=int, help="stop after this many models")
-    p.add_argument("--budget", default=None,
-                   help="budget of partial tables the search may test "
-                        "(default QLAB_BUDGET or 1e8)")
+    p.add_argument("--budget", default=10 ** 8,
+                   help="budget of partial tables the search may test (default 1e8)")
     p.add_argument("--cap", default=6, help="largest admissible lattice (default 6)")
     p.add_argument("--dedup", action="store_true",
                    help="emit one model per isomorphism class: a model whose involution "

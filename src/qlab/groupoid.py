@@ -28,7 +28,8 @@ import numpy as np
 
 from . import hilbert as hb
 from .lattice import powerset_lattice
-from .laws import TheoremViolation, Violation, first_bad, lex_solutions
+from .laws import (TheoremViolation, Violation, first_bad, first_bad_named, first_violation,
+                   lex_solutions)
 from .qmatrix import QSet, is_qset
 from .quantale import NotUnital, Quantale, classify, partial_units, support
 
@@ -52,23 +53,18 @@ class NotEtale(Violation):
 
 
 class FiniteGroupoid:
-    """Objects, arrows and the five structure tables of a finite groupoid."""
+    """Objects, arrows and the five structure tables of a finite groupoid.
+
+    Each law is one array check, in the order of _validate, and a failure
+    names the lex-first witness of the first law that fails.
+    """
 
     def __init__(self, objects, arrows, d, r, compose, inv, units,
                  name: str | None = None):
         self.objects = [str(o) for o in objects]
         self.arrows = [str(a) for a in arrows]
-        no, na = len(self.objects), len(self.arrows)
-        self.d = np.asarray(d, dtype=np.intp)
-        self.r = np.asarray(r, dtype=np.intp)
-        self.inv = np.asarray(inv, dtype=np.intp)
-        self.units = np.asarray(units, dtype=np.intp)
-        if isinstance(compose, dict):
-            table = np.full((na, na), -1, dtype=np.intp)
-            for (g, h), gh in compose.items():
-                table[g, h] = gh
-            compose = table
-        self.compose = np.asarray(compose, dtype=np.intp)
+        self.d, self.r, self.compose, self.inv, self.units = (
+            np.asarray(t, dtype=np.intp) for t in (d, r, compose, inv, units))
         self.name = name
         self._validate()
 
@@ -82,44 +78,28 @@ class FiniteGroupoid:
 
     def _validate(self) -> None:
         no, na = self.n_objects, self.n_arrows
-        if self.d.shape != (na,) or self.r.shape != (na,):
-            raise NotAGroupoid("shape", ("d/r",))
-        if self.compose.shape != (na, na) or self.inv.shape != (na,) or self.units.shape != (no,):
-            raise NotAGroupoid("shape", ("tables",))
-        for t, hi in ((self.d, no), (self.r, no), (self.inv, na), (self.units, na)):
-            if t.size and (t.min() < 0 or t.max() >= hi):
-                raise NotAGroupoid("range", ("entry",))
-        m, d, r, inv, u = self.compose, self.d, self.r, self.inv, self.units
-
-        for o in range(no):
-            if d[u[o]] != o or r[u[o]] != o:
-                raise NotAGroupoid("unit_endpoints", (o,))
-        if len(set(u.tolist())) != no:
-            raise NotAGroupoid("unit_endpoints", ("duplicate",))
-
+        d, r, m, inv, u = self.d, self.r, self.compose, self.inv, self.units
+        NotAGroupoid.check("shape", first_bad_named(
+            d=d.shape != (na,), r=r.shape != (na,), compose=m.shape != (na, na),
+            inv=inv.shape != (na,), units=u.shape != (no,)))
+        # a negative composite is undefined; composability says where
+        NotAGroupoid.check("range", first_bad_named(
+            d=(d < 0) | (d >= no), r=(r < 0) | (r >= no), compose=m >= na,
+            inv=(inv < 0) | (inv >= na), units=(u < 0) | (u >= na)))
+        ar, objs = np.arange(na), np.arange(no)
         composable = r[:, None] == d[None, :]
-        defined = m >= 0
-        NotAGroupoid.check("composability", first_bad(composable != defined))
-        if defined.any() and m[defined].max() >= na:
-            raise NotAGroupoid("range", ("compose",))
-
-        for g in range(na):
-            for h in np.flatnonzero(composable[g]):
-                gh = m[g, h]
-                if d[gh] != d[g] or r[gh] != r[h]:
-                    raise NotAGroupoid("composite_endpoints", (g, int(h)))
-            if m[u[d[g]], g] != g or m[g, u[r[g]]] != g:
-                raise NotAGroupoid("unit_law", (g,))
-            if d[inv[g]] != r[g] or r[inv[g]] != d[g] or inv[inv[g]] != g:
-                raise NotAGroupoid("inverse_endpoints", (g,))
-            if m[g, inv[g]] != u[d[g]] or m[inv[g], g] != u[r[g]]:
-                raise NotAGroupoid("inverse_law", (g,))
-
-        for g in range(na):
-            for h in np.flatnonzero(composable[g]):
-                for k in np.flatnonzero(composable[h]):
-                    if m[m[g, h], k] != m[g, m[h, k]]:
-                        raise NotAGroupoid("associativity", (g, int(h), int(k)))
+        mi = np.maximum(m, 0)          # m where defined; the rest is masked below
+        NotAGroupoid.check("unit_endpoints", first_bad((d[u] != objs) | (r[u] != objs)))
+        NotAGroupoid.check("composability", first_bad(composable != (m >= 0)))
+        NotAGroupoid.check("composite_endpoints", first_bad(
+            composable & ((d[mi] != d[:, None]) | (r[mi] != r[None, :]))))
+        NotAGroupoid.check("unit_law", first_bad((m[u[d], ar] != ar) | (m[ar, u[r]] != ar)))
+        NotAGroupoid.check("inverse_endpoints", first_bad(
+            (d[inv] != r) | (r[inv] != d) | (inv[inv] != ar)))
+        NotAGroupoid.check("inverse_law", first_bad((m[ar, inv] != u[d]) | (m[inv, ar] != u[r])))
+        # (gh)k = g(hk), row g at [h, k]; a cubic law is scanned by rows, so temporaries stay na^2
+        NotAGroupoid.check("associativity", first_violation(
+            lambda g: composable[g][:, None] & composable & (mi[mi[g]] != mi[g][mi]), ar))
 
     @cached_property
     def quantale(self) -> Quantale:
@@ -163,10 +143,6 @@ def groupoid_quantale(G: FiniteGroupoid, name: str | None = None) -> Quantale:
     return powerset_quantale(atom_mul, G.inv, int((1 << G.units).sum()), G.arrows, name=name)
 
 
-def quantale_of(G: FiniteGroupoid) -> Quantale:
-    return G.quantale
-
-
 def bisections(G: FiniteGroupoid) -> list[int]:
     """Subset bitmasks on which both d and r are injective."""
     out = []
@@ -179,19 +155,16 @@ def bisections(G: FiniteGroupoid) -> list[int]:
 
 
 class GroupoidAction:
-    """A right-to-left geometric action: act[g, x] defined when d(g) = p(x)."""
+    """A right-to-left geometric action: act[g, x] defined when d(g) = p(x).
+
+    Laws are checked as FiniteGroupoid's are: one array check each, in order.
+    """
 
     def __init__(self, groupoid: FiniteGroupoid, points, p, act,
                  name: str | None = None):
         self.groupoid = groupoid
         self.points = [str(x) for x in points]
-        ne = len(self.points)
         self.p = np.asarray(p, dtype=np.intp)
-        if isinstance(act, dict):
-            table = np.full((groupoid.n_arrows, ne), -1, dtype=np.intp)
-            for (g, x), gx in act.items():
-                table[g, x] = gx
-            act = table
         self.act = np.asarray(act, dtype=np.intp)
         self.name = name
         self._validate()
@@ -201,31 +174,26 @@ class GroupoidAction:
         return len(self.points)
 
     def _validate(self) -> None:
-        G, ne = self.groupoid, self.n_points
-        na = G.n_arrows
-        if self.p.shape != (ne,) or (ne and (self.p.min() < 0 or self.p.max() >= G.n_objects)):
-            raise InvalidAction("anchor", ("p",))
-        if self.act.shape != (na, ne):
-            raise InvalidAction("shape", ("act",))
-        expected = G.d[:, None] == self.p[None, :]
-        InvalidAction.check("definedness", first_bad((self.act >= 0) != expected))
-        for g in range(na):
-            fiber = np.flatnonzero(expected[g])
-            imgs = self.act[g, fiber]
-            if imgs.size and (self.p[imgs] != G.r[g]).any():
-                raise InvalidAction("anchor_image", (g,))
-            target = np.flatnonzero(self.p == G.r[g])
-            if sorted(imgs.tolist()) != sorted(target.tolist()):
-                raise InvalidAction("fiber_bijection", (g,))
-        for x in range(ne):
-            if self.act[G.units[self.p[x]], x] != x:
-                raise InvalidAction("unit", (x,))
-        for g in range(na):
-            for h in np.flatnonzero(G.r[g] == G.d):
-                gh = G.compose[g, h]
-                for x in np.flatnonzero(expected[g]):
-                    if self.act[h, self.act[g, x]] != self.act[gh, x]:
-                        raise InvalidAction("compatibility", (g, int(h), int(x)))
+        G, ne, p, act = self.groupoid, self.n_points, self.p, self.act
+        na, pts = G.n_arrows, np.arange(ne)
+        InvalidAction.check("anchor", ("p",) if p.shape != (ne,)
+                            else first_bad((p < 0) | (p >= G.n_objects)))
+        InvalidAction.check("shape", None if act.shape == (na, ne) else ("act",))
+        expected = G.d[:, None] == p[None, :]
+        InvalidAction.check("definedness", first_bad((act >= 0) != expected))
+        InvalidAction.check("range", first_bad(act >= ne))
+        ai = np.maximum(act, 0)        # act where defined; the rest is masked below
+        InvalidAction.check("anchor_image", first_bad(expected & (p[ai] != G.r[:, None])))
+        # hits[g, y]: how many x have gx = y; one for each y over r(g), none elsewhere
+        hits = np.bincount((ne * np.arange(na)[:, None] + ai)[expected],
+                           minlength=na * ne).reshape(na, ne)
+        InvalidAction.check("fiber_bijection", first_bad(hits != (p[None, :] == G.r[:, None])))
+        InvalidAction.check("unit", first_bad(act[G.units[p], pts] != pts))
+        # h(gx) = (gh)x, row g at [h, x]
+        mi = np.maximum(G.compose, 0)
+        InvalidAction.check("compatibility", first_violation(
+            lambda g: (G.compose[g] >= 0)[:, None] & expected[g] & (ai[:, ai[g]] != ai[mi[g]]),
+            range(na)))
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -526,38 +494,27 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
     return EquivalenceReport(G, pairs)
 
 
-def group_identity_and_inverses(table) -> tuple[int, np.ndarray]:
-    """The identity of a finite group's multiplication table and each element's inverse."""
-    t = np.asarray(table, dtype=np.intp)
-    ar = np.arange(t.shape[0])
-    ident = next(g for g in ar if (t[g] == ar).all() and (t[:, g] == ar).all())
-    return int(ident), np.array([next(h for h in ar if t[g, h] == ident) for g in ar],
-                                dtype=np.intp)
-
-
 def group_groupoid(table, labels, name: str | None = None) -> FiniteGroupoid:
-    """A finite group as a one-object groupoid."""
-    table = np.asarray(table, dtype=np.intp)
-    na = table.shape[0]
-    ident, inv = group_identity_and_inverses(table)
-    return FiniteGroupoid(["*"], labels, [0] * na, [0] * na, table, inv, [ident],
-                          name=name)
+    """A finite group as a one-object groupoid.
+
+    The unit is the first two-sided identity of the table and the inverse
+    of g the first h with gh = unit; where there is none, argmax falls back
+    to element 0, and the groupoid laws report the lex-first failure.
+    """
+    t = np.asarray(table, dtype=np.intp)
+    ar = np.arange(len(t))
+    ident = int(np.argmax((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0)))
+    zeros = np.zeros(len(t), dtype=np.intp)
+    return FiniteGroupoid(["*"], labels, zeros, zeros, t, np.argmax(t == ident, axis=1),
+                          [ident], name=name)
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
     """Arrows (i -> j) on n objects, composition (i,j);(j,l) = (i,l)."""
-    arrows = [f"{i}{j}" for i in range(n) for j in range(n)]
-    d = [i for i in range(n) for _ in range(n)]
-    r = [j for _ in range(n) for j in range(n)]
-    compose = np.full((n * n, n * n), -1, dtype=np.intp)
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                compose[n * i + j, n * j + l] = n * i + l
-    inv = [n * j + i for i in range(n) for j in range(n)]
-    units = [n * i + i for i in range(n)]
-    return FiniteGroupoid([str(i) for i in range(n)], arrows, d, r, compose,
-                          inv, units, name=f"pair{n}")
+    d, r = np.divmod(np.arange(n * n), n)            # arrow n*i + j runs i -> j
+    compose = np.where(r[:, None] == d[None, :], n * d[:, None] + r[None, :], -1)
+    return FiniteGroupoid([str(i) for i in range(n)], [f"{i}{j}" for i, j in zip(d, r)],
+                          d, r, compose, n * r + d, (n + 1) * np.arange(n), name=f"pair{n}")
 
 
 def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid,
@@ -580,21 +537,13 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid,
 
 
 def regular_action(G: FiniteGroupoid) -> GroupoidAction:
-    """G acting on its own arrows by composition, anchored at the range map."""
-    na = G.n_arrows
-    act = np.full((na, na), -1, dtype=np.intp)
-    for g in range(na):
-        for x in range(na):
-            if G.r[x] == G.d[g]:
-                act[g, x] = G.compose[x, g]
-    return GroupoidAction(G, G.arrows, G.r, act,
+    """G acting on its own arrows by composition, anchored at the range map: gx = m(x, g)."""
+    return GroupoidAction(G, G.arrows, G.r, G.compose.T,
                           name=f"{G.name}_regular" if G.name else None)
 
 
 def objects_action(G: FiniteGroupoid) -> GroupoidAction:
     """G acting on its objects: an arrow sends its domain to its range."""
-    act = np.full((G.n_arrows, G.n_objects), -1, dtype=np.intp)
-    for g in range(G.n_arrows):
-        act[g, G.d[g]] = G.r[g]
+    act = np.where(np.arange(G.n_objects) == G.d[:, None], G.r[:, None], -1)
     return GroupoidAction(G, G.objects, np.arange(G.n_objects), act,
                           name=f"{G.name}_objects" if G.name else None)

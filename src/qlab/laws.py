@@ -58,6 +58,15 @@ def first_bad(bad: np.ndarray):
     return tuple(int(v) for v in np.argwhere(bad)[0])
 
 
+def first_bad_named(**bad):
+    """(name,) + first_bad of the first named array, in argument order, with a true cell.
+
+    A scalar (a failed shape test, say) gives the witness (name,).
+    """
+    return next(((name,) + first_bad(np.asarray(b)) for name, b in bad.items()
+                 if np.any(b)), None)
+
+
 class _Failure:
     """A named law or theorem with the witness of its failure."""
 

@@ -197,7 +197,9 @@ def groupoid_from_payload(p: dict) -> FiniteGroupoid:
     try:
         d = [oi[x] for x in d_lab]
         r = [oi[x] for x in r_lab]
-        compose = {(ai[g], ai[h]): ai[gh] for g, h, gh in _need(p, "compose", "groupoid")}
+        compose = np.full((len(arrows), len(arrows)), -1, dtype=np.intp)
+        for g, h, gh in _need(p, "compose", "groupoid"):
+            compose[ai[g], ai[h]] = ai[gh]
         inv_raw = _need(p, "inv", "groupoid")
         inv = [ai[str(x)] for x in inv_raw]
         units = [0] * len(objects)
@@ -228,8 +230,9 @@ def action_from_payload(p: dict) -> GroupoidAction:
         anchor = [0] * len(points)
         for x, o in _need(p, "p", "action").items():
             anchor[xi[str(x)]] = oi[str(o)]
-        act = {(ai[str(g)], xi[str(x)]): xi[str(gx)]
-               for g, x, gx in _need(p, "act", "action")}
+        act = np.full((G.n_arrows, len(points)), -1, dtype=np.intp)
+        for g, x, gx in _need(p, "act", "action"):
+            act[ai[str(g)], xi[str(x)]] = xi[str(gx)]
     except KeyError as exc:
         raise InputError(f"action payload references unknown label {exc}") from None
     return GroupoidAction(G, points, anchor, act, name=p.get("name"))

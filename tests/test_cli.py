@@ -210,18 +210,6 @@ def test_search_budget_exhaustion(tmp_path, capsys):
     assert err == "budget exceeded after 0 tested tables (0 models found so far)\n"
 
 
-def test_search_env_budget(tmp_path, capsys, monkeypatch):
-    lat = write(tmp_path, "d.json", quantale_r4().lattice)
-    monkeypatch.setenv("QLAB_BUDGET", "2")
-    code, _, err = run(capsys, "search", "--lattice", lat,
-                       "--trivial-involution", "--fix-unit", "1")
-    assert code == 2
-    monkeypatch.setenv("QLAB_BUDGET", "pony")
-    code, _, err = run(capsys, "search", "--lattice", lat)
-    assert code == 2
-    assert "QLAB_BUDGET" in err
-
-
 @pytest.mark.parametrize("option, value", [
     ("--budget", "inf"), ("--budget", "1e400"), ("--budget", "-5"), ("--budget", "nan"),
     ("--cap", "inf"), ("--cap", "1e400"), ("--cap", "-5"),
@@ -233,25 +221,6 @@ def test_search_rejects_bad_budget_and_cap(tmp_path, capsys, option, value):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {option} ")
-
-
-@pytest.mark.parametrize("value", ["inf", "1e400", "-5"])
-def test_env_budget_rejects_infinite_and_negative(tmp_path, capsys, monkeypatch, value):
-    lat = write(tmp_path, "d.json", quantale_r4().lattice)
-    monkeypatch.setenv("QLAB_BUDGET", value)
-    code, out, err = run(capsys, "search", "--lattice", lat)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: QLAB_BUDGET ")
-
-
-def test_env_budget_leaves_the_carrier_cap_alone(tmp_path, capsys, monkeypatch):
-    # QLAB_BUDGET counts the tables a search tests; a carrier is capped by --cap only
-    pt = write(tmp_path, "pt.json", QSet(relq(2), [[relq(2).unit]]))
-    monkeypatch.setenv("QLAB_BUDGET", "1")
-    code, out, _ = run(capsys, "sections", pt)
-    assert code == 0
-    assert "hilbert sections: 9" in out
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400", "-5"])

@@ -40,8 +40,7 @@ from hypothesis import strategies as st
 from qlab import hilbert as hb
 from qlab import laws, lattice, objio, qmatrix
 from qlab.catalog import catalog_entries, catalog_get, egger8, powerset_quantale, relq
-from qlab.groupoid import (_enumerate_homs, _equivariant_maps, module_from_action,
-                           quantale_of, sheafify)
+from qlab.groupoid import _enumerate_homs, _equivariant_maps, module_from_action, sheafify
 from qlab.lattice import (NotALattice, NotAPoset, SupLattice, _bound_table,
                           build_lattice, chain_lattice, powerset_lattice,
                           relation_product)
@@ -1054,7 +1053,7 @@ def test_lex_solutions_of_no_positions_and_of_an_empty_domain():
 # and the 512-element powersets have 9! automorphisms each, so those stay out.
 def catalog_lattice(name):
     kind, obj = catalog_get(name)
-    return (quantale_of(obj) if kind == "groupoid" else obj).lattice
+    return (obj.quantale if kind == "groupoid" else obj).lattice
 
 
 CATALOG_LATTICES = {name: lat for name in catalog_names("quantale", "groupoid")
@@ -1209,7 +1208,7 @@ def test_module_tables_match_the_dense_construction(name):
 
 def small_quantale(name):
     kind, obj = catalog_get(name)
-    return obj if kind == "quantale" else quantale_of(obj)
+    return obj if kind == "quantale" else obj.quantale
 
 
 GELFAND = [name for name in catalog_names("quantale", "groupoid")

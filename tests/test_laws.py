@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from qlab import groupoid, hilbert, lattice, laws, objio, qmatrix, quantale
 from qlab.catalog import relq
-from qlab.groupoid import _enumerate_homs, module_from_action, quantale_of
+from qlab.groupoid import _enumerate_homs, module_from_action
 from qlab.hilbert import (AdjointIdentityFails, ModuleHom, NotEnoughSections,
                           PreHilbertModule, QModule, adjoint, identity_hom, is_module_hom,
                           module_from_qset, module_over_self, validate_module,
@@ -79,7 +79,7 @@ def fresh_module(X: PreHilbertModule, action=None, ip=None) -> PreHilbertModule:
 
 def catalog_quantale(name: str) -> Quantale:
     kind, obj = objio.resolve(f"catalog:{name}")
-    return fresh_quantale(obj if kind == "quantale" else quantale_of(obj))
+    return fresh_quantale(obj if kind == "quantale" else obj.quantale)
 
 
 def action_module(name: str) -> PreHilbertModule:
