@@ -1,6 +1,6 @@
 """Finite involutive quantales, Q-sets, Hilbert Q-modules, and groupoid sheaves."""
 
-from .lattice import NotALattice, NotAPoset, SupLattice, build_lattice, chain_lattice, powerset_lattice
+from .lattice import NotALattice, NotAPoset, SupLattice, chain_lattice, powerset_lattice
 from .quantale import (BNotLocale, NotUnital, PropertyReport, Quantale,
                        are_isomorphic, base_locale, classify, modular_law,
                        partial_units, support, validate_quantale)

@@ -18,7 +18,7 @@ import numpy as np
 from .groupoid import (FiniteGroupoid, GroupoidAction, disjoint_union, group_groupoid,
                        groupoid_quantale, objects_action, pair_groupoid, powerset_quantale,
                        regular_action)
-from .lattice import SupLattice, build_lattice, powerset_lattice
+from .lattice import SupLattice, powerset_lattice
 from .quantale import Quantale
 
 
@@ -52,7 +52,7 @@ def quantale_r4() -> Quantale:
     Modular (hence stably supported) quantal frame whose partial units fail
     to cover the top: the only Hilbert sections of R over itself are 0 and e.
     """
-    lat = build_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)], ["0", "e", "a", "1"])
+    lat = SupLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)], ["0", "e", "a", "1"])
     mul = [[0, 0, 0, 0],
            [0, 1, 2, 3],
            [0, 2, 3, 3],
@@ -86,7 +86,8 @@ _QUANTALES: dict[str, Callable[[], Quantale]] = {
     "r4": quantale_r4,
     "zmod2": lambda: group_quantale(cyclic_table(2), ["e", "g"], name="zmod2"),
     "zmod3": lambda: group_quantale(cyclic_table(3), ["e", "g", "h"], name="zmod3"),
-    "chain2": lambda: frame_quantale(build_lattice(2, [(0, 1)], ["0", "1"]), name="chain2"),
+    "chain2": lambda: frame_quantale(SupLattice.from_covers(2, [(0, 1)], ["0", "1"]),
+                                     name="chain2"),
     "pow2": lambda: frame_quantale(powerset_lattice(["u", "v"]), name="pow2"),
 }
 

@@ -144,14 +144,8 @@ def groupoid_quantale(G: FiniteGroupoid, name: str | None = None) -> Quantale:
 
 
 def bisections(G: FiniteGroupoid) -> list[int]:
-    """Subset bitmasks on which both d and r are injective."""
-    out = []
-    for mask in range(1 << G.n_arrows):
-        members = [g for g in range(G.n_arrows) if mask >> g & 1]
-        if len({int(G.d[g]) for g in members}) == len(members) \
-                and len({int(G.r[g]) for g in members}) == len(members):
-            out.append(mask)
-    return out
+    """Subset bitmasks on which both d and r are injective: the partial units of O(G)."""
+    return partial_units(G.quantale).elements
 
 
 class GroupoidAction:

@@ -133,6 +133,7 @@ class SupLattice:
     @classmethod
     def from_covers(cls, n: int, covers: Iterable[Sequence[int]],
                     labels: Sequence[str] | None = None) -> "SupLattice":
+        """Build and fully validate a lattice from its cover relation."""
         if n < 1:
             raise ValueError("a lattice needs at least one element")
         step = np.eye(n, dtype=bool)
@@ -330,12 +331,6 @@ class SupLattice:
         return f"SupLattice(n={self.n})"
 
 
-def build_lattice(n: int, covers: Iterable[Sequence[int]],
-                  labels: Sequence[str] | None = None) -> SupLattice:
-    """Build and fully validate a lattice from its cover relation."""
-    return SupLattice.from_covers(n, covers, labels)
-
-
 def powerset_lattice(atoms: Sequence[str]) -> SupLattice:
     """Boolean lattice of all subsets of the given atoms, indexed by bitmask."""
     k = len(atoms)
@@ -348,4 +343,4 @@ def powerset_lattice(atoms: Sequence[str]) -> SupLattice:
 
 def chain_lattice(n: int, labels: Sequence[str] | None = None) -> SupLattice:
     """Total order 0 < 1 < ... < n-1."""
-    return build_lattice(n, [(i, i + 1) for i in range(n - 1)], labels)
+    return SupLattice.from_covers(n, [(i, i + 1) for i in range(n - 1)], labels)

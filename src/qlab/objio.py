@@ -20,7 +20,7 @@ import numpy as np
 from .catalog import catalog_entries, catalog_get
 from .groupoid import FiniteGroupoid, GroupoidAction
 from .hilbert import NotAPreHilbert, PreHilbertModule, QModule
-from .lattice import SupLattice, build_lattice
+from .lattice import SupLattice
 from .qmatrix import QSet
 from .quantale import NotAQuantale, Quantale, validate_quantale
 
@@ -132,8 +132,7 @@ def _table(raw, kind: str, key: str) -> np.ndarray:
 
 def lattice_from_payload(p: dict) -> SupLattice:
     n = _integer(_need(p, "n", "lattice"), "lattice", "n")
-    covers = [tuple(c) for c in _need(p, "covers", "lattice")]
-    return build_lattice(n, covers, p.get("labels"))
+    return SupLattice.from_covers(n, _need(p, "covers", "lattice"), p.get("labels"))
 
 
 def quantale_from_payload(p: dict) -> Quantale:
@@ -145,20 +144,21 @@ def quantale_from_payload(p: dict) -> Quantale:
                     name=p.get("name"))
 
 
-def _quantale_ref(ref, context: str) -> Quantale:
-    """A catalog quantale, or an inline payload that must pass validate_quantale."""
+def _ref(ref, kind: str, context: str):
+    """A catalog quantale or groupoid, or an inline payload; an inline quantale
+    must pass validate_quantale (a groupoid checks its laws when built)."""
     if isinstance(ref, str):
-        kind, obj = resolve(ref, expect="quantale")
-        return obj
-    if isinstance(ref, dict):
-        Q = quantale_from_payload(ref)
-        validate_quantale(Q).require(NotAQuantale)
-        return Q
-    raise InputError(f"{context}.quantale must be a payload or a catalog: reference")
+        return resolve(ref, expect=kind)[1]
+    if not isinstance(ref, dict):
+        raise InputError(f"{context}.{kind} must be a payload or a catalog: reference")
+    obj = _KINDS[kind][2](ref)
+    if kind == "quantale":
+        validate_quantale(obj).require(NotAQuantale)
+    return obj
 
 
 def qset_from_payload(p: dict) -> QSet:
-    Q = _quantale_ref(_need(p, "quantale", "qset"), "qset")
+    Q = _ref(_need(p, "quantale", "qset"), "quantale", "qset")
     index = [str(x) for x in _need(p, "index", "qset")]
     matrix = _table(_need(p, "matrix", "qset"), "qset", "matrix")
     if matrix.shape != (len(index), len(index)):
@@ -168,7 +168,7 @@ def qset_from_payload(p: dict) -> QSet:
 
 def module_from_payload(p: dict) -> PreHilbertModule:
     """A module file's module, which must pass validate_prehilbert."""
-    Q = _quantale_ref(_need(p, "quantale", "module"), "module")
+    Q = _ref(_need(p, "quantale", "module"), "quantale", "module")
     carrier = lattice_from_payload(_need(p, "carrier", "module"))
     action = _table(_need(p, "action", "module"), "module", "action")
     ip = _table(_need(p, "ip", "module"), "module", "ip")
@@ -177,65 +177,64 @@ def module_from_payload(p: dict) -> PreHilbertModule:
     return X
 
 
-def _index_of(labels: list[str], key: str, what: str) -> dict:
-    if len(set(labels)) != len(labels):
-        raise InputError(f"duplicate {what} labels in {key}")
-    return {lab: i for i, lab in enumerate(labels)}
+class _Labels(dict):
+    """Label -> position in a label list; a repeated or unknown label is malformed."""
+
+    def __init__(self, labels, kind: str, noun: str):
+        self.kind, self.noun = kind, noun
+        for i, label in enumerate(map(str, labels)):
+            if self.setdefault(label, i) != i:
+                raise InputError(f"malformed {kind} payload: duplicate {noun} label {label!r}")
+
+    def __missing__(self, label):
+        raise InputError(f"malformed {self.kind} payload: unknown {self.noun} label {label!r}")
+
+
+def _label_map(p: dict, key: str, *domains: _Labels, total: bool = False) -> np.ndarray:
+    """The labelled map p[key] as a table of positions, -1 where undefined: a
+    total map is an object {k: value} that names every key, a partial map a
+    list of rows [k1, ..., km, value] that names no key twice, and the labels
+    are those of domains[0], ..., domains[m].
+    """
+    fail = f"malformed {domains[0].kind} payload: {key}"
+    entries = _need(p, key, domains[0].kind)
+    table = np.full([len(d) for d in domains[:-1]], -1, dtype=np.intp)
+    for row in entries.items() if total else entries:
+        if len(row) != len(domains):
+            raise InputError(f"{fail} entry {row!r} is not {len(domains)} labels")
+        *at, value = (d[str(x)] for d, x in zip(domains, row))
+        if table[tuple(at)] >= 0:
+            raise InputError(f"{fail} names {list(row)[:-1]} twice")
+        table[tuple(at)] = value
+    if total and (table < 0).any():
+        missing = list(domains[0])[int(np.argmax(table < 0))]
+        raise InputError(f"{fail} leaves out {domains[0].noun} {missing!r}")
+    return table
 
 
 def groupoid_from_payload(p: dict) -> FiniteGroupoid:
-    objects = [str(x) for x in _need(p, "objects", "groupoid")]
-    arrows_raw = _need(p, "arrows", "groupoid")
     try:
-        arrows = [str(a["id"]) for a in arrows_raw]
-        d_lab = [str(a["d"]) for a in arrows_raw]
-        r_lab = [str(a["r"]) for a in arrows_raw]
+        ends = [(a["id"], a["d"], a["r"]) for a in _need(p, "arrows", "groupoid")]
     except (TypeError, KeyError):
         raise InputError("groupoid.arrows must be objects with id, d, r") from None
-    oi = _index_of(objects, "objects", "object")
-    ai = _index_of(arrows, "arrows", "arrow")
-    try:
-        d = [oi[x] for x in d_lab]
-        r = [oi[x] for x in r_lab]
-        compose = np.full((len(arrows), len(arrows)), -1, dtype=np.intp)
-        for g, h, gh in _need(p, "compose", "groupoid"):
-            compose[ai[g], ai[h]] = ai[gh]
-        inv_raw = _need(p, "inv", "groupoid")
-        inv = [ai[str(x)] for x in inv_raw]
-        units = [0] * len(objects)
-        for o, g in _need(p, "units", "groupoid").items():
-            units[oi[str(o)]] = ai[str(g)]
-    except KeyError as exc:
-        raise InputError(f"groupoid payload references unknown label {exc}") from None
-    return FiniteGroupoid(objects, arrows, d, r, compose, inv, units,
+    objects = _Labels(_need(p, "objects", "groupoid"), "groupoid", "object")
+    arrows = _Labels([g for g, _, _ in ends], "groupoid", "arrow")
+    d = [objects[str(x)] for _, x, _ in ends]
+    r = [objects[str(y)] for _, _, y in ends]
+    compose = _label_map(p, "compose", arrows, arrows, arrows)
+    inv = [arrows[str(g)] for g in _need(p, "inv", "groupoid")]
+    units = _label_map(p, "units", objects, arrows, total=True)
+    return FiniteGroupoid(list(objects), list(arrows), d, r, compose, inv, units,
                           name=p.get("name"))
 
 
-def _groupoid_ref(ref, context: str) -> FiniteGroupoid:
-    if isinstance(ref, str):
-        kind, obj = resolve(ref, expect="groupoid")
-        return obj
-    if isinstance(ref, dict):
-        return groupoid_from_payload(ref)
-    raise InputError(f"{context}.groupoid must be a payload or a catalog: reference")
-
-
 def action_from_payload(p: dict) -> GroupoidAction:
-    G = _groupoid_ref(_need(p, "groupoid", "action"), "action")
-    points = [str(x) for x in _need(p, "points", "action")]
-    xi = _index_of(points, "points", "point")
-    oi = _index_of(G.objects, "objects", "object")
-    ai = _index_of(G.arrows, "arrows", "arrow")
-    try:
-        anchor = [0] * len(points)
-        for x, o in _need(p, "p", "action").items():
-            anchor[xi[str(x)]] = oi[str(o)]
-        act = np.full((G.n_arrows, len(points)), -1, dtype=np.intp)
-        for g, x, gx in _need(p, "act", "action"):
-            act[ai[str(g)], xi[str(x)]] = xi[str(gx)]
-    except KeyError as exc:
-        raise InputError(f"action payload references unknown label {exc}") from None
-    return GroupoidAction(G, points, anchor, act, name=p.get("name"))
+    G = _ref(_need(p, "groupoid", "action"), "groupoid", "action")
+    objects, arrows = _Labels(G.objects, "action", "object"), _Labels(G.arrows, "action", "arrow")
+    points = _Labels(_need(p, "points", "action"), "action", "point")
+    anchor = _label_map(p, "p", points, objects, total=True)
+    act = _label_map(p, "act", arrows, points, points)
+    return GroupoidAction(G, list(points), anchor, act, name=p.get("name"))
 
 
 # -------------------------------------------------------------- serializers

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qlab
 from qlab import hilbert, objio
-from qlab.catalog import catalog_get, egger8, quantale_r4, relq
+from qlab.catalog import catalog_entries, catalog_get, egger8, quantale_r4, relq
 from qlab.cli import main
 from qlab.hilbert import module_over_self
 from qlab.lattice import chain_lattice
@@ -246,6 +246,11 @@ MALFORMED = {   # name -> (object to dump, in-place edit of its payload)
     "objects-as-a-number": ("z2", lambda p: p.update(objects=5)),
     "act-entry-of-length-2": ("z2_regular", lambda p: p["act"][0].pop()),
     "p-as-a-list": ("z2_regular", lambda p: p.update(p=list(p["p"].values()))),
+    # a total map (units, p) names every key, a partial one (compose, act) no key twice
+    "p-without-a-point": ("z2_regular", lambda p: p["p"].pop(next(iter(p["p"])))),
+    "units-without-an-object": ("pair2", lambda p: p["units"].pop(next(iter(p["units"])))),
+    "compose-pair-listed-twice": ("z2", lambda p: p["compose"].append(list(p["compose"][0]))),
+    "act-pair-listed-twice": ("z2_regular", lambda p: p["act"].append(list(p["act"][0]))),
     "covers-as-a-number": ("lattice", lambda p: p.update(covers=5)),
     "cover-out-of-range": ("lattice", lambda p: p["covers"].append([0, 5])),
     # an order table of 9e18 bytes: no address space holds it, so its
@@ -295,6 +300,29 @@ def test_malformed_payloads_exit_2(tmp_path, capsys, name):
              "nested-too-deeply": f"error: {p}: JSON nested too deeply"}.get(
                  name, f"error: malformed {doc['kind']} payload: ")
     assert err.startswith(start) and err.count("\n") == 1
+
+
+GROUPOIDS_AND_ACTIONS = sorted(name for name, (kind, _) in catalog_entries().items()
+                               if kind in ("groupoid", "action"))
+
+
+@pytest.mark.parametrize("name", GROUPOIDS_AND_ACTIONS)
+def test_a_key_left_out_of_units_or_p_exits_2(tmp_path, capsys, name):
+    # every key of every total map of the catalog's groupoid and action files, in turn
+    doc = json.loads(objio.dump_object(catalog_get(name)[1]))
+    payload = doc["payload"]
+    maps = ([(payload["p"], "point"), (payload["groupoid"]["units"], "object")] if "p" in payload
+            else [(payload["units"], "object")])
+    path = tmp_path / "bad.json"
+    for total, noun in maps:
+        for key in list(total):
+            value = total.pop(key)
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "check", str(path))
+            assert (code, out) == (2, ""), (key, err)
+            assert err.startswith("error: malformed ") and err.endswith(
+                f" leaves out {noun} {key!r}\n") and err.count("\n") == 1
+            total[key] = value
 
 
 LATTICE_LAW_FAILURES = {   # covers of an order on 3 elements -> the failed law

@@ -7,7 +7,7 @@ from qlab import groupoid as gp
 from qlab import hilbert as hb
 from qlab.catalog import (GROUPOID_NAMES, catalog_get, cyclic_table, egger8, group_quantale,
                           quantale_r4, relq)
-from qlab.quantale import partial_units, support
+from qlab.quantale import support
 
 
 def z2():
@@ -216,10 +216,22 @@ def test_the_laws_past_one_cell_changes_match_the_loop_oracle():
         seen.add(want and want[0])
     assert {"unit_law", "inverse_law", "associativity", "unit", "compatibility"} <= seen
 
-def test_bisections_are_the_partial_units():
-    for G in (z2(), gp.pair_groupoid(2)):
-        Q = G.quantale
-        assert gp.bisections(G) == partial_units(Q).elements
+
+def bisections_oracle(G: gp.FiniteGroupoid) -> list[int]:
+    """Subset bitmasks on which both d and r are injective, one mask at a time."""
+    out = []
+    for mask in range(1 << G.n_arrows):
+        members = [g for g in range(G.n_arrows) if mask >> g & 1]
+        if len({int(G.d[g]) for g in members}) == len(members) \
+                and len({int(G.r[g]) for g in members}) == len(members):
+            out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize("name", GROUPOID_NAMES)
+def test_bisections_are_the_partial_units(name):
+    G = catalog_get(name)[1]
+    assert gp.bisections(G) == bisections_oracle(G)
 
 
 def groupoid_support(G: gp.FiniteGroupoid) -> np.ndarray:

@@ -41,9 +41,8 @@ from qlab import hilbert as hb
 from qlab import laws, lattice, objio, qmatrix
 from qlab.catalog import catalog_entries, catalog_get, egger8, powerset_quantale, relq
 from qlab.groupoid import _enumerate_homs, _equivariant_maps, module_from_action, sheafify
-from qlab.lattice import (NotALattice, NotAPoset, SupLattice, _bound_table,
-                          build_lattice, chain_lattice, powerset_lattice,
-                          relation_product)
+from qlab.lattice import (NotALattice, NotAPoset, SupLattice, _bound_table, chain_lattice,
+                          powerset_lattice, relation_product)
 from qlab.hilbert import (hilbert_sections, hom_from_relation, module_from_qset,
                           parseval_check, reconstruct, section_relation)
 from qlab.laws import first_bad, lex_blocks, lex_solutions
@@ -617,7 +616,7 @@ def test_order_checks_and_closure_match_the_matrix_product(n, density, seed):
     step = step[np.ix_(perm, perm)]
     covers = [tuple(map(int, c)) for c in np.argwhere(step & ~np.eye(n, dtype=bool))]
     try:
-        lat = build_lattice(n, covers)
+        lat = SupLattice.from_covers(n, covers)
     except NotALattice:
         lat = None
     if lat is not None:
@@ -682,11 +681,11 @@ def test_singleton_lists_match_the_one_column_walk(qa):
 # ------------------------------------------------------- join extension
 
 def pentagon() -> SupLattice:
-    return build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    return SupLattice.from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
 
 
 def m3() -> SupLattice:
-    return build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    return SupLattice.from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 
 
 def is_bitmask_powerset(lat) -> bool:

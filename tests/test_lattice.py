@@ -5,13 +5,12 @@ import pytest
 
 from qlab import hilbert
 from qlab.catalog import relq
-from qlab.lattice import (NotALattice, NotAPoset, SupLattice, build_lattice,
-                          chain_lattice, powerset_lattice)
+from qlab.lattice import NotALattice, NotAPoset, SupLattice, chain_lattice, powerset_lattice
 from qlab.qmatrix import QSet
 
 
 def diamond():
-    return build_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)], ["0", "e", "a", "1"])
+    return SupLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)], ["0", "e", "a", "1"])
 
 
 def test_chain_tables():
@@ -54,7 +53,7 @@ def test_diamond_is_the_two_atom_boolean_lattice():
 
 def test_covers_round_trip():
     for lat in (chain_lattice(5), diamond(), powerset_lattice(["a", "b", "c"])):
-        again = build_lattice(lat.n, lat.covers(), lat.labels)
+        again = SupLattice.from_covers(lat.n, lat.covers(), lat.labels)
         assert again == lat
         assert again.labels == lat.labels
 
@@ -72,7 +71,7 @@ def test_join_meet_of_families():
 def test_m3_is_a_lattice_but_not_a_frame():
     # three incomparable atoms below a common top
     covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
-    lat = build_lattice(5, covers)
+    lat = SupLattice.from_covers(5, covers)
     ok, w = lat.is_frame()
     assert not ok
     a, b, c = w
@@ -82,7 +81,7 @@ def test_m3_is_a_lattice_but_not_a_frame():
 
 def test_pentagon_not_a_frame():
     # 0 < x < y < 1 and 0 < z < 1 with z incomparable to x, y
-    lat = build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    lat = SupLattice.from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
     ok, _ = lat.is_frame()
     assert not ok
 
@@ -106,7 +105,7 @@ def test_antisymmetry_failure():
 
 def test_antisymmetry_failure_from_cover_cycle():
     with pytest.raises(NotAPoset) as ei:
-        build_lattice(3, [(0, 1), (1, 2), (2, 0)])
+        SupLattice.from_covers(3, [(0, 1), (1, 2), (2, 0)])
     assert ei.value.law == "antisymmetry"
     assert ei.value.witness == (0, 1)
 
@@ -124,16 +123,16 @@ def test_bowtie_has_no_joins():
     # two minimal elements under two maximal ones: the pair (0, 1) has two
     # incomparable upper bounds and no least one
     with pytest.raises(NotALattice) as ei:
-        build_lattice(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        SupLattice.from_covers(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     assert ei.value.kind == "join"
     assert ei.value.witness == (0, 1)
 
 
 def test_constructor_input_errors():
     with pytest.raises(ValueError):
-        build_lattice(0, [])
+        SupLattice.from_covers(0, [])
     with pytest.raises(ValueError):
-        build_lattice(2, [(0, 5)])
+        SupLattice.from_covers(2, [(0, 5)])
     with pytest.raises(ValueError):
         SupLattice(np.zeros((0, 0), dtype=bool))
     with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from qlab.hilbert import (AdjointIdentityFails, ModuleHom, NotEnoughSections,
                           PreHilbertModule, QModule, adjoint, identity_hom, is_module_hom,
                           module_from_qset, module_over_self, validate_module,
                           validate_prehilbert)
-from qlab.lattice import SupLattice, build_lattice
+from qlab.lattice import SupLattice
 from qlab.qmatrix import random_qset
 from qlab.quantale import Quantale, modular_law, support, validate_quantale
 
@@ -133,11 +133,11 @@ def test_quantale_laws_match_the_exhaustive_scan(name, table, data):
 
 
 def pentagon() -> SupLattice:
-    return build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    return SupLattice.from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
 
 
 def m3() -> SupLattice:
-    return build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    return SupLattice.from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 
 
 @pytest.mark.parametrize("make", [pentagon, m3])

@@ -97,11 +97,11 @@ def test_builder_errors():
             "mul": [[0, 0], [0, 9]], "inv": [0, 1]})
     with pytest.raises(objio.InputError, match="unknown kind"):
         objio.build_object("widget", {})
-    with pytest.raises(objio.InputError, match="duplicate"):
+    with pytest.raises(objio.InputError, match="duplicate object label 'x'"):
         objio.build_object("groupoid", {
             "objects": ["x", "x"], "arrows": [{"id": "u", "d": "x", "r": "x"}],
             "compose": [["u", "u", "u"]], "inv": ["u"], "units": {"x": "u"}})
-    with pytest.raises(objio.InputError, match="unknown label"):
+    with pytest.raises(objio.InputError, match="unknown arrow label 'v'"):
         objio.build_object("groupoid", {
             "objects": ["x"], "arrows": [{"id": "u", "d": "x", "r": "x"}],
             "compose": [["u", "u", "v"]], "inv": ["u"], "units": {"x": "u"}})

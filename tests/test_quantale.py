@@ -5,7 +5,7 @@ import pytest
 
 from qlab.catalog import (catalog_entries, cyclic_table, egger8, frame_quantale,
                           group_quantale, quantale_r4, relq)
-from qlab.lattice import build_lattice, chain_lattice, powerset_lattice
+from qlab.lattice import SupLattice, chain_lattice, powerset_lattice
 from qlab.quantale import (BNotLocale, NotUnital, PropertyReport, Quantale,
                            base_locale, classify, lattice_order_isos,
                            modular_law, partial_units, projections, support,
@@ -217,7 +217,7 @@ def test_modular_law_holds_on_frames_and_groups():
 
 
 def test_frame_quantale_rejects_non_frames():
-    m3 = build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    m3 = SupLattice.from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
     with pytest.raises(ValueError):
         frame_quantale(m3)
 

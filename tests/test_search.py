@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from qlab.catalog import egger8, quantale_r4
-from qlab.lattice import build_lattice, chain_lattice, powerset_lattice
+from qlab.lattice import SupLattice, chain_lattice, powerset_lattice
 from qlab.quantale import are_isomorphic, classify, validate_quantale
 from qlab.search import BudgetExceeded, SearchSpec, search
 
-DIAMOND = build_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)],
+DIAMOND = SupLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)],
                         labels=["0", "e", "a", "1"])
 
 

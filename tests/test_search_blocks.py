@@ -46,8 +46,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qlab import cli, laws, objio
-from qlab.lattice import (NotALattice, NotAPoset, SupLattice, build_lattice,
-                          chain_lattice, powerset_lattice)
+from qlab.lattice import NotALattice, NotAPoset, SupLattice, chain_lattice, powerset_lattice
 from qlab.laws import TheoremViolation, first_bad
 from qlab.quantale import (BUILDS_ON, LADDER, _FLAG_NAMES, Quantale, classify,
                            lattice_order_isos, validate_quantale)
@@ -267,11 +266,11 @@ def assert_same(spec_args: dict, block: int, chunk: int = search_mod._LEAF_CHUNK
 
 
 def pentagon() -> SupLattice:
-    return build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    return SupLattice.from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
 
 
 def m3() -> SupLattice:
-    return build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    return SupLattice.from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 
 
 DIAMOND = powerset_lattice(["a", "b"])
@@ -438,11 +437,11 @@ SYMMETRIC = {   # every lattice with at most 5 elements, and three with 6 or 8
     **{name: NAMED[name] for name in ("chain1", "chain2", "chain3", "chain4", "diamond",
                                       "pentagon", "m3")},
     "chain5": chain_lattice(5),
-    "chain_diamond": build_lattice(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),
-    "diamond_chain": build_lattice(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]),
+    "chain_diamond": SupLattice.from_covers(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),
+    "diamond_chain": SupLattice.from_covers(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]),
     "cube": CUBE,
-    "m4": build_lattice(6, [(0, a) for a in range(1, 5)] + [(a, 5) for a in range(1, 5)]),
-    "grid23": build_lattice(6, [(0, 1), (1, 2), (0, 3), (1, 4), (3, 4), (2, 5), (4, 5)]),
+    "m4": SupLattice.from_covers(6, [(0, a) for a in range(1, 5)] + [(a, 5) for a in range(1, 5)]),
+    "grid23": SupLattice.from_covers(6, [(0, 1), (1, 2), (0, 3), (1, 4), (3, 4), (2, 5), (4, 5)]),
 }
 REQUIRES = {"any": {}, "supported_nonmodular": {"stably_supported": True, "modular": False},
             "gelfand": {"gelfand": True}}

@@ -10,6 +10,8 @@ the same report, or the same exception, law and witness.  The stack's two
 theorem checks are tested directly: its premises (a distributive source
 carrier, both modules passing validate_prehilbert) and the adjoint identity
 of every hom raise TheoremViolation instead of leaving a table undecided.
+A stack taken in chunks of 1, 2 or 7 tables (_STACK_CELLS patched) must
+decide as one chunk does, and name the same witness row.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ from qlab import groupoid as gp
 from qlab import hilbert as hb
 from qlab import laws
 from qlab.catalog import catalog_get
-from qlab.lattice import build_lattice
+from qlab.lattice import SupLattice
 from qlab.quantale import Quantale
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -321,7 +323,7 @@ def test_the_premises_and_the_adjoint_identity_are_theorem_checks():
     assert exc.value.law == "prehilbert_laws"
     assert exc.value.witness == bad.prehilbert_report.failures()
 
-    m3 = build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    m3 = SupLattice.from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
     zero = hb.module_over_self(Quantale(m3, np.zeros((5, 5), dtype=np.intp), np.arange(5)))
     assert zero.prehilbert_report.ok and not m3.distributive
     with pytest.raises(laws.TheoremViolation) as exc:
@@ -334,3 +336,78 @@ def test_the_premises_and_the_adjoint_identity_are_theorem_checks():
     row, x, y = exc.value.witness
     assert exc.value.law == "adjoint_identity" and row == 0
     assert X.ip[good[x], y] != X.ip[x, X.carrier.bottom]
+
+
+def cells_per_table(Xs, Xt, sigma) -> int:
+    """The cells per table of stacked_homs' largest temporary, which sizes its chunks."""
+    jq, js, jt = (len(L.join_irreducibles)
+                  for L in (Xs.quantale.lattice, Xs.carrier, Xt.carrier))
+    return max(Xs.n, js * Xt.n, jq * js, jt * len(sigma))
+
+
+def chunked(mp, size: int) -> list:
+    """Make every stacked_homs call take `size` tables per chunk; the returned
+    list gets one entry per chunk decided (one adjoint_identity check each)."""
+    real, chunks = hb.stacked_homs, []
+
+    class Counted(laws.TheoremViolation):
+        @classmethod
+        def check(cls, law, witness):
+            if law == "adjoint_identity":
+                chunks.append(law)
+            super().check(law, witness)
+
+    def stacked(Xs, Xt, tables, sigma):
+        mp.setattr(hb, "_STACK_CELLS", size * cells_per_table(Xs, Xt, sigma))
+        return real(Xs, Xt, tables, sigma)
+
+    mp.setattr(hb, "TheoremViolation", Counted)
+    mp.setattr(hb, "stacked_homs", stacked)
+    return chunks
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_stacks_in_chunks_decide_as_one_chunk(size):
+    """z3's candidate and all-homs stacks (up to 8 tables, one chunk at the
+    real _STACK_CELLS) taken `size` tables at a time."""
+    G, actions = ACTION_SETS["z3"]()
+    mods = [gp.module_from_action(a) for a in actions]
+    stacks = []
+    for am1 in mods:
+        basis = hb.hilbert_sections(am1.module)
+        for am2 in mods:
+            for images in (hb.local_sections(am2.supported).local, None):
+                if images is not None or am2.module.n ** am1.action.n_points <= 4096:
+                    tables = np.asarray(gp._enumerate_homs(am1, am2, images))
+                    stacks.append((am1.module, am2.module, tables, basis))
+    whole = [hb.stacked_homs(*stack) for stack in stacks]
+    report = outcome(lambda: gp.verify_equivalence(G, actions))
+    assert max(len(stack[2]) for stack in stacks) == 8
+    with pytest.MonkeyPatch.context() as mp:
+        chunks = chunked(mp, size)
+        for stack, (hom, direct) in zip(stacks, whole):
+            before = len(chunks)
+            got = hb.stacked_homs(*stack)
+            assert len(chunks) - before == -(-len(stack[2]) // size)
+            assert np.array_equal(got[0], hom) and np.array_equal(got[1], direct)
+        assert outcome(lambda: gp.verify_equivalence(G, actions)) == report
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_the_adjoint_identity_witness_names_its_row_of_the_whole_stack(size):
+    """Nine tables that are not homs, then a hom whose adjoint identity fails
+    (sigma is empty): the witness row is 9 whichever chunk holds it."""
+    G, actions = ACTION_SETS["z3"]()
+    am = gp.module_from_action(actions[0])
+    X = am.module
+    good = gp._enumerate_homs(am, am, hb.local_sections(am.supported).local)[0]
+    tables = np.stack([X.carrier.join_table[1, good]] * 9 + [good])   # the bottom moved
+    sigma = np.arange(0)
+    with pytest.raises(laws.TheoremViolation) as one:
+        hb.stacked_homs(X, X, tables, sigma)
+    with pytest.MonkeyPatch.context() as mp:
+        chunked(mp, size)
+        with pytest.raises(laws.TheoremViolation) as exc:
+            hb.stacked_homs(X, X, tables, sigma)
+    assert exc.value.law == one.value.law == "adjoint_identity"
+    assert exc.value.witness == one.value.witness and one.value.witness[0] == 9
