@@ -55,7 +55,7 @@ class NotEnoughSections(Violation):
 class NotARelation(Violation):
     """The matrix is not a relation between the two Q-sets; witness = is_relation's."""
 
-    message = "H is not a relation into M(Y): {witness}"
+    message = "H is not a relation into M(Y): {witness[0]} fails at ({witness[1]}, {witness[2]})"
 
 
 class SupportAxiomFails(Violation):

@@ -96,7 +96,11 @@ class SupLattice:
     """A finite lattice; all joins and meets exist, including empty ones.
 
     Bound tables handed over together are stored as given; otherwise the
-    order is validated and _bound_table computes or checks each table.
+    order is validated and _bound_table computes or checks each table.  A
+    meet table that is not handed over is computed on first read: once all
+    binary joins exist, all meets exist iff there is a least element, so
+    only a poset without one computes its meets at construction, to raise
+    NotALattice at the lex-first pair with no meet.
     """
 
     def __init__(self, leq: np.ndarray, labels: Sequence[str] | None = None,
@@ -110,16 +114,24 @@ class SupLattice:
         self.labels = [str(x) for x in labels] if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("label count does not match n")
+        self.bottom = int(np.argmax(leq.sum(axis=1)))
+        self.top = int(np.argmax(leq.sum(axis=0)))
         if join_table is None or meet_table is None:
             self._validate_order()
             join_table = _bound_table(leq, True, join_table)
-            meet_table = _bound_table(leq, False, meet_table)
-        self.join_table, self.meet_table = join_table, meet_table
-        self.bottom = int(np.argmax(leq.sum(axis=1)))
-        self.top = int(np.argmax(leq.sum(axis=0)))
+            if meet_table is not None or not leq[self.bottom].all():
+                meet_table = _bound_table(leq, False, meet_table)
+        self.join_table = join_table
+        if meet_table is not None:
+            self.meet_table = meet_table
         if not leq[self.bottom].all() or not leq[:, self.top].all():
             # cannot happen once all binary bounds exist, kept as a guard
             raise NotALattice("bound", (self.bottom, self.top))
+
+    @cached_property
+    def meet_table(self) -> np.ndarray:
+        """Greatest lower bounds of all pairs; see the class docstring for when."""
+        return _bound_table(self.leq, False)
 
     def _validate_order(self) -> None:
         leq = self.leq

@@ -132,7 +132,10 @@ def _table(raw, kind: str, key: str) -> np.ndarray:
 
 def lattice_from_payload(p: dict) -> SupLattice:
     n = _integer(_need(p, "n", "lattice"), "lattice", "n")
-    return SupLattice.from_covers(n, _need(p, "covers", "lattice"), p.get("labels"))
+    labels = p.get("labels")
+    if labels is not None:
+        labels = list(_Labels(labels, "lattice", "element"))
+    return SupLattice.from_covers(n, _need(p, "covers", "lattice"), labels)
 
 
 def quantale_from_payload(p: dict) -> Quantale:
@@ -159,7 +162,7 @@ def _ref(ref, kind: str, context: str):
 
 def qset_from_payload(p: dict) -> QSet:
     Q = _ref(_need(p, "quantale", "qset"), "quantale", "qset")
-    index = [str(x) for x in _need(p, "index", "qset")]
+    index = list(_Labels(_need(p, "index", "qset"), "qset", "index"))
     matrix = _table(_need(p, "matrix", "qset"), "qset", "matrix")
     if matrix.shape != (len(index), len(index)):
         raise InputError("qset matrix shape does not match the index set")
@@ -353,10 +356,20 @@ def build_object(kind: str, payload: dict):
         raise InputError(f"malformed {kind} payload: {exc}") from None
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a key named twice is malformed, not overwritten."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"key {key!r} is named twice in one object")
+        out[key] = value
+    return out
+
+
 def load_path(path: str) -> tuple[str, object]:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_object)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -366,6 +379,8 @@ def load_path(path: str) -> tuple[str, object]:
                          f"{exc.msg}") from None
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply") from None
+    except InputError as exc:
+        raise InputError(f"{path}: malformed JSON: {exc}") from None
     kind, payload = parse_document(doc)
     return kind, build_object(kind, payload)
 

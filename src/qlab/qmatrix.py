@@ -3,7 +3,9 @@
 A Q-valued matrix is a dense array of element indices of a fixed quantale.
 Q-sets are the self-adjoint idempotent square matrices; their morphisms are
 the functional relations between them.  Everything here is desk scale: index
-sets of a handful of elements, exhaustive loops.
+sets of a handful of elements.  Each predicate on them is an ordered list of
+whole-array laws and answers (True, None) or (False, (law, *cell)), the
+lex-first cell of the first law in list order that fails.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .laws import TheoremViolation, Violation, first_bad, lex_solutions
+from .laws import TheoremViolation, Violation, first_bad, first_bad_named, lex_solutions
+from .lattice import SupLattice
 from .quantale import Quantale, _gelfand_witnesses, projections
 
 
@@ -108,25 +111,27 @@ class QSet:
         return f"QSet(size={self.size})"
 
 
+def _join_rows(lat: SupLattice, vals: np.ndarray) -> np.ndarray:
+    """The join of each row of vals; x OR bottom = x, so join_products folds them."""
+    return lat.join_products(lat.join_table, vals, np.full(vals.shape[1], lat.bottom))
+
+
+def _verdict(**laws):
+    """(True, None), or (False, (law, *cell)); each keyword is a law's violation array, in order."""
+    w = first_bad_named(**laws)
+    return w is None, w
+
+
 def is_qset(X: QSet):
-    """(ok, witness); witness = (law, alpha, beta) for the lex-first failure."""
-    A = X.A.data
-    w = first_bad(A != mat_adjoint(X.A).data)
-    if w is not None:
-        return False, ("self_adjoint",) + w
-    w = first_bad(mat_mul(X.A, X.A).data != A)
-    if w is not None:
-        return False, ("idempotent",) + w
-    return True, None
+    """Laws self_adjoint, then idempotent; the witness is (law, a, b)."""
+    return _verdict(self_adjoint=X.A.data != mat_adjoint(X.A).data,
+                    idempotent=mat_mul(X.A, X.A).data != X.A.data)
 
 
 def is_strict(X: QSet):
-    """Strictness: the diagonal entry absorbs its row, a_aa a_ab = a_ab."""
-    A, mul = X.A.data, X.Q.mul
-    k = X.size
-    diag = A[np.arange(k), np.arange(k)]
-    w = first_bad(mul[diag[:, None], A] != A)
-    return w is None, w
+    """Strictness: the diagonal entry absorbs its row, a_aa a_ab = a_ab; ("strict", a, b)."""
+    A = X.A.data
+    return _verdict(strict=X.Q.mul[np.diagonal(A)[:, None], A] != A)
 
 
 def quantal_set_conditions(X: QSet):
@@ -134,98 +139,73 @@ def quantal_set_conditions(X: QSet):
 
     Kept as an independent formulation for cross-checking: transitivity plus
     the extent absorption laws, after dropping redundancies, say exactly that
-    the matrix is a strict Q-set once self-adjointness holds.
+    the matrix is a strict Q-set once self-adjointness holds.  The right
+    extent law a_ab <= a_ab a_bb is left_extent at (b, a) under symmetry, so
+    it could never fail first and is not listed.
     """
     A, Q = X.A.data, X.Q
-    mul, leq, inv = Q.mul, Q.leq, Q.inv
-    k = X.size
-    for a in range(k):
-        for b in range(k):
-            if inv[A[a, b]] != A[b, a]:
-                return False, ("symmetry", a, b)
-            if not leq[A[a, b], mul[A[a, a], A[a, b]]]:
-                return False, ("left_extent", a, b)
-            if not leq[A[a, b], mul[A[a, b], A[b, b]]]:
-                return False, ("right_extent", a, b)
-            for c in range(k):
-                if not leq[mul[A[a, b], A[b, c]], A[a, c]]:
-                    return False, ("transitivity", a, b, c)
-    return True, None
+    mul, leq, d = Q.mul, Q.leq, np.diagonal(A)
+    return _verdict(symmetry=Q.inv[A] != A.T,
+                    left_extent=~leq[A, mul[d[:, None], A]],
+                    transitivity=~leq[mul[A[:, :, None], A[None]], A[:, None, :]])   # [a, b, c]
 
 
-def is_relation(R: QMatrix, src: QSet, dst: QSet):
+def _relation_laws(R: QMatrix, src: QSet, dst: QSet) -> dict:
     """R : src -> dst is a matrix of shape (|dst|, |src|) with BR = R = RA."""
     if R.Q is not src.Q or src.Q is not dst.Q:
         raise QuantaleMismatch("relation endpoints live over different quantales")
     if R.shape != (dst.size, src.size):
         raise ShapeMismatch(f"relation must have shape {(dst.size, src.size)}")
-    if mat_mul(dst.A, R) != R:
-        return False, "left_absorption"
-    if mat_mul(R, src.A) != R:
-        return False, "right_absorption"
-    return True, None
+    return {"left_absorption": mat_mul(dst.A, R).data != R.data,
+            "right_absorption": mat_mul(R, src.A).data != R.data}
+
+
+def _map_laws(F: QMatrix, src: QSet, dst: QSet) -> dict:
+    """The relation laws, then single_valued (FF* <= B) and total (A <= F*F)."""
+    leq, Fs = F.Q.leq, mat_adjoint(F)
+    return _relation_laws(F, src, dst) | {
+        "single_valued": ~leq[mat_mul(F, Fs).data, dst.A.data],
+        "total": ~leq[src.A.data, mat_mul(Fs, F).data]}
+
+
+def is_relation(R: QMatrix, src: QSet, dst: QSet):
+    """Laws left_absorption (BR = R), then right_absorption (RA = R)."""
+    return _verdict(**_relation_laws(R, src, dst))
 
 
 def is_map(F: QMatrix, src: QSet, dst: QSet):
-    ok, why = is_relation(F, src, dst)
-    if not ok:
-        return False, why
-    if not mat_leq(mat_mul(F, mat_adjoint(F)), dst.A):
-        return False, "single_valued"
-    if not mat_leq(src.A, mat_mul(mat_adjoint(F), F)):
-        return False, "total"
-    return True, None
+    return _verdict(**_map_laws(F, src, dst))
 
 
 def is_strict_map(F: QMatrix, src: QSet, dst: QSet):
-    ok, why = is_map(F, src, dst)
-    if not ok:
-        return False, why
-    mul = F.Q.mul
-    A, B, f = src.A.data, dst.A.data, F.data
-    ka, kb = src.size, dst.size
-    da = A[np.arange(ka), np.arange(ka)]
-    db = B[np.arange(kb), np.arange(kb)]
-    if (mul[f, da[None, :]] != f).any():
-        return False, "source_strict"
-    if (mul[db[:, None], f] != f).any():
-        return False, "target_strict"
-    return True, None
+    """A map whose entries absorb the diagonals of both ends."""
+    mul, f = F.Q.mul, F.data
+    return _verdict(**_map_laws(F, src, dst),
+                    source_strict=mul[f, np.diagonal(src.A.data)[None, :]] != f,
+                    target_strict=mul[np.diagonal(dst.A.data)[:, None], f] != f)
 
 
 def is_gelfand_map(F: QMatrix, src: QSet, dst: QSet):
-    ok, why = is_map(F, src, dst)
-    if not ok:
-        return False, why
-    Q = F.Q
-    f = F.data
-    fff = Q.mul[Q.mul[f, Q.inv[f]], f]
-    if not Q.leq[f, fff].all():
-        return False, "gelfand"
-    return True, None
+    """A map with f <= f f* f in every entry."""
+    Q, f = F.Q, F.data
+    return _verdict(**_map_laws(F, src, dst), gelfand=~Q.leq[f, Q.mul[Q.mul[f, Q.inv[f]], f]])
 
 
 def frame_map_conditions(F: QMatrix, src: QSet, dst: QSet):
-    """Map axioms in frame language; over a frame they characterize maps."""
-    Q = F.Q
-    mt, leq = Q.lattice.meet_table, Q.leq
-    A, B, f = src.A.data, dst.A.data, F.data
-    I, J = range(src.size), range(dst.size)
-    for b in J:
-        for a in I:
-            if not leq[f[b, a], mt[A[a, a], B[b, b]]]:
-                return False, ("entry_below_extents", b, a)
-            for b2 in J:
-                for a2 in I:
-                    if not leq[mt[mt[f[b, a], A[a, a2]], B[b, b2]], f[b2, a2]]:
-                        return False, ("substitution", b, a, b2, a2)
-            for b2 in J:
-                if not leq[mt[f[b, a], f[b2, a]], B[b, b2]]:
-                    return False, ("single_valued", b, a, b2)
-    for a in I:
-        if not leq[A[a, a], Q.join([f[b, a] for b in J])]:
-            return False, ("total", a)
-    return True, None
+    """Map axioms in frame language; over a frame they characterize maps.
+
+    Laws entry_below_extents (b, a), substitution (b, a, b2, a2),
+    single_valued (b, a, b2) and total (a,).
+    """
+    lat, f = F.Q.lattice, F.data
+    mt, leq = lat.meet_table, lat.leq
+    A, B = src.A.data, dst.A.data
+    da, db = np.diagonal(A), np.diagonal(B)
+    return _verdict(
+        entry_below_extents=~leq[f, mt[db[:, None], da[None, :]]],
+        substitution=~leq[mt[mt[f[:, :, None, None], A[None, :, None, :]], B[:, None, :, None]], f],
+        single_valued=~leq[mt[f[:, :, None], f.T[None]], B[:, None, :]],
+        total=~leq[da, _join_rows(lat, f.T)])
 
 
 @dataclass
@@ -261,35 +241,23 @@ def _columns(Q: Quantale, A: np.ndarray) -> np.ndarray:
     return lex_solutions(values, consistent)
 
 
-def _attach_witnesses(Q: Quantale, A: np.ndarray, col: tuple) -> Singleton | None:
-    s = np.asarray(col, dtype=np.intp)
-    ss = Q.join(Q.mul[Q.inv[s], s])
-    qs = []
-    for q in projections(Q):
-        if (Q.mul[s, q] == s).all() and Q.leq[q, ss]:
-            qs.append(q)
-    if not qs:
-        return None
-    canonical = int(ss) if int(ss) in qs else qs[0]
-    return Singleton(col, tuple(qs), canonical)
-
-
 def singletons(X: QSet) -> list[Singleton]:
     """All singleton columns of a Q-set, each with its projection witnesses.
 
     The quantale must be stably Gelfand (NotStablyGelfand otherwise).  Then
-    the column conditions reduce to the two inequalities of _columns, and
-    q = S*S always witnesses the column.
+    the column conditions reduce to the two inequalities of _columns.  A
+    projection q witnesses the column S when Sq = S and q <= S*S, and q =
+    S*S always does: a theorem, re-checked here, that gives canonical_q.
     """
     Q, A = X.Q, X.A.data
     NotStablyGelfand.check("stably_gelfand", _gelfand_witnesses(Q)["stably_gelfand"])
-    out = []
-    for col in _columns(Q, A).tolist():
-        item = _attach_witnesses(Q, A, tuple(col))
-        TheoremViolation.check("singleton_has_projection",
-                               None if item is not None else tuple(col))
-        out.append(item)
-    return out
+    S = _columns(Q, A)                              # one column per row
+    P = np.array(projections(Q), dtype=np.intp)
+    ss = _join_rows(Q.lattice, Q.mul[Q.inv[S], S])  # S*S of each column
+    ok = (Q.mul[S[:, :, None], P] == S[:, :, None]).all(axis=1) & Q.leq[P, ss[:, None]]
+    TheoremViolation.check("canonical_witness", first_bad(~(ok & (P == ss[:, None])).any(axis=1)))
+    return [Singleton(tuple(s), tuple(P[w].tolist()), q)
+            for s, w, q in zip(S.tolist(), ok, ss.tolist())]
 
 
 @dataclass

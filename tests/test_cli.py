@@ -279,6 +279,12 @@ MALFORMED = {   # name -> (object to dump, in-place edit of its payload)
     "inv-of-bools": ("r4", lambda p: p.update(inv=[False, True, True, True])),
     # the file is 100,000 [ instead, which json nests one call deep each
     "nested-too-deeply": ("lattice", lambda p: None),
+    # each label list names a label once; a key named twice in the file text
+    # (written below) is not overwritten by its last value
+    "lattice-label-twice": ("lattice", lambda p: p["labels"].__setitem__(1, p["labels"][0])),
+    "qset-index-label-twice": ("qset", lambda p: p.update(index=["a", "a"],
+                                                          matrix=[[9, 2], [8, 9]])),
+    "p-key-named-twice": ("z3_regular", lambda p: None),
 }
 
 
@@ -291,14 +297,20 @@ def test_malformed_payloads_exit_2(tmp_path, capsys, name):
         or objio.resolve(f"catalog:{base}")[1]
     doc = json.loads(objio.dump_object(obj))
     edit(doc["payload"])
+    text = json.dumps(doc, ensure_ascii=False)
+    if name == "p-key-named-twice":     # before the real entry, which a last-wins reader keeps
+        text = text.replace('"p": {', '"p": {"e": "nowhere", ', 1)
     p = tmp_path / "bad.json"
     p.write_bytes(b"[" * 100_000 if name == "nested-too-deeply" else
-                  json.dumps(doc, ensure_ascii=False).encode("utf-8", "surrogateescape"))
+                  text.encode("utf-8", "surrogateescape"))
     code, out, err = run(capsys, "check", str(p))
     assert (code, out) == (2, "")
     start = {"not-utf-8": f"error: {p}: not UTF-8 text at byte ",
-             "nested-too-deeply": f"error: {p}: JSON nested too deeply"}.get(
-                 name, f"error: malformed {doc['kind']} payload: ")
+             "nested-too-deeply": f"error: {p}: JSON nested too deeply",
+             "lattice-label-twice": "error: malformed lattice payload: duplicate element label '0'",
+             "qset-index-label-twice": "error: malformed qset payload: duplicate index label 'a'",
+             "p-key-named-twice": f"error: {p}: malformed JSON: key 'e' is named twice in one "
+                                  "object"}.get(name, f"error: malformed {doc['kind']} payload: ")
     assert err.startswith(start) and err.count("\n") == 1
 
 

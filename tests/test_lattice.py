@@ -207,3 +207,13 @@ def test_a_poset_without_a_least_element_has_no_meet():
         SupLattice(leq)
     assert (ei.value.kind, ei.value.witness) == ("meet", (0, 1))
     assert str(ei.value) == "not a lattice: no meet for pair (0, 1)"
+
+
+def test_the_meet_table_is_computed_on_first_read():
+    lat = SupLattice(powerset_lattice(["a", "b", "c"]).leq)
+    assert "meet_table" not in vars(lat)
+    masks = np.arange(8)
+    assert np.array_equal(lat.meet_table, masks[:, None] & masks[None, :])
+    # a handed-over meet table is checked and stored at construction
+    handed = masks[:, None] & masks[None, :]
+    assert SupLattice(lat.leq, meet_table=handed).meet_table is handed

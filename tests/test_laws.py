@@ -454,8 +454,8 @@ VIOLATIONS = [
     (hilbert.AdjointIdentityFails, "adjoint_identity", (2, 3), "adjoint identity fails at (2, 3)"),
     (hilbert.NotEnoughSections, "hilbert_basis", 1,
      "element 1 is not a join of its section parts"),
-    (hilbert.NotARelation, "relation", "left_absorption",
-     "H is not a relation into M(Y): left_absorption"),
+    (hilbert.NotARelation, "relation", ("left_absorption", 0, 1),
+     "H is not a relation into M(Y): left_absorption fails at (0, 1)"),
     (hilbert.SupportAxiomFails, "restores", (1,), "support axiom restores fails at (1,)"),
     (groupoid.NotAGroupoid, "unit_endpoints", (1,), "groupoid law unit_endpoints fails at (1,)"),
     (groupoid.InvalidAction, "definedness", (0, 0), "action law definedness fails at (0, 0)"),
