@@ -6,7 +6,7 @@ from .quantale import (BNotLocale, NotUnital, PropertyReport, Quantale,
                        partial_units, support, validate_quantale)
 from .qmatrix import (QMatrix, QSet, completion, is_qset, is_strict,
                       quantal_set_conditions, random_qset, singletons)
-from .hilbert import (ModuleHom, PreHilbertModule, QModule, adjoint,
+from .hilbert import (ModuleHom, PreHilbertModule, adjoint,
                       hilbert_sections, is_hilbert_basis, is_module_hom,
                       local_sections, module_from_qset, module_over_self,
                       module_support, validate_prehilbert)

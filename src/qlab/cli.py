@@ -430,10 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BudgetExceeded, CarrierTooLarge) as exc:
+    except (InputError, CarrierTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Violation as exc:

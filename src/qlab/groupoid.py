@@ -144,7 +144,7 @@ def groupoid_quantale(G: FiniteGroupoid, name: str | None = None) -> Quantale:
 
 
 def bisections(G: FiniteGroupoid) -> list[int]:
-    """Subset bitmasks on which both d and r are injective: the partial units of O(G)."""
+    """The arrow sets on which both d and r are injective: the partial units of O(G)."""
     return partial_units(G.quantale).elements
 
 
@@ -194,50 +194,40 @@ class GroupoidAction:
         return f"GroupoidAction(points={self.n_points}{tag})"
 
 
-@dataclass(eq=False)
-class ActionModule:
-    """The etale Q-locale P(E) of an action, with its verified support."""
+def module_from_action(A: GroupoidAction) -> hb.SupportedModule:
+    """The etale Q-locale P(E) of an action, with its verified support.
 
-    action: GroupoidAction
-    module: hb.PreHilbertModule
-    supported: hb.SupportedModule
-    atoms: np.ndarray            # carrier index of each single point {x}
-
-
-def module_from_action(A: GroupoidAction) -> ActionModule:
+    {g}.{y} = {lam_g(y)} (the bottom off the fiber) and <{x}, {y}> = the
+    join of the {g} with lam_g(y) = x are set on the join-irreducibles, the
+    points {x} of the carrier and the arrows {g} of O(G), and join-extended.
+    """
     G = A.groupoid
     Q = G.quantale
-    ne = A.n_points
-    masks = np.arange(1 << ne)
     carrier = powerset_lattice(A.points)
+    JQ = np.asarray(Q.lattice.join_irreducibles, dtype=np.intp)
+    JX = np.asarray(carrier.join_irreducibles, dtype=np.intp)
 
     # pullback point maps lam_g = act(i(g), -): fiber r(g) -> fiber d(g), and
     # act(i(g), y) is defined exactly when p(y) = d(i(g)) = r(g)
     lam = A.act[G.inv]
-
-    # {g}.{y} = {lam_g(y)}, or empty off the fiber; both arguments extend by joins
-    single = np.where(lam >= 0, 1 << np.maximum(lam, 0), 0)
+    single = np.where(lam >= 0, JX[np.maximum(lam, 0)], carrier.bottom)
     actX = Q.lattice.join_extend(carrier.join_extend(single.T, carrier).T, carrier)
 
-    ip = np.zeros((len(masks), len(masks)), dtype=np.intp)
-    for g in range(G.n_arrows):
-        hits = (masks[:, None] & actX[1 << g][None, :]) != 0
-        ip |= hits * (1 << g)
+    ip_atoms = np.full((A.n_points, A.n_points), Q.bottom, dtype=np.intp)
+    for g, q in enumerate(JQ):
+        ip_atoms = np.where(single[g] == JX[:, None], Q.lattice.join_table[ip_atoms, q], ip_atoms)
+    ip = carrier.join_extend(carrier.join_extend(ip_atoms, Q.lattice).T, Q.lattice).T
+    module = hb.PreHilbertModule(Q, carrier, actX, ip)
 
-    module = hb.PreHilbertModule(hb.QModule(Q, carrier, actX), ip)
-
-    # B-valued cross-check: <S,T> AND e must be u(p(S cap T))
-    pobj = carrier.join_extend(1 << G.units[A.p], Q.lattice)
-    expected = pobj[masks[:, None] & masks[None, :]]
-    TheoremViolation.check("local_inner_product",
-                           first_bad(Q.lattice.meet_table[module.ip, Q.unit] != expected))
+    # B-valued cross-check: <S,T> AND e must be u(p(S AND T))
+    pobj = carrier.join_extend(JQ[G.units[A.p]], Q.lattice)
+    TheoremViolation.check("local_inner_product", first_bad(
+        Q.lattice.meet_table[ip, Q.unit] != pobj[carrier.meet_table]))
 
     hb.check_prehilbert(module)
     sm = hb.module_support(module)
     TheoremViolation.check("support_is_anchor", first_bad(sm.sup != pobj))   # sup(S) = u(p(S))
-
-    atoms = 1 << np.arange(ne, dtype=np.intp)
-    return ActionModule(A, module, sm, atoms)
+    return sm
 
 
 @dataclass
@@ -272,7 +262,7 @@ def local_section_indices(X: hb.PreHilbertModule):
     Q = X.quantale
     if Q.unit is None:
         raise NotUnital("local sections need a unital quantale")
-    base = hb.PreHilbertModule(X.module, Q.lattice.meet_table[X.ip, Q.unit])
+    base = hb.PreHilbertModule(Q, X.carrier, X.action, Q.lattice.meet_table[X.ip, Q.unit])
     return hb.hilbert_sections(base), np.diagonal(base.ip).copy(), base
 
 
@@ -387,25 +377,25 @@ def _equivariant_maps(A1: GroupoidAction, A2: GroupoidAction) -> list[tuple]:
     return [tuple(f) for f in _commuting_maps(values, A2.act, triples).tolist()]
 
 
-def _enumerate_homs(am1: ActionModule, am2: ActionModule,
+def _enumerate_homs(sm1: hb.SupportedModule, sm2: hb.SupportedModule,
                     images: np.ndarray | None) -> np.ndarray:
     """Join-preserving candidates via atom images, verified afterwards.
 
-    Atom x may go to any element of `images` (None: any carrier element)
-    with the support of {x}.  The quantale atoms prune: an arrow g carries
-    atom x to either bottom or another atom, and the image assignment must
-    commute.  Survivors are re-checked by hilbert.stacked_homs, so the
-    pruning only has to be sound, not complete.  Returns the candidate
+    Atom x, the join-irreducible {x} of the source carrier, may go to any
+    element of `images` (None: any carrier element) with the support of
+    {x}.  The quantale atoms {g} prune: an arrow g carries atom x to either
+    bottom or another atom, and the image assignment must commute.
+    Survivors are re-checked by hilbert.stacked_homs, so the pruning only
+    has to be sound, not complete.  Returns the candidate
     tables as the rows of one array, in lex order of the atom images.
     """
-    X1, X2 = am1.module, am2.module
-    atoms1 = am1.atoms.tolist()
+    X1, X2 = sm1.module, sm2.module
+    atoms1 = X1.carrier.join_irreducibles
     if images is None:
         values = [np.arange(X2.n)] * len(atoms1)
     else:
-        sup1, sup2 = am1.supported.sup, am2.supported.sup
-        values = [images[sup2[images] == sup1[a]] for a in atoms1]
-    qatoms = 1 << np.arange(am1.action.groupoid.n_arrows)
+        values = [images[sm2.sup[images] == sm1.sup[a]] for a in atoms1]
+    qatoms = X1.quantale.lattice.join_irreducibles
     # {g}.{x} in X1 is the bottom (z = -1) or the atom {z}
     pos = {int(X1.carrier.bottom): -1} | {a: x for x, a in enumerate(atoms1)}
     triples = [(g, x, pos[int(X1.action[q, a])])
@@ -414,18 +404,18 @@ def _enumerate_homs(am1: ActionModule, am2: ActionModule,
     return np.ascontiguousarray(X1.carrier.join_extend(sols.T, X2.carrier).T)
 
 
-def _hom_verdicts(am1: ActionModule, am2: ActionModule, tables: np.ndarray, basis,
-                  loc1: np.ndarray, loc2: np.ndarray):
+def _hom_verdicts(sm1: hb.SupportedModule, sm2: hb.SupportedModule, tables: np.ndarray,
+                  basis, loc1: np.ndarray, loc2: np.ndarray):
     """(hom, sheaf, direct) of a stack of candidate tables, one boolean per row.
 
     hb.stacked_homs decides hom and direct (the homs that are direct
     images) for every row, or raises TheoremViolation; a sheaf hom is a hom
     that preserves supports and local sections.
     """
-    hom, direct = hb.stacked_homs(am1.module, am2.module, tables, basis)
-    local = np.zeros(am2.module.n, dtype=bool)
+    hom, direct = hb.stacked_homs(sm1.module, sm2.module, tables, basis)
+    local = np.zeros(sm2.module.n, dtype=bool)
     local[loc2] = True
-    sheaf = (hom & (am2.supported.sup[tables] == am1.supported.sup).all(axis=1)
+    sheaf = (hom & (sm2.sup[tables] == sm1.sup).all(axis=1)
              & local[tables[:, loc1]].all(axis=1))
     return hom, sheaf, direct
 
@@ -444,17 +434,18 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
     are decided as one stack (_hom_verdicts).
     """
     mods = [module_from_action(a) for a in actions]
-    locs = [hb.local_sections(am.supported).local for am in mods]
+    locs = [hb.local_sections(sm).local for sm in mods]
     pairs = []
-    for i, am1 in enumerate(mods):
-        X1 = am1.module
+    for i, sm1 in enumerate(mods):
+        X1 = sm1.module
         TheoremViolation.check("prehilbert_laws", X1.prehilbert_report.failures() or None)
         basis = hb.hilbert_sections(X1)
         hb.NotEnoughSections.check("hilbert_basis", hb.is_hilbert_basis(X1, basis)[1])
-        for j, am2 in enumerate(mods):
+        for j, sm2 in enumerate(mods):
+            X2 = sm2.module
             equiv = _equivariant_maps(actions[i], actions[j])
-            cands = _enumerate_homs(am1, am2, locs[j])
-            _, sheaf, direct = _hom_verdicts(am1, am2, cands, basis, locs[i], locs[j])
+            cands = _enumerate_homs(sm1, sm2, locs[j])
+            _, sheaf, direct = _hom_verdicts(sm1, sm2, cands, basis, locs[i], locs[j])
             sheaf_rows = np.flatnonzero(sheaf)
             keyed = {cands[s].tobytes(): pos for pos, s in enumerate(sheaf_rows)}
 
@@ -463,7 +454,8 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
             TheoremViolation.check("sheaf_hom_is_direct_image", None if w is None else (i, j) + w)
 
             images = np.array(equiv, dtype=np.intp).reshape(len(equiv), actions[i].n_points)
-            pushed = X1.carrier.join_extend(am2.atoms[images].T, am2.module.carrier).T
+            pushed = X1.carrier.join_extend(np.take(X2.carrier.join_irreducibles, images).T,
+                                            X2.carrier).T
             bij = []
             for f, table in zip(equiv, pushed):          # f_! for every equivariant f
                 key = table.tobytes()
@@ -474,10 +466,9 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
                                    None if len(set(bij)) == len(bij) else (i, j))
 
             total = None
-            space = am2.module.n ** am1.action.n_points
-            if space <= all_hom_cap:
-                every = _enumerate_homs(am1, am2, None)
-                hom, sheaf, direct = _hom_verdicts(am1, am2, every, basis, locs[i], locs[j])
+            if X2.n ** actions[i].n_points <= all_hom_cap:
+                every = _enumerate_homs(sm1, sm2, None)
+                hom, sheaf, direct = _hom_verdicts(sm1, sm2, every, basis, locs[i], locs[j])
                 total = int(hom.sum())
                 subset = {every[s].tobytes() for s in np.flatnonzero(sheaf)}
                 galois = {every[s].tobytes() for s in np.flatnonzero(direct)}

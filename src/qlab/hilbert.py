@@ -113,55 +113,27 @@ class _RowIndex:
         return _RowIndex(np.concatenate([self.table, fresh[keep]])), pos
 
 
-class QModule:
-    """A left module over a quantale: action[a, x] = a.x on a sup-lattice."""
+class PreHilbertModule:
+    """A left Q-module on a sup-lattice, action[a, x] = a.x, with a Q-valued
+    inner product table ip[x, y]."""
 
-    def __init__(self, quantale: Quantale, carrier: SupLattice, action):
+    def __init__(self, quantale: Quantale, carrier: SupLattice, action, ip):
         action = np.ascontiguousarray(np.asarray(action, dtype=np.intp))
-        if action.shape != (quantale.n, carrier.n):
+        ip = np.ascontiguousarray(np.asarray(ip, dtype=np.intp))
+        n = carrier.n
+        if action.shape != (quantale.n, n):
             raise ValueError("action table must be n_Q x n_X")
-        if action.min() < 0 or action.max() >= carrier.n:
+        if action.min() < 0 or action.max() >= n:
             raise ValueError("action entries out of range")
+        if ip.shape != (n, n):
+            raise ValueError("inner product table must be n_X x n_X")
+        if ip.min() < 0 or ip.max() >= quantale.n:
+            raise ValueError("inner product entries out of range")
         self.quantale = quantale
         self.carrier = carrier
         self.action = action
-
-    @property
-    def n(self) -> int:
-        return self.carrier.n
-
-    def __repr__(self) -> str:
-        return f"QModule(|Q|={self.quantale.n}, |X|={self.carrier.n})"
-
-
-class PreHilbertModule:
-    """A left Q-module with a Q-valued inner product table ip[x, y]."""
-
-    def __init__(self, module: QModule, ip):
-        ip = np.ascontiguousarray(np.asarray(ip, dtype=np.intp))
-        n = module.carrier.n
-        if ip.shape != (n, n):
-            raise ValueError("inner product table must be n_X x n_X")
-        if ip.min() < 0 or ip.max() >= module.quantale.n:
-            raise ValueError("inner product entries out of range")
-        self.module = module
         self.ip = ip
-
-    @property
-    def quantale(self) -> Quantale:
-        return self.module.quantale
-
-    @property
-    def carrier(self) -> SupLattice:
-        return self.module.carrier
-
-    @property
-    def action(self) -> np.ndarray:
-        return self.module.action
-
-    @property
-    def n(self) -> int:
-        return self.module.carrier.n
+        self.n = n
 
     @cached_property
     def left_linearity(self) -> dict:
@@ -188,11 +160,10 @@ class PreHilbertModule:
 
 def module_over_self(Q: Quantale) -> PreHilbertModule:
     """Q as a module over itself with <a, b> = a b*."""
-    mod = QModule(Q, Q.lattice, Q.mul)
-    return PreHilbertModule(mod, Q.mul[:, Q.inv])
+    return PreHilbertModule(Q, Q.lattice, Q.mul, Q.mul[:, Q.inv])
 
 
-def validate_module(M: QModule) -> ValidationReport:
+def validate_module(M: PreHilbertModule) -> ValidationReport:
     """Check the left-module laws (binary joins + bottom) exactly.
 
     Join preservation in each argument is SupLattice.join_witness.  Once
@@ -247,7 +218,7 @@ def validate_prehilbert(X: PreHilbertModule) -> PreHilbertReport:
     Q, lat, act, ip = X.quantale, X.carrier, X.action, X.ip
     mul, inv = Q.mul, Q.inv
     JQ = np.asarray(Q.lattice.join_irreducibles, dtype=np.intp)
-    laws = validate_module(X.module).laws
+    laws = validate_module(X).laws
     module_linear = Q.bilinear and all(
         laws[k] is None for k in ("action_join_scalar", "action_bottom_scalar",
                                   "action_join_element", "action_bottom_element"))
@@ -516,7 +487,7 @@ def module_from_qset(Q: Quantale, X: QSet, cap: int = CARRIER_CAP) -> MatrixModu
     TheoremViolation.check("rows_in_carrier", first_bad(rows < 0))
 
     ip = carrier.join_extend(lat.join_products(mul, arr, inv[arr[JX]].T).T, Q.lattice).T
-    mod = PreHilbertModule(QModule(Q, carrier, act), ip)
+    mod = PreHilbertModule(Q, carrier, act, ip)
 
     check_prehilbert(mod)
     TheoremViolation.check("row_projection", first_bad(ip[:, rows] != arr))  # <v, row_b> = v_b

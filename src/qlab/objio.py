@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalog import catalog_entries, catalog_get
 from .groupoid import FiniteGroupoid, GroupoidAction
-from .hilbert import NotAPreHilbert, PreHilbertModule, QModule
+from .hilbert import NotAPreHilbert, PreHilbertModule
 from .lattice import SupLattice
 from .qmatrix import QSet
 from .quantale import NotAQuantale, Quantale, validate_quantale
@@ -175,7 +175,7 @@ def module_from_payload(p: dict) -> PreHilbertModule:
     carrier = lattice_from_payload(_need(p, "carrier", "module"))
     action = _table(_need(p, "action", "module"), "module", "action")
     ip = _table(_need(p, "ip", "module"), "module", "ip")
-    X = PreHilbertModule(QModule(Q, carrier, action), ip)
+    X = PreHilbertModule(Q, carrier, action, ip)
     X.prehilbert_report.require(NotAPreHilbert)
     return X
 

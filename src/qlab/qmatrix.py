@@ -150,12 +150,16 @@ def quantal_set_conditions(X: QSet):
                     transitivity=~leq[mul[A[:, :, None], A[None]], A[:, None, :]])   # [a, b, c]
 
 
-def _relation_laws(R: QMatrix, src: QSet, dst: QSet) -> dict:
-    """R : src -> dst is a matrix of shape (|dst|, |src|) with BR = R = RA."""
+def _check_endpoints(R: QMatrix, src: QSet, dst: QSet) -> None:
     if R.Q is not src.Q or src.Q is not dst.Q:
         raise QuantaleMismatch("relation endpoints live over different quantales")
     if R.shape != (dst.size, src.size):
         raise ShapeMismatch(f"relation must have shape {(dst.size, src.size)}")
+
+
+def _relation_laws(R: QMatrix, src: QSet, dst: QSet) -> dict:
+    """R : src -> dst is a matrix of shape (|dst|, |src|) with BR = R = RA."""
+    _check_endpoints(R, src, dst)
     return {"left_absorption": mat_mul(dst.A, R).data != R.data,
             "right_absorption": mat_mul(R, src.A).data != R.data}
 
@@ -195,8 +199,10 @@ def frame_map_conditions(F: QMatrix, src: QSet, dst: QSet):
     """Map axioms in frame language; over a frame they characterize maps.
 
     Laws entry_below_extents (b, a), substitution (b, a, b2, a2),
-    single_valued (b, a, b2) and total (a,).
+    single_valued (b, a, b2) and total (a,).  The endpoints are checked
+    as is_map checks them.
     """
+    _check_endpoints(F, src, dst)
     lat, f = F.Q.lattice, F.data
     mt, leq = lat.meet_table, lat.leq
     A, B = src.A.data, dst.A.data

@@ -8,7 +8,7 @@ from qlab.groupoid import module_from_action, verify_equivalence
 from qlab.laws import Violation
 from qlab.lattice import chain_lattice, powerset_lattice
 from qlab.hilbert import (AdjointIdentityFails, CarrierTooLarge, ModuleHom,
-                          NotEnoughSections, PreHilbertModule, QModule,
+                          NotEnoughSections, PreHilbertModule,
                           SupportAxiomFails, adjoint, functor_M,
                           functor_M_object, has_enough_sections,
                           hilbert_sections, hom_compose, hom_from_relation,
@@ -43,7 +43,7 @@ def r4_chain_submodule():
     pos = {0: 0, 2: 1, 3: 2}
     act = np.array([[pos[int(R4.mul[q, x])] for x in sub] for q in range(4)])
     ip = np.array([[int(R4.mul[x, R4.inv[y]]) for y in sub] for x in sub])
-    return PreHilbertModule(QModule(R4, carrier, act), ip)
+    return PreHilbertModule(R4, carrier, act, ip)
 
 
 def test_module_over_self_is_a_prehilbert_module():
@@ -59,11 +59,11 @@ def test_module_law_witnesses():
     X = module_over_self(R4)
     act = X.action.copy()
     act[R4.unit] = act[R4.unit][[0, 2, 1, 3]]
-    rep = validate_module(QModule(R4, X.carrier, act))
+    rep = validate_module(PreHilbertModule(R4, X.carrier, act, X.ip))
     assert rep.laws["action_unit"] is not None
     act = X.action.copy()
     act[3, 1] = 2  # top.e should be top
-    rep = validate_module(QModule(R4, X.carrier, act))
+    rep = validate_module(PreHilbertModule(R4, X.carrier, act, X.ip))
     assert not rep.ok
     assert rep.laws["action_product"] is not None
 
@@ -72,12 +72,12 @@ def test_prehilbert_witnesses_and_degeneracy():
     X = module_over_self(R4)
     ip = X.ip.copy()
     ip[2, 1] = 3
-    rep = validate_prehilbert(PreHilbertModule(X.module, ip))
+    rep = validate_prehilbert(PreHilbertModule(X.quantale, X.carrier, X.action, ip))
     assert not rep.ok
 
     # the all-bottom inner product satisfies the axioms but is degenerate
     zero = np.zeros_like(X.ip)
-    rep = validate_prehilbert(PreHilbertModule(X.module, zero))
+    rep = validate_prehilbert(PreHilbertModule(X.quantale, X.carrier, X.action, zero))
     assert rep.ok
     assert not rep.non_degenerate
     assert rep.degeneracy_witness == (0, 1)
@@ -272,7 +272,7 @@ def test_module_support_failure_witness():
     ip = X.ip.copy()
     ip[1, 1] = 0  # pretend <e, e> vanishes
     with pytest.raises(SupportAxiomFails) as ei:
-        module_support(PreHilbertModule(X.module, ip))
+        module_support(PreHilbertModule(X.quantale, X.carrier, X.action, ip))
     assert ei.value.law == "restores"
     assert ei.value.witness == (1,)
 
@@ -297,10 +297,11 @@ def test_theorem_rechecks_never_blame_a_corrupted_input_module(name):
         x, y = rng.integers(0, X0.n, size=2)
         ip = X0.ip.copy()
         ip[x, y] = rng.integers(0, X0.quantale.n)
-        invalid = bool(validate_prehilbert(PreHilbertModule(X0.module, ip)).failures())
+        X = PreHilbertModule(X0.quantale, X0.carrier, X0.action, ip)
+        invalid = bool(validate_prehilbert(X).failures())
         for call in PREMISED.values():
             try:
-                call(PreHilbertModule(X0.module, ip))
+                call(PreHilbertModule(X0.quantale, X0.carrier, X0.action, ip))
             except Violation:
                 continue
             assert not invalid       # nothing is built on a module that is not pre-Hilbert

@@ -39,3 +39,17 @@ def imported_names(tree: ast.Module):
 def test_the_groupoid_module_imports_nothing_from_the_catalog():
     names = set(imported_names(parse(pathlib.Path(qlab.__file__).parent / "groupoid.py")))
     assert names.isdisjoint({".catalog", "qlab.catalog"})
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_read(path):
+    """A name bound by an import is read somewhere in its module; the package's
+    __init__ imports names to re-export them, and `annotations` is a future flag."""
+    tree = parse(path)
+    bound = {(alias.asname or alias.name).split(".")[0]: node.lineno
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names if alias.name != "annotations"}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert {name: line for name, line in bound.items() if name not in read} == {}

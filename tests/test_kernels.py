@@ -212,20 +212,22 @@ def equivariant_maps_recursive(A1, A2):
     return out
 
 
-def enumerate_homs_recursive(am1, am2, pinned):
-    """The recursive hom walk, its candidates read from the local sections when pinned."""
-    n1, na = am1.action.n_points, am1.action.groupoid.n_arrows
+def enumerate_homs_recursive(A1, am1, am2, pinned):
+    """The recursive hom walk from the module of action A1, on bitmask atoms, its
+    candidates read from the local sections when pinned."""
+    n1, na = A1.n_points, A1.groupoid.n_arrows
+    atoms1 = [1 << x for x in range(n1)]
     X1, X2 = am1.module, am2.module
     if pinned:
-        loc2 = hb.local_sections(am2.supported).local
-        sup1, sup2 = am1.supported.sup, am2.supported.sup
-        cands = [[int(c) for c in loc2 if sup2[c] == sup1[am1.atoms[x]]] for x in range(n1)]
+        loc2 = hb.local_sections(am2).local
+        sup1, sup2 = am1.sup, am2.sup
+        cands = [[int(c) for c in loc2 if sup2[c] == sup1[atoms1[x]]] for x in range(n1)]
     else:
         cands = [list(range(X2.n))] * n1
     qatom = [1 << g for g in range(na)]
-    pact1 = np.array([[X1.action[qatom[g], am1.atoms[x]] for x in range(n1)]
+    pact1 = np.array([[X1.action[qatom[g], atoms1[x]] for x in range(n1)]
                       for g in range(na)], dtype=np.intp)
-    atom_pos1 = {int(am1.atoms[x]): x for x in range(n1)}
+    atom_pos1 = {atoms1[x]: x for x in range(n1)}
     chosen, found = [-1] * n1, []
 
     def consistent(k):
@@ -239,7 +241,7 @@ def enumerate_homs_recursive(am1, am2, pinned):
                 if z <= k and chosen[z] != img:
                     return False
             for x in range(k):
-                if pact1[g, x] == am1.atoms[k] and X2.action[qatom[g], chosen[x]] != chosen[k]:
+                if pact1[g, x] == atoms1[k] and X2.action[qatom[g], chosen[x]] != chosen[k]:
                     return False
         return True
 
@@ -789,11 +791,12 @@ def test_catalog_quantales_match_the_replaced_loops(name):
 
 @pytest.mark.parametrize("name", catalog_names("action"))
 def test_catalog_action_modules_match_the_replaced_loops(name):
-    am = module_from_action(catalog_get(name)[1])
-    action, ip, sup = action_module_bits(am.action)
+    A = catalog_get(name)[1]
+    am = module_from_action(A)
+    action, ip, sup = action_module_bits(A)
     assert np.array_equal(am.module.action, action)
     assert np.array_equal(am.module.ip, ip)
-    assert np.array_equal(am.supported.sup, sup)
+    assert np.array_equal(am.sup, sup)
 
 
 # ------------------------------------------------------------ join law
@@ -1089,13 +1092,13 @@ def test_catalog_homs_match_the_recursive_walks(pair):
     A1, A2 = (catalog_get(name)[1] for name in pair)
     assert _equivariant_maps(A1, A2) == equivariant_maps_recursive(A1, A2)
     am1, am2 = module_from_action(A1), module_from_action(A2)
-    loc2 = hb.local_sections(am2.supported).local
+    loc2 = hb.local_sections(am2).local
     runs = [(loc2, True)]
     if am2.module.n ** A1.n_points <= 4096:           # verify_equivalence's all_hom_cap
         runs.append((None, False))
     for images, pinned in runs:
         fast = _enumerate_homs(am1, am2, images)
-        slow = enumerate_homs_recursive(am1, am2, pinned)
+        slow = enumerate_homs_recursive(A1, am1, am2, pinned)
         assert len(fast) == len(slow)
         assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
 
@@ -1125,7 +1128,7 @@ def with_repeated_row(X, seed):
     src, dst = sorted(rng.choice(X.n, size=2, replace=False))
     ip = X.ip.copy()
     ip[dst] = ip[src]
-    return hb.PreHilbertModule(X.module, ip)
+    return hb.PreHilbertModule(X.quantale, X.carrier, X.action, ip)
 
 
 @pytest.mark.parametrize("name", sorted(set(CARRIER_QSETS) - {"golden3"}))
@@ -1173,7 +1176,7 @@ def module_from_qset_dense(Q, X, cap=hb.CARRIER_CAP):
     laws.TheoremViolation.check("carrier_closed_under_action", first_bad(act < 0))
     laws.TheoremViolation.check("rows_in_carrier", first_bad(rows < 0))
     ip = Q.lattice.join_products(mul, arr, inv[arr].T)
-    mod = hb.PreHilbertModule(hb.QModule(Q, carrier, act), ip)
+    mod = hb.PreHilbertModule(Q, carrier, act, ip)
     hb.check_prehilbert(mod)
     laws.TheoremViolation.check("row_projection", first_bad(ip[:, rows] != arr))
     laws.TheoremViolation.check("row_entries", first_bad(ip[np.ix_(rows, rows)] != A))
@@ -1321,11 +1324,11 @@ def test_sections_match_the_per_section_loops(name):
     for _ in range(4):                       # any inner product table will do here
         ip = X.ip.copy()
         ip[tuple(rng.integers(0, X.n, size=2))] = rng.integers(0, X.quantale.n)
-        Y = hb.PreHilbertModule(X.module, ip)
+        Y = hb.PreHilbertModule(X.quantale, X.carrier, X.action, ip)
         assert hilbert_sections(Y).tolist() == hilbert_sections_loop(Y)
-    in_local, pointwise = local_sections_loops(am.supported)
+    in_local, pointwise = local_sections_loops(am)
     assert in_local == pointwise
-    rep = hb.local_sections(am.supported)
+    rep = hb.local_sections(am)
     assert rep.local.tolist() == np.flatnonzero(in_local).tolist()
     assert rep.equal and generated_witness_loop(X.carrier, rep.local, rep.hilbert) is None
     # trade the least nonzero section for a second bottom: the same count,
@@ -1335,6 +1338,6 @@ def test_sections_match_the_per_section_loops(name):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hb, "hilbert_sections", lambda _: fake)
         with pytest.raises(laws.TheoremViolation) as ei:
-            hb.local_sections(am.supported)
+            hb.local_sections(am)
     assert ei.value.law == "local_sections_generated"
     assert ei.value.witness == generated_witness_loop(X.carrier, rep.local, fake)

@@ -25,7 +25,7 @@ from qlab import groupoid, hilbert, lattice, laws, objio, qmatrix, quantale
 from qlab.catalog import relq
 from qlab.groupoid import _enumerate_homs, module_from_action
 from qlab.hilbert import (AdjointIdentityFails, ModuleHom, NotEnoughSections,
-                          PreHilbertModule, QModule, adjoint, identity_hom, is_module_hom,
+                          PreHilbertModule, adjoint, identity_hom, is_module_hom,
                           module_from_qset, module_over_self, validate_module,
                           validate_prehilbert)
 from qlab.lattice import SupLattice
@@ -74,7 +74,7 @@ def fresh_module(X: PreHilbertModule, action=None, ip=None) -> PreHilbertModule:
     carrier = Q.lattice if X.carrier is X.quantale.lattice else fresh_lattice(X.carrier)
     action = X.action if action is None else action
     ip = X.ip if ip is None else ip
-    return PreHilbertModule(QModule(Q, carrier, action.copy()), ip.copy())
+    return PreHilbertModule(Q, carrier, action.copy(), ip.copy())
 
 
 def catalog_quantale(name: str) -> Quantale:
@@ -110,7 +110,7 @@ def quantale_laws(Q: Quantale):
 
 def prehilbert_laws(X: PreHilbertModule):
     rep = validate_prehilbert(X)
-    return validate_module(X.module).laws, rep.laws, rep.degeneracy_witness
+    return validate_module(X).laws, rep.laws, rep.degeneracy_witness
 
 
 # ------------------------------------------------------------- quantales
@@ -322,8 +322,9 @@ def adjoint_outcome(phi: ModuleHom):
 def join_extensions(src, dst):
     """Every join-preserving map between the powerset carriers of two action modules."""
     X1, X2 = src.module, dst.module
-    assert np.array_equal(src.atoms, 1 << np.arange(len(src.atoms)))
-    for images in itertools.product(range(X2.n), repeat=len(src.atoms)):
+    atoms = X1.carrier.join_irreducibles
+    assert atoms == [1 << x for x in range(len(atoms))]     # the loop below reads bitmasks
+    for images in itertools.product(range(X2.n), repeat=len(atoms)):
         table = np.full(X1.n, X2.carrier.bottom, dtype=np.intp)
         for mask in range(1, X1.n):
             low = (mask & -mask).bit_length() - 1
@@ -427,7 +428,7 @@ def test_right_scalar_law_needs_symmetry():
     def build():
         Q = catalog_quantale("relq2")
         ip = np.repeat(Q.mul[:, Q.top, None], Q.n, axis=1)
-        return PreHilbertModule(QModule(Q, Q.lattice, Q.mul), ip)
+        return PreHilbertModule(Q, Q.lattice, Q.mul, ip)
 
     fast, slow = both(build, prehilbert_laws)
     assert fast == slow

@@ -179,6 +179,27 @@ def test_map_axioms_in_frame_language():
     assert not ok and w == ("total", 0, 0)
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (3, 1)])
+def test_frame_map_conditions_check_the_endpoints_as_is_map_does(shape):
+    Q = frame_quantale(powerset_lattice(["u", "v"]))
+    point, pair = QSet(Q, [[3]]), QSet(Q, [[3, 2], [2, 2]])
+    F = QMatrix(Q, np.full(shape, 2))         # point -> pair needs shape (2, 1)
+    for check in (frame_map_conditions, is_map):
+        with pytest.raises(ShapeMismatch):
+            check(F, point, pair)
+
+
+def test_frame_map_conditions_reject_mixed_quantales():
+    pow2 = lambda: frame_quantale(powerset_lattice(["u", "v"]))
+    Q, other = pow2(), pow2()                 # equal tables, different objects
+    point = QSet(Q, [[3]])
+    for check in (frame_map_conditions, is_map):
+        with pytest.raises(QuantaleMismatch):
+            check(QMatrix(other, [[3]]), point, point)
+        with pytest.raises(QuantaleMismatch):
+            check(QMatrix(Q, [[3]]), point, QSet(other, [[3]]))
+
+
 # ------------------------------------------------- the laws against loop oracles
 
 def first(cells):

@@ -56,12 +56,17 @@ ACTION_SETS = {
 }
 
 
+def atoms(sm) -> np.ndarray:
+    """The single points {x} of an action module: its carrier's join-irreducibles."""
+    return np.asarray(sm.module.carrier.join_irreducibles, dtype=np.intp)
+
+
 def is_sheaf_hom(am1, am2, table, loc1, loc2: set) -> bool:
     """The per-table sheaf-hom test the stack replaced: a module hom that
     preserves supports and local sections."""
     if not hb.is_module_hom(hb.ModuleHom(am1.module, am2.module, table))[0]:
         return False
-    if not np.array_equal(am2.supported.sup[table], am1.supported.sup):
+    if not np.array_equal(am2.sup[table], am1.sup):
         return False
     return all(int(table[s]) in loc2 for s in loc1)
 
@@ -69,7 +74,7 @@ def is_sheaf_hom(am1, am2, table, loc1, loc2: set) -> bool:
 def verify_equivalence_per_table(G, actions, all_hom_cap: int = 4096) -> gp.EquivalenceReport:
     """verify_equivalence as it was before the stack: one call per table."""
     mods = [gp.module_from_action(a) for a in actions]
-    locs = [hb.local_sections(am.supported).local for am in mods]
+    locs = [hb.local_sections(am).local for am in mods]
     pairs = []
     for i, am1 in enumerate(mods):
         basis = hb.hilbert_sections(am1.module)
@@ -86,7 +91,7 @@ def verify_equivalence_per_table(G, actions, all_hom_cap: int = 4096) -> gp.Equi
                     None if hb.is_direct_image(phi, hb.adjoint(phi, basis)) else (i, j, pos))
             bij = []
             for f in equiv:
-                key = am1.module.carrier.join_extend(am2.atoms[list(f)],
+                key = am1.module.carrier.join_extend(atoms(am2)[list(f)],
                                                      am2.module.carrier).tobytes()
                 laws.TheoremViolation.check("direct_image_is_sheaf_hom",
                                             None if key in keyed else (i, j, f))
@@ -94,7 +99,7 @@ def verify_equivalence_per_table(G, actions, all_hom_cap: int = 4096) -> gp.Equi
             laws.TheoremViolation.check("direct_image_injective",
                                         None if len(set(bij)) == len(bij) else (i, j))
             total = None
-            if am2.module.n ** am1.action.n_points <= all_hom_cap:
+            if am2.module.n ** actions[i].n_points <= all_hom_cap:
                 all_tables = [t for t in gp._enumerate_homs(am1, am2, None)
                               if hb.is_module_hom(hb.ModuleHom(am1.module, am2.module, t))[0]]
                 total = len(all_tables)
@@ -140,8 +145,8 @@ def test_stacked_verdicts_match_the_per_table_functions(name):
     for am1 in mods:
         basis = hb.hilbert_sections(am1.module)
         for am2 in mods:
-            runs = [hb.local_sections(am2.supported).local]
-            if am2.module.n ** am1.action.n_points <= 4096:
+            runs = [hb.local_sections(am2).local]
+            if am2.module.n ** len(atoms(am1)) <= 4096:
                 runs.append(None)
             for images in runs:
                 tables = gp._enumerate_homs(am1, am2, images)
@@ -210,7 +215,7 @@ def test_a_corrupted_candidate_fails_as_before(name, kind, call, draws):
         elif kind == "shift":
             tables[r] = X2.join_table[draws[1] % X2.n, tables[r]]
         elif kind == "swap":
-            images = np.array([d % X2.n for d in draws[1:1 + len(am1.atoms)]], dtype=np.intp)
+            images = np.array([d % X2.n for d in draws[1:1 + len(atoms(am1))]], dtype=np.intp)
             tables[r] = X1.join_extend(images, X2)
         else:
             tables[r, X1.bottom] = draws[1] % X2.n
@@ -229,8 +234,10 @@ def corrupt_module(actions, which: int, edit):
         am = real(A)
         if A is not actions[which]:
             return am
-        ip = edit(am.module.ip.copy(), am.module)
-        return dataclasses.replace(am, module=hb.PreHilbertModule(am.module.module, ip))
+        X = am.module
+        ip = edit(X.ip.copy(), X)
+        return dataclasses.replace(am, module=hb.PreHilbertModule(X.quantale, X.carrier,
+                                                                  X.action, ip))
 
     return lambda mp: mp.setattr(gp, "module_from_action", patched)
 
@@ -253,7 +260,8 @@ def test_a_corrupted_target_inner_product_fails_as_before(name, data):
 
     fast, slow = both_outcomes(name, corrupt_module(actions, which, edit))
     X = gp.module_from_action(actions[which]).module
-    if hb.validate_prehilbert(hb.PreHilbertModule(X.module, edit(X.ip.copy(), X))).ok:
+    edited = hb.PreHilbertModule(X.quantale, X.carrier, X.action, edit(X.ip.copy(), X))
+    if hb.validate_prehilbert(edited).ok:
         assert fast == slow
     else:
         assert fast[:2] == ("TheoremViolation", "prehilbert_laws")
@@ -284,7 +292,7 @@ def test_each_stacked_check_rejects_its_corruption():
     am = gp.module_from_action(actions[0])
     X = am.module
     basis = hb.hilbert_sections(X)
-    good = gp._enumerate_homs(am, am, hb.local_sections(am.supported).local)[0]
+    good = gp._enumerate_homs(am, am, hb.local_sections(am).local)[0]
     jt = X.carrier.join_table
     cases = {
         "join": lambda t: np.where(np.arange(X.n) == 3, X.carrier.top, t),
@@ -315,8 +323,9 @@ def test_the_premises_and_the_adjoint_identity_are_theorem_checks():
     am = gp.module_from_action(actions[0])
     X = am.module
     basis = hb.hilbert_sections(X)
-    good = gp._enumerate_homs(am, am, hb.local_sections(am.supported).local)[0]
-    bad = hb.PreHilbertModule(X.module, np.where(np.eye(X.n, dtype=bool), X.quantale.top, X.ip))
+    good = gp._enumerate_homs(am, am, hb.local_sections(am).local)[0]
+    bad = hb.PreHilbertModule(X.quantale, X.carrier, X.action,
+                              np.where(np.eye(X.n, dtype=bool), X.quantale.top, X.ip))
     assert not bad.prehilbert_report.ok
     with pytest.raises(laws.TheoremViolation) as exc:
         hb.stacked_homs(X, bad, good[None], basis)
@@ -376,8 +385,8 @@ def test_stacks_in_chunks_decide_as_one_chunk(size):
     for am1 in mods:
         basis = hb.hilbert_sections(am1.module)
         for am2 in mods:
-            for images in (hb.local_sections(am2.supported).local, None):
-                if images is not None or am2.module.n ** am1.action.n_points <= 4096:
+            for images in (hb.local_sections(am2).local, None):
+                if images is not None or am2.module.n ** len(atoms(am1)) <= 4096:
                     tables = np.asarray(gp._enumerate_homs(am1, am2, images))
                     stacks.append((am1.module, am2.module, tables, basis))
     whole = [hb.stacked_homs(*stack) for stack in stacks]
@@ -400,7 +409,7 @@ def test_the_adjoint_identity_witness_names_its_row_of_the_whole_stack(size):
     G, actions = ACTION_SETS["z3"]()
     am = gp.module_from_action(actions[0])
     X = am.module
-    good = gp._enumerate_homs(am, am, hb.local_sections(am.supported).local)[0]
+    good = gp._enumerate_homs(am, am, hb.local_sections(am).local)[0]
     tables = np.stack([X.carrier.join_table[1, good]] * 9 + [good])   # the bottom moved
     sigma = np.arange(0)
     with pytest.raises(laws.TheoremViolation) as one:
