@@ -20,9 +20,8 @@ import numpy as np
 from . import objio
 from .catalog import catalog_entries
 from .groupoid import FiniteGroupoid, NotEtale, module_from_action, sheafify, verify_equivalence
-from .hilbert import (CARRIER_CAP, CarrierTooLarge, PreHilbertModule, has_enough_sections,
-                      hilbert_sections, is_hilbert_basis, module_from_qset,
-                      parseval_check)
+from .hilbert import (CarrierTooLarge, PreHilbertModule, has_enough_sections, hilbert_sections,
+                      is_hilbert_basis, module_from_qset, parseval_check)
 from .laws import TheoremViolation, Violation
 from .objio import InputError, canonical_dumps, write_canonical
 from .qmatrix import completion, is_qset, is_strict
@@ -39,11 +38,6 @@ def _count(name: str, raw) -> int:
     if not math.isfinite(value) or value < 0:
         raise InputError(f"{name} must be a finite nonnegative number: {raw!r}")
     return int(value)
-
-
-def _cap(args) -> int:
-    """The carrier-closure cap: --cap, else hilbert.CARRIER_CAP."""
-    return _count("--cap", args.cap) if args.cap is not None else CARRIER_CAP
 
 
 def _out(args, lines: list[str], doc: dict) -> None:
@@ -86,13 +80,14 @@ def _failure(obj, rep) -> tuple[str, list, str]:
     return law, labels, f"{law} fails at {', '.join(map(str, labels))}"
 
 
-def _as_module(ref: str, cap: int) -> PreHilbertModule:
-    kind, obj = objio.resolve(ref, expect=("module", "action", "qset"))
+def _as_module(ref: str, expect=("module", "action", "qset")) -> PreHilbertModule:
+    """The module of a module, action or Q-set file, of the kinds in expect."""
+    kind, obj = objio.resolve(ref, expect=expect)
     if kind == "module":
         return obj
     if kind == "action":
         return module_from_action(obj).module
-    return module_from_qset(obj.Q, obj, cap=cap).module
+    return module_from_qset(obj.Q, obj).module
 
 
 # ---------------------------------------------------------------- commands
@@ -167,7 +162,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_sections(args) -> int:
-    X = _as_module(args.ref, _cap(args))
+    X = _as_module(args.ref)
     ok, secs, wit = has_enough_sections(X)
     lines = [f"module with {X.n} elements over {X.quantale.name or 'quantale'}",
              f"hilbert sections: {len(secs)}"]
@@ -185,7 +180,7 @@ def cmd_sections(args) -> int:
 
 
 def cmd_basis_check(args) -> int:
-    X = _as_module(args.ref, _cap(args))
+    X = _as_module(args.ref)
     if args.sigma:
         try:
             sigma = [int(s) for s in args.sigma.split(",")]
@@ -211,11 +206,9 @@ def cmd_basis_check(args) -> int:
 
 
 def cmd_sheafify(args) -> int:
-    cap = _cap(args)
-    kind, obj = objio.resolve(args.ref, expect=("module", "action"))
-    X = module_from_action(obj).module if kind == "action" else obj
+    X = _as_module(args.ref, expect=("module", "action"))
     try:
-        rep = sheafify(X, cap=cap)
+        rep = sheafify(X)
     except NotEtale as exc:
         _out(args, [f"not etale: {exc}"],
              {"command": "sheafify", "ref": args.ref, "etale": False,
@@ -253,7 +246,7 @@ def cmd_verify_equivalence(args) -> int:
         if not _same_groupoid(A.groupoid, G):
             raise InputError(f"{ref} is an action of a different groupoid")
         actions.append(A)
-    rep = verify_equivalence(G, actions, all_hom_cap=_count("--all-hom-cap", args.all_hom_cap))
+    rep = verify_equivalence(G, actions)
     lines = [f"groupoid {G.name or args.groupoid}: {len(actions)} actions"]
     pairs = []
     for p in rep.pairs:
@@ -381,24 +374,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sections", cmd_sections, "Hilbert sections of a module")
     p.add_argument("ref", help="module, action, or qset")
-    p.add_argument("--cap", help="carrier-closure cap (default 2^13)")
 
     p = add("basis-check", cmd_basis_check, "does a section family reconstruct the module?")
     p.add_argument("ref", help="module, action, or qset")
     p.add_argument("--sigma", help="comma-separated carrier indices (default: all sections)")
-    p.add_argument("--cap", help="carrier-closure cap (default 2^13)")
 
     p = add("sheafify", cmd_sheafify, "section Q-set of an etale Q-locale")
     p.add_argument("ref", help="action or module")
-    p.add_argument("--cap", help="carrier-closure cap (default 2^13)")
     p.add_argument("--out", help="write the section q-set to this file")
 
     p = add("verify-equivalence", cmd_verify_equivalence,
             "equivariant maps vs sheaf morphisms, pairwise")
     p.add_argument("groupoid", help="groupoid file or catalog: URI")
     p.add_argument("action", nargs="+", help="actions of that groupoid")
-    p.add_argument("--all-hom-cap", default=4096,
-                   help="enumerate all module homs when the space is at most this size")
 
     p = add("search", cmd_search, "exhaustive quantale-structure search on a lattice")
     p.add_argument("--lattice", required=True,

@@ -33,6 +33,8 @@ from .laws import (TheoremViolation, Violation, first_bad, first_bad_named, firs
 from .qmatrix import QSet, is_qset
 from .quantale import NotUnital, Quantale, classify, partial_units, support
 
+ALL_HOM_CAP = 4096   # verify_equivalence enumerates every module hom up to this many tables
+
 
 class NotAGroupoid(Violation):
     """The tables break a groupoid law."""
@@ -266,7 +268,7 @@ def local_section_indices(X: hb.PreHilbertModule):
     return hb.hilbert_sections(base), np.diagonal(base.ip).copy(), base
 
 
-def sheafify(X: hb.PreHilbertModule, cap: int = hb.CARRIER_CAP) -> SheafifyReport:
+def sheafify(X: hb.PreHilbertModule) -> SheafifyReport:
     """Build the Q-set of local sections and verify X ~ Q^I M.
 
     The matrix follows the transporter recipe: m_st joins every partial
@@ -301,7 +303,7 @@ def sheafify(X: hb.PreHilbertModule, cap: int = hb.CARRIER_CAP) -> SheafifyRepor
     if not ok_qset:
         return SheafifyReport(qs, secs, sup, None, None, checks)
 
-    mm = hb.module_from_qset(Q, qs, cap=cap)
+    mm = hb.module_from_qset(Q, qs)
     N = mm.module
     canon = N.carrier.join_products(N.action, base.ip[:, secs], mm.rows)
 
@@ -420,15 +422,15 @@ def _hom_verdicts(sm1: hb.SupportedModule, sm2: hb.SupportedModule, tables: np.n
     return hom, sheaf, direct
 
 
-def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> EquivalenceReport:
+def verify_equivalence(G: FiniteGroupoid, actions) -> EquivalenceReport:
     """Count equivariant maps and sheaf morphisms for every action pair.
 
     The two counts come from independent enumerations (raw action tables on
     one side, module machinery on the other); the explicit bijection is the
-    direct image f |-> f_!.  When the full space of join-preserving tables
-    is small enough, all module homs are enumerated and the two sheaf-hom
-    characterizations (support+section preserving vs the Galois pair
-    phi.phi+ <= id <= phi+.phi) are checked to coincide on it.  Each
+    direct image f |-> f_!.  When the full space of tables holds at most
+    ALL_HOM_CAP (read per call), all module homs are enumerated and the two
+    sheaf-hom characterizations (support+section preserving vs the Galois
+    pair phi.phi+ <= id <= phi+.phi) are checked to coincide on it.  Each
     source's pre-Hilbert laws (a theorem) and Hilbert basis (else
     NotEnoughSections) are checked once, and each pair's candidate tables
     are decided as one stack (_hom_verdicts).
@@ -466,7 +468,7 @@ def verify_equivalence(G: FiniteGroupoid, actions, all_hom_cap: int = 4096) -> E
                                    None if len(set(bij)) == len(bij) else (i, j))
 
             total = None
-            if X2.n ** actions[i].n_points <= all_hom_cap:
+            if X2.n ** actions[i].n_points <= ALL_HOM_CAP:
                 every = _enumerate_homs(sm1, sm2, None)
                 hom, sheaf, direct = _hom_verdicts(sm1, sm2, every, basis, locs[i], locs[j])
                 total = int(hom.sum())

@@ -29,7 +29,7 @@ from .quantale import NotAQuantale, Quantale, ValidationReport, support
 
 
 class CarrierTooLarge(RuntimeError):
-    """Raised when the module carrier closure exceeds the configured cap."""
+    """Raised when the module carrier closure exceeds CARRIER_CAP vectors."""
 
     def __init__(self, size: int, cap: int):
         super().__init__(f"carrier closure exceeded cap ({size} > {cap})")
@@ -37,7 +37,7 @@ class CarrierTooLarge(RuntimeError):
         self.cap = cap
 
 
-CARRIER_CAP = 1 << 13   # default cap on the carrier closure of module_from_qset
+CARRIER_CAP = 1 << 13   # cap on the carrier closure of module_from_qset
 
 
 class AdjointIdentityFails(Violation):
@@ -432,16 +432,17 @@ def _vector_labels(Q: Quantale, vectors: np.ndarray) -> list[str]:
     return [f"v{i}" for i in range(len(vectors))]
 
 
-def module_from_qset(Q: Quantale, X: QSet, cap: int = CARRIER_CAP) -> MatrixModule:
+def module_from_qset(Q: Quantale, X: QSet) -> MatrixModule:
     """Materialize Q^I A = {vA} as a pre-Hilbert module with its row basis.
 
     The carrier closes the scaled rows under binary joins, in this order:
     the zero vector; the new q . row_a, q ascending, one row a at a time
-    (CarrierTooLarge(size, cap) past the cap); then for i = 0, 1, ... the
-    new joins of vector i with vectors 0..i, each where it first occurs
-    (CarrierTooLarge(cap + 1, cap)).  Where each of those joins lands is
-    the carrier's join table, so x <= y iff x OR y = y; SupLattice checks
-    that it is the lub table rather than search it again.  The tables are
+    (CarrierTooLarge(size, CARRIER_CAP) past CARRIER_CAP, read per call);
+    then for i = 0, 1, ... the new joins of vector i with vectors 0..i,
+    each where it first occurs (CarrierTooLarge(CARRIER_CAP + 1,
+    CARRIER_CAP)).  Where each of those joins lands is the carrier's join
+    table, so x <= y iff x OR y = y; SupLattice checks that it is the lub
+    table rather than search it again.  The tables are
     built on generators, which needs the product to be bilinear and the
     involution to preserve finite joins (NotAQuantale otherwise): a . v is
     looked up for join-irreducible a only, and join-extended over Q; the
@@ -462,15 +463,15 @@ def module_from_qset(Q: Quantale, X: QSet, cap: int = CARRIER_CAP) -> MatrixModu
     index = _RowIndex(np.full((1, X.size), Q.bottom))
     for alpha in range(X.size):
         index = index.extended(mul[:, A[alpha]])[0]
-    if len(index.table) > cap:
-        raise CarrierTooLarge(len(index.table), cap)
+    if len(index.table) > CARRIER_CAP:
+        raise CarrierTooLarge(len(index.table), CARRIER_CAP)
     joins = []                                  # joins[i][k] = carrier index of v_i OR v_k
     while len(joins) < len(arr := index.table):
         i = len(joins)
         index, pos = index.extended(lat.join_table[arr[i], arr[:i + 1]])
         joins.append(pos)
-        if len(index.table) > cap:
-            raise CarrierTooLarge(cap + 1, cap)
+        if len(index.table) > CARRIER_CAP:
+            raise CarrierTooLarge(CARRIER_CAP + 1, CARRIER_CAP)
     m = len(arr)
     jt = np.empty((m, m), dtype=np.intp)
     for i, pos in enumerate(joins):

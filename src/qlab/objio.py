@@ -5,9 +5,9 @@ the kind of a bare payload is inferred from its discriminating key.  Output is
 always enveloped and canonically formatted (sorted keys, two-space indent,
 trailing newline), so emitting and re-loading an object is byte-stable.
 
-References to quantales and groupoids inside other payloads are either an
-inline payload or a "catalog:NAME" string resolved against the built-in
-examples.
+References to quantales and groupoids inside other payloads are an inline
+payload, a file path, or a "catalog:NAME" string resolved against the
+built-in examples.
 """
 
 from __future__ import annotations
@@ -148,14 +148,16 @@ def quantale_from_payload(p: dict) -> Quantale:
 
 
 def _ref(ref, kind: str, context: str):
-    """A catalog quantale or groupoid, or an inline payload; an inline quantale
-    must pass validate_quantale (a groupoid checks its laws when built)."""
+    """A quantale or groupoid given inline, by file path or as catalog:NAME.
+    Every quantale but a catalog entry must pass validate_quantale (a
+    groupoid checks its laws when built)."""
     if isinstance(ref, str):
-        return resolve(ref, expect=kind)[1]
-    if not isinstance(ref, dict):
+        obj = resolve(ref, expect=kind)[1]
+    elif isinstance(ref, dict):
+        obj = _KINDS[kind][2](ref)
+    else:
         raise InputError(f"{context}.{kind} must be a payload or a catalog: reference")
-    obj = _KINDS[kind][2](ref)
-    if kind == "quantale":
+    if kind == "quantale" and not (isinstance(ref, str) and ref.startswith("catalog:")):
         validate_quantale(obj).require(NotAQuantale)
     return obj
 
@@ -399,5 +401,7 @@ def resolve(ref: str, expect=None) -> tuple[str, object]:
     if expect is not None:
         allowed = {expect} if isinstance(expect, str) else set(expect)
         if kind not in allowed:
-            raise InputError(f"{ref} is a {kind}, expected {' or '.join(sorted(allowed))}")
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise InputError(f"{ref} is {article} {kind}, "
+                             f"expected {' or '.join(sorted(allowed))}")
     return kind, obj

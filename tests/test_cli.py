@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,9 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qlab
-from qlab import hilbert, objio
+from qlab import groupoid, hilbert, objio
 from qlab.catalog import catalog_entries, catalog_get, egger8, quantale_r4, relq
-from qlab.cli import main
+from qlab.cli import build_parser, main
 from qlab.hilbert import module_over_self
 from qlab.lattice import chain_lattice
 from qlab.laws import TheoremViolation
@@ -223,21 +225,20 @@ def test_search_rejects_bad_budget_and_cap(tmp_path, capsys, option, value):
     assert err.count("\n") == 1 and err.startswith(f"error: {option} ")
 
 
-@pytest.mark.parametrize("value", ["inf", "1e400", "-5"])
-def test_module_cap_rejects_infinite_and_negative(tmp_path, capsys, value):
-    for command in ("sections", "basis-check", "sheafify"):
-        code, out, err = run(capsys, command, "catalog:z2_regular", f"--cap={value}")
-        assert code == 2, command
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: --cap "), command
-
-
-def test_complete_has_no_cap_option(tmp_path, capsys):
+@pytest.mark.parametrize("argv, flag", [
+    (["complete", "QSET"], "--cap"),
+    (["sections", "catalog:z2_regular"], "--cap"),
+    (["basis-check", "catalog:z2_regular"], "--cap"),
+    (["sheafify", "catalog:z2_regular"], "--cap"),
+    (["verify-equivalence", "catalog:z2", "catalog:z2_regular"], "--all-hom-cap")])
+def test_only_the_search_takes_a_cap_option(tmp_path, capsys, argv, flag):
+    # the carrier closure and the all-homs enumeration are limited by
+    # hilbert.CARRIER_CAP and groupoid.ALL_HOM_CAP alone
     pt = write(tmp_path, "pt.json", QSet(relq(2), [[relq(2).unit]]))
     with pytest.raises(SystemExit) as exc:
-        main(["complete", pt, "--cap", "5"])
+        main([pt if a == "QSET" else a for a in argv] + [flag, "5"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 MALFORMED = {   # name -> (object to dump, in-place edit of its payload)
@@ -380,16 +381,22 @@ def test_catalog_out_with_json_prints_the_object(tmp_path, capsys):
     assert (code, out) == (0, f"wrote quantale r4 to {out_path}\n")
 
 
+@pytest.mark.parametrize("where", ["inline", "path"])
 @pytest.mark.parametrize("kind,command", [
     ("qset", "check"), ("qset", "complete"), ("qset", "sections"),
     ("module", "check"), ("module", "sections"), ("module", "sheafify")])
-def test_an_inline_quantale_that_breaks_a_law_is_invalid_input(tmp_path, capsys, kind, command):
-    # relq2 with one product cell overwritten, inline in the payload: before
-    # inline quantales were validated, complete and sections over the Q-set
-    # exited 3 (a failed theorem check), and check called the Q-set ok
+def test_a_quantale_that_breaks_a_law_is_invalid_input(tmp_path, capsys, kind, command, where):
+    # relq2 with one product cell overwritten, inline in the payload or in a
+    # file the payload names: before such quantales were validated, complete
+    # and sections over the Q-set exited 3 (a failed theorem check), or
+    # reported a join law, and check called the Q-set ok
     obj = QSet(relq(2), [[relq(2).unit]]) if kind == "qset" else module_over_self(relq(2))
     doc = json.loads(objio.dump_object(obj))
-    doc["payload"]["quantale"]["mul"][3][5] = 15
+    quantale = doc["payload"]["quantale"]
+    quantale["mul"][3][5] = quantale["mul"][5][3]
+    if where == "path":
+        doc["payload"]["quantale"] = str(tmp_path / "quantale.json")
+        (tmp_path / "quantale.json").write_text(json.dumps(quantale))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     line = "invalid: not a quantale: associativity fails at (1, 3, 5)\n"
@@ -431,6 +438,18 @@ def test_search_rejects_a_limit_below_one(tmp_path, capsys, limit):
                          "--fix-unit", "1", "--limit", limit)
     assert (code, out) == (2, "")
     assert err == f"error: limit must be at least 1: {limit}\n"
+
+
+def test_every_option_is_named_in_the_readme():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in commands.choices.values() for a in p._actions
+               for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    assert "--lattice" in options
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme))
+    assert sorted(options - named) == []
 
 
 def test_search_rejects_unknown_flag(tmp_path, capsys):
@@ -553,19 +572,25 @@ def test_sheafify_over_a_quantale_without_unit_is_rejected(tmp_path, capsys):
         1, "invalid: local sections need a unital quantale\n", "")
 
 
-@pytest.mark.parametrize("value", ["-1", "inf", "nan", "many"])
-def test_all_hom_cap_rejects_negative_infinite_and_non_numbers(capsys, value):
-    code, out, err = run(capsys, "verify-equivalence", "catalog:z2", "catalog:z2_regular",
-                         f"--all-hom-cap={value}")
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and err.startswith("error: --all-hom-cap "), err
-
-
-def test_all_hom_cap_is_a_count_like_the_other_caps(capsys):
-    code, out, err = run(capsys, "verify-equivalence", "catalog:z2", "catalog:z2_regular",
-                         "--all-hom-cap", "1e3")
+def test_all_module_homs_are_counted_up_to_the_all_hom_cap(monkeypatch, capsys):
+    # z2_regular's module has 4 elements on 2 points: 16 tables
+    argv = ("verify-equivalence", "catalog:z2", "catalog:z2_regular")
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert "sheaf homs 2: match (module homs: 4)\n" in out
+    monkeypatch.setattr(groupoid, "ALL_HOM_CAP", 15)
+    assert run(capsys, *argv) == (0, out.replace(" (module homs: 4)", ""), "")
+
+
+def test_the_carrier_cap_stops_a_qset_module_with_exit_2(tmp_path, monkeypatch, capsys):
+    # the unit point over relq2 closes to a carrier of 16 vectors
+    pt = write(tmp_path, "pt.json", QSet(relq(2), [[relq(2).unit]]))
+    assert run(capsys, "sections", pt)[0] == 0
+    monkeypatch.setattr(hilbert, "CARRIER_CAP", 4)
+    for command in ("sections", "basis-check"):
+        code, out, err = run(capsys, command, pt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: carrier closure exceeded cap (") and err.endswith(" > 4)\n")
 
 
 def fail_prehilbert_recheck(monkeypatch):
@@ -605,7 +630,7 @@ def test_theorem_checks_run_under_python_O():
     src = os.path.dirname(os.path.dirname(qlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = ("import sys, pytest, tests.test_cli as t\n"
-              "from qlab.cli import main\n"
+              "from qlab.cli import build_parser, main\n"
               "t.fail_prehilbert_recheck(pytest.MonkeyPatch())\n"
               "sys.exit(main(['sheafify', 'catalog:z2_regular']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,

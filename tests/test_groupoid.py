@@ -7,7 +7,6 @@ from qlab import groupoid as gp
 from qlab import hilbert as hb
 from qlab.catalog import (GROUPOID_NAMES, catalog_get, cyclic_table, egger8, group_quantale,
                           quantale_r4, relq)
-from qlab.lattice import powerset_lattice
 from qlab.quantale import support
 
 
@@ -341,69 +340,3 @@ def test_catalog_actions_act_through_the_catalog_groupoid():
         for suffix in ("regular", "objects"):
             assert catalog_get(f"{name}_{suffix}")[1].groupoid is catalog_get(name)[1]
     assert catalog_get("relq2")[1] is not catalog_get("relq2")[1]
-
-
-# ------------------------------------ action modules against the bitmask formulas
-
-def action_module_by_masks(A: gp.GroupoidAction):
-    """The action, inner product and support tables of P(E) by the bitmask
-    formulas: a carrier element is the mask of its points, and an element of
-    O(G) the mask of its arrows."""
-    G = A.groupoid
-    Q = G.quantale
-    carrier = powerset_lattice(A.points)
-    masks = np.arange(carrier.n)
-    lam = A.act[G.inv]
-    single = np.where(lam >= 0, 1 << np.maximum(lam, 0), 0)
-    action = Q.lattice.join_extend(carrier.join_extend(single.T, carrier).T, carrier)
-    ip = np.zeros((carrier.n, carrier.n), dtype=np.intp)
-    for g in range(G.n_arrows):
-        ip |= ((masks[:, None] & action[1 << g][None, :]) != 0) * (1 << g)
-    sup = carrier.join_extend(1 << G.units[A.p], Q.lattice)
-    return action, ip, sup
-
-
-def enumerate_homs_by_masks(A1: gp.GroupoidAction, sm1, sm2, images):
-    """_enumerate_homs with the atoms {x} and {g} read as the masks 1 << x and 1 << g."""
-    X1, X2 = sm1.module, sm2.module
-    atoms1 = [1 << x for x in range(A1.n_points)]
-    if images is None:
-        values = [np.arange(X2.n)] * len(atoms1)
-    else:
-        values = [images[sm2.sup[images] == sm1.sup[a]] for a in atoms1]
-    qatoms = 1 << np.arange(A1.groupoid.n_arrows)
-    pos = {int(X1.carrier.bottom): -1} | {a: x for x, a in enumerate(atoms1)}
-    triples = [(g, x, pos[int(X1.action[q, a])])
-               for g, q in enumerate(qatoms) for x, a in enumerate(atoms1)]
-    sols = gp._commuting_maps(values, X2.action[qatoms], triples, X2.carrier.bottom)
-    return X1.carrier.join_extend(sols.T, X2.carrier).T
-
-
-CATALOG_ACTIONS = [f"{name}_{kind}" for name in GROUPOID_NAMES for kind in ("regular", "objects")]
-
-
-@pytest.mark.parametrize("name", CATALOG_ACTIONS)
-def test_action_modules_match_the_bitmask_formulas(name):
-    A = catalog_get(name)[1]
-    sm = gp.module_from_action(A)
-    action, ip, sup = action_module_by_masks(A)
-    assert np.array_equal(sm.module.action, action)
-    assert np.array_equal(sm.module.ip, ip)
-    assert np.array_equal(sm.sup, sup)
-
-
-@pytest.mark.parametrize("name", GROUPOID_NAMES)
-def test_hom_candidates_match_the_bitmask_formulas(name):
-    """Every action pair of the groupoid, with local-section images and with
-    None wherever verify_equivalence enumerates all homs."""
-    actions = [catalog_get(f"{name}_{kind}")[1] for kind in ("regular", "objects")]
-    mods = [gp.module_from_action(A) for A in actions]
-    for A1, sm1 in zip(actions, mods):
-        for sm2 in mods:
-            runs = [hb.local_sections(sm2).local]
-            if sm2.module.n ** A1.n_points <= 4096:
-                runs.append(None)
-            for images in runs:
-                fast = gp._enumerate_homs(sm1, sm2, images)
-                slow = enumerate_homs_by_masks(A1, sm1, sm2, images)
-                assert fast.shape == slow.shape and np.array_equal(fast, slow)

@@ -127,9 +127,10 @@ def test_module_from_qset_identities():
         mm.vector_index([99])
 
 
-def test_module_from_qset_carrier_cap():
+def test_module_from_qset_carrier_cap(monkeypatch):
+    monkeypatch.setattr(hb, "CARRIER_CAP", 4)
     with pytest.raises(CarrierTooLarge):
-        module_from_qset(R2, unit_point(), cap=4)
+        module_from_qset(R2, unit_point())
 
 
 def test_qset_from_basis_and_not_enough_sections():

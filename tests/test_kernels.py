@@ -38,7 +38,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qlab import hilbert as hb
-from qlab import laws, lattice, objio, qmatrix
+from qlab import groupoid, laws, lattice, objio, qmatrix
 from qlab.catalog import catalog_entries, catalog_get, egger8, powerset_quantale, relq
 from qlab.groupoid import _enumerate_homs, _equivariant_maps, module_from_action, sheafify
 from qlab.lattice import (NotALattice, NotAPoset, SupLattice, _bound_table, chain_lattice,
@@ -1094,7 +1094,7 @@ def test_catalog_homs_match_the_recursive_walks(pair):
     am1, am2 = module_from_action(A1), module_from_action(A2)
     loc2 = hb.local_sections(am2).local
     runs = [(loc2, True)]
-    if am2.module.n ** A1.n_points <= 4096:           # verify_equivalence's all_hom_cap
+    if am2.module.n ** A1.n_points <= groupoid.ALL_HOM_CAP:
         runs.append((None, False))
     for images, pinned in runs:
         fast = _enumerate_homs(am1, am2, images)
@@ -1300,14 +1300,15 @@ def carrier_outcome(build):
 
 
 @pytest.mark.parametrize("name", ["golden", "golden3", "fixed:two_units"])
-def test_carrier_caps_stop_where_the_worklist_stops(name):
+def test_carrier_caps_stop_where_the_worklist_stops(name, monkeypatch):
     # golden3's closure passes the default cap, so its carrier is compared here only
     X = CARRIER_QSETS[name]()
     Q, A = X.Q, X.A.data
     scaled = len(np.unique(np.vstack([np.full((1, X.size), Q.bottom),
                                       *(Q.mul[:, A[a]] for a in range(X.size))]), axis=0))
     for cap in (scaled - 1, scaled, scaled + 5, hb.CARRIER_CAP):
-        fast = carrier_outcome(lambda: module_from_qset(Q, X, cap).vectors)
+        monkeypatch.setattr(hb, "CARRIER_CAP", cap)
+        fast = carrier_outcome(lambda: module_from_qset(Q, X).vectors)
         assert fast == carrier_outcome(lambda: module_from_qset_worklist(Q, A, cap)[0])
         if cap == scaled - 1:                                 # stops after the scaled rows
             assert fast == ("too large", scaled, cap)

@@ -131,6 +131,15 @@ def test_resolve_file_and_catalog(tmp_path):
         objio.resolve(str(p), expect="groupoid")
 
 
+@pytest.mark.parametrize("ref, expect, message", [
+    ("catalog:z2_regular", "quantale", "catalog:z2_regular is an action, expected quantale"),
+    ("catalog:z2", ("action", "module"), "catalog:z2 is a groupoid, expected action or module")])
+def test_a_kind_mismatch_names_the_kind_with_its_article(ref, expect, message):
+    with pytest.raises(objio.InputError) as ei:
+        objio.resolve(ref, expect=expect)
+    assert str(ei.value) == message
+
+
 def test_catalog_and_file_agree_for_actions(tmp_path):
     kind, A = catalog_get("pair2_regular")
     text = objio.dump_object(A)

@@ -71,7 +71,7 @@ def is_sheaf_hom(am1, am2, table, loc1, loc2: set) -> bool:
     return all(int(table[s]) in loc2 for s in loc1)
 
 
-def verify_equivalence_per_table(G, actions, all_hom_cap: int = 4096) -> gp.EquivalenceReport:
+def verify_equivalence_per_table(G, actions) -> gp.EquivalenceReport:
     """verify_equivalence as it was before the stack: one call per table."""
     mods = [gp.module_from_action(a) for a in actions]
     locs = [hb.local_sections(am).local for am in mods]
@@ -99,7 +99,7 @@ def verify_equivalence_per_table(G, actions, all_hom_cap: int = 4096) -> gp.Equi
             laws.TheoremViolation.check("direct_image_injective",
                                         None if len(set(bij)) == len(bij) else (i, j))
             total = None
-            if am2.module.n ** actions[i].n_points <= all_hom_cap:
+            if am2.module.n ** actions[i].n_points <= gp.ALL_HOM_CAP:
                 all_tables = [t for t in gp._enumerate_homs(am1, am2, None)
                               if hb.is_module_hom(hb.ModuleHom(am1.module, am2.module, t))[0]]
                 total = len(all_tables)
@@ -146,7 +146,7 @@ def test_stacked_verdicts_match_the_per_table_functions(name):
         basis = hb.hilbert_sections(am1.module)
         for am2 in mods:
             runs = [hb.local_sections(am2).local]
-            if am2.module.n ** len(atoms(am1)) <= 4096:
+            if am2.module.n ** len(atoms(am1)) <= gp.ALL_HOM_CAP:
                 runs.append(None)
             for images in runs:
                 tables = gp._enumerate_homs(am1, am2, images)
@@ -386,7 +386,7 @@ def test_stacks_in_chunks_decide_as_one_chunk(size):
         basis = hb.hilbert_sections(am1.module)
         for am2 in mods:
             for images in (hb.local_sections(am2).local, None):
-                if images is not None or am2.module.n ** len(atoms(am1)) <= 4096:
+                if images is not None or am2.module.n ** len(atoms(am1)) <= gp.ALL_HOM_CAP:
                     tables = np.asarray(gp._enumerate_homs(am1, am2, images))
                     stacks.append((am1.module, am2.module, tables, basis))
     whole = [hb.stacked_homs(*stack) for stack in stacks]
