@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qlab
-from qlab import groupoid, hilbert, objio
+from qlab import cli, groupoid, hilbert, objio
 from qlab.catalog import catalog_entries, catalog_get, egger8, quantale_r4, relq
 from qlab.cli import build_parser, main
 from qlab.hilbert import module_over_self
@@ -411,6 +412,28 @@ def test_a_quantale_that_breaks_a_law_is_invalid_input(tmp_path, capsys, kind, c
         assert (code, err) == (1, "")
 
 
+@pytest.mark.parametrize("kind,command", [
+    ("qset", "check"), ("qset", "complete"), ("qset", "sections"),
+    ("module", "check"), ("module", "sections"), ("module", "sheafify")])
+def test_a_quantale_named_by_path_reads_as_the_inline_one(tmp_path, capsys, kind, command):
+    # the same lawful relq2, inline and in a file the payload names: every
+    # command answers byte for byte the same
+    obj = QSet(relq(2), [[relq(2).unit]]) if kind == "qset" else module_over_self(relq(2))
+    doc = json.loads(objio.dump_object(obj))
+    path = tmp_path / "obj.json"
+    answers = []
+    for where in ("inline", "path"):
+        if where == "path":
+            (tmp_path / "quantale.json").write_text(json.dumps(doc["payload"]["quantale"]))
+            doc["payload"]["quantale"] = str(tmp_path / "quantale.json")
+        path.write_text(json.dumps(doc))
+        answers.append([run(capsys, command, *flags, str(path)) for flags in ([], ["--json"])])
+    assert answers[0] == answers[1]
+    # the one-point Q-set over relq2 is not complete: 9 singletons
+    assert [code for code, _, _ in answers[0]] == [1 if command == "complete" else 0] * 2
+    assert all(err == "" for _, _, err in answers[0])
+
+
 @pytest.mark.parametrize("table, value, law, witness", [
     ("ip", 15, "ip_scalar_left", (1, 3, 5)), ("action", 0, "action_product", (1, 7, 5))])
 def test_a_module_file_that_breaks_a_law_is_invalid_input(tmp_path, capsys, table, value,
@@ -591,6 +614,25 @@ def test_the_carrier_cap_stops_a_qset_module_with_exit_2(tmp_path, monkeypatch, 
         code, out, err = run(capsys, command, pt)
         assert (code, out) == (2, "")
         assert err.startswith("error: carrier closure exceeded cap (") and err.endswith(" > 4)\n")
+
+
+@pytest.mark.parametrize("name, size", [("z2_regular", 4), ("z2_objects", 2)])
+def test_sheafify_stops_past_the_carrier_cap(monkeypatch, capsys, name, size):
+    # sheafify closes the carrier of the module's sections; a carrier of
+    # exactly CARRIER_CAP vectors passes, one more stops with exit 2
+    monkeypatch.setattr(hilbert, "CARRIER_CAP", size)
+    assert run(capsys, "sheafify", f"catalog:{name}")[0] == 0
+    monkeypatch.setattr(hilbert, "CARRIER_CAP", size - 1)
+    assert run(capsys, "sheafify", f"catalog:{name}") == (
+        2, "", f"error: carrier closure exceeded cap ({size} > {size - 1})\n")
+
+
+@pytest.mark.parametrize("func", [hilbert.module_from_qset, groupoid.sheafify,
+                                  groupoid.verify_equivalence, cli._as_module],
+                         ids=lambda f: f.__name__)
+def test_the_module_builders_take_no_cap_argument(func):
+    # their limits are the constants hilbert.CARRIER_CAP and groupoid.ALL_HOM_CAP
+    assert not [p for p in inspect.signature(func).parameters if "cap" in p]
 
 
 def fail_prehilbert_recheck(monkeypatch):

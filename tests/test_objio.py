@@ -72,6 +72,21 @@ def test_catalog_references_resolve_inside_payloads():
         objio.build_object("qset", payload)
 
 
+def test_a_catalog_quantale_is_not_validated_again(tmp_path, monkeypatch):
+    # catalog entries are lawful by construction; a quantale named by file
+    # path or given inline is validated like any other input
+    calls = []
+    validate = objio.validate_quantale
+    monkeypatch.setattr(objio, "validate_quantale", lambda Q: calls.append(Q) or validate(Q))
+    kind, payload = objio.to_payload(QSet(relq(2), [[relq(2).unit]], ["pt"]))
+    inline = payload["quantale"]
+    (tmp_path / "q.json").write_text(json.dumps(inline))
+    for ref, validated in (("catalog:relq2", 0), (str(tmp_path / "q.json"), 1), (inline, 1)):
+        calls.clear()
+        objio.build_object("qset", dict(payload, quantale=ref))
+        assert len(calls) == validated, ref
+
+
 def test_parse_document_errors():
     with pytest.raises(objio.InputError):
         objio.parse_document([1, 2])
